@@ -1,12 +1,15 @@
-"""Hot numeric kernels, each with a numba loop and a pure-numpy twin.
+"""Hot numeric kernels behind a numba and a numpy backend.
 
 The loop variants are compiled with ``numba.njit(cache=True, nogil=True)``
-when numba is importable; the numpy variants are vectorised reformulations
-of the same contracts.  The active backend is chosen once at import time:
-numba when available, unless the environment variable ``LOCALTIME_NO_NUMBA``
-is set to ``1``/``true``/``yes``.  Both backends stay importable through
-``BACKENDS`` so the test suite and ``benchmarks/bench_kernels.py`` can
-compare them on identical inputs.
+when numba is importable.  The four field kernels also have a vectorised
+numpy reformulation of the same contract.  The play operator and the
+crossing counts are each one sequential loop shared by both backends:
+compiled for numba, run uncompiled for numpy, so the two agree bit for bit.
+Without numba the ``numba`` entries hold the uncompiled loops.  The active
+backend is chosen once at import time: numba when available, unless the
+environment variable ``LOCALTIME_NO_NUMBA`` is set to ``1``/``true``/``yes``.
+Both backends stay importable through ``BACKENDS`` so the test suite and
+``benchmarks/bench_kernels.py`` can compare them on identical inputs.
 
 Level-grid convention used by every kernel: levels sit at ``u0 + k*du`` for
 ``k = 0..m-1`` and cell ``k`` is the half-open interval
@@ -14,6 +17,7 @@ Level-grid convention used by every kernel: levels sit at ``u0 + k*du`` for
 """
 
 import os
+from functools import partial
 
 import numpy as np
 
@@ -95,106 +99,62 @@ _play_operator_nb = njit(cache=True, nogil=True)(_play_operator_loop)
 # crossing counts over a grid of levels
 # ---------------------------------------------------------------------------
 
-def _crossing_counts_loop(values, u0, du, m, eps, strict):
+def _crossing_clamp_loop(arm, last, a, diff):
+    """Run the index-space play operator of one crossing direction.
+
+    The levels armed for a crossing always form a ray ``k >= a``.  Sample
+    ``i`` arms every level ``k >= arm[i]`` and completes a crossing at the
+    armed levels ``k <= last[i]`` (``last[i] < arm[i]``: a level the sample
+    arms does not also fire), so ``a <- min(max(a, last[i] + 1), arm[i])``.
+    Each fired range ``[a, last[i]]`` is added to the difference array
+    ``diff``.
+    """
+    for i in range(len(arm)):
+        hi = last[i]
+        if hi >= a:
+            diff[a] += 1
+            diff[hi + 1] -= 1
+            a = hi + 1
+        elif arm[i] < a:
+            a = arm[i]
+    return diff
+
+
+def _crossing_clamp_np(arm, last, a, diff):
+    # uncompiled, the loop runs two to three times faster over lists than
+    # over int64 arrays
+    return _crossing_clamp_loop(arm.tolist(), last.tolist(), a, diff)
+
+
+_crossing_clamp_nb = njit(cache=True, nogil=True)(_crossing_clamp_loop)
+
+
+def _crossing_counts(clamp, values, u0, du, m, eps, strict):
+    """Up/down crossing counts through the index-space play operator.
+
+    Both directions share one difference array: upcrossings at level ``k``
+    sit at index ``k``, downcrossings at the mirrored index ``2m - 1 - k``,
+    so a downcrossing's armed set is a ray ``k' >= a`` too.
+    """
     half = 0.5 * eps
-    up = np.zeros(m, np.int64)
-    down = np.zeros(m, np.int64)
-    pmin = values[0]
-    pmax = values[0]
-    for j in range(values.size):
-        if values[j] < pmin:
-            pmin = values[j]
-        if values[j] > pmax:
-            pmax = values[j]
-    for k in range(m):
-        z = u0 + k * du
-        low = z - half
-        high = z + half
-        if strict:
-            can_up = pmin < low and pmax >= high
-            can_down = pmax > high and pmin <= low
-        else:
-            can_up = pmin <= low and pmax >= high
-            can_down = pmax >= high and pmin <= low
-        if not (can_up or can_down):
-            continue
-        armed_up = False
-        armed_down = False
-        cu = 0
-        cd = 0
-        for j in range(values.size):
-            v = values[j]
-            if strict:
-                arms_low = v < low
-                arms_high = v > high
-            else:
-                arms_low = v <= low
-                arms_high = v >= high
-            if arms_low:
-                armed_up = True
-            elif armed_up and v >= high:
-                cu += 1
-                armed_up = False
-            if arms_high:
-                armed_down = True
-            elif armed_down and v <= low:
-                cd += 1
-                armed_down = False
-        up[k] = cu
-        down[k] = cd
-    return up, down
-
-
-def _crossing_counts_block(values, low, high, strict):
-    nb = low.size
-    v = values[None, :]
-    if strict:
-        arms_low = v < low[:, None]
-        arms_high = v > high[:, None]
-    else:
-        arms_low = v <= low[:, None]
-        arms_high = v >= high[:, None]
-    fire_high = v >= high[:, None]
-    fire_low = v <= low[:, None]
-
-    def transitions(arm, fire):
-        # state of the arm flag just before each sample: it is the arm value
-        # at the most recent sample that either armed or fired
-        event = arm | fire
-        idx = np.where(event, np.arange(values.size)[None, :], -1)
-        last = np.maximum.accumulate(idx, axis=1)
-        prev = np.concatenate(
-            [np.full((nb, 1), -1, np.int64), last[:, :-1]], axis=1
-        )
-        prev_armed = np.zeros_like(arm)
-        valid = prev >= 0
-        rows = np.broadcast_to(np.arange(nb)[:, None], prev.shape)
-        prev_armed[valid] = arm[rows[valid], prev[valid]]
-        # a sample that re-arms never fires on the same step (matters only
-        # for the degenerate zero-width band where both sets overlap)
-        return (fire & ~arm & prev_armed).sum(axis=1).astype(np.int64)
-
-    return transitions(arms_low, fire_high), transitions(arms_high, fire_low)
-
-
-def _crossing_counts_np(values, u0, du, m, eps, strict):
-    half = 0.5 * eps
+    # du * k rounds exactly like k * du, so these are the band edges
+    # (u0 + k*du) -/+ half of every level, bit for bit
     levels = u0 + du * np.arange(m)
-    up = np.zeros(m, np.int64)
-    down = np.zeros(m, np.int64)
-    # chunk the level axis so the dense masks stay a few megabytes
-    block = max(1, int(2**22 // max(values.size, 1)))
-    for start in range(0, m, block):
-        sl = slice(start, min(start + block, m))
-        u_blk, d_blk = _crossing_counts_block(
-            values, levels[sl] - half, levels[sl] + half, strict
-        )
-        up[sl] = u_blk
-        down[sl] = d_blk
-    return up, down
-
-
-_crossing_counts_nb = njit(cache=True, nogil=True)(_crossing_counts_loop)
+    low = levels - half
+    high = levels + half
+    # up: a sample arms levels with low_k > v (>= v non-strict), fires
+    # levels with high_k <= v
+    arm = np.searchsorted(low, values, "right" if strict else "left")
+    last = np.minimum(np.searchsorted(high, values, "right") - 1, arm - 1)
+    diff = np.zeros(2 * m + 1, np.int64)
+    clamp(arm, last, m, diff)
+    # down, mirrored: a sample arms levels with high_k < v (<= v
+    # non-strict), fires levels with low_k >= v
+    arm = 2 * m - np.searchsorted(high, values, "left" if strict else "right")
+    last = np.minimum(2 * m - 1 - np.searchsorted(low, values, "left"), arm - 1)
+    clamp(arm, last, 2 * m, diff)
+    counts = np.cumsum(diff[:-1])
+    return counts[:m], counts[m:][::-1]
 
 
 # ---------------------------------------------------------------------------
@@ -499,7 +459,7 @@ _occupation_weights_nb = njit(cache=True, nogil=True)(_occupation_weights_loop)
 BACKENDS = {
     "numpy": {
         "play_operator": _play_operator_np,
-        "crossing_counts": _crossing_counts_np,
+        "crossing_counts": partial(_crossing_counts, _crossing_clamp_np),
         "interval_field_point": _interval_field_point_np,
         "interval_field_cell": _interval_field_cell_np,
         "signed_increment_sum": _signed_increment_sum_np,
@@ -507,7 +467,7 @@ BACKENDS = {
     },
     "numba": {
         "play_operator": _play_operator_nb,
-        "crossing_counts": _crossing_counts_nb,
+        "crossing_counts": partial(_crossing_counts, _crossing_clamp_nb),
         "interval_field_point": _interval_field_point_nb,
         "interval_field_cell": _interval_field_cell_nb,
         "signed_increment_sum": _signed_increment_sum_nb,

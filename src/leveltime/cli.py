@@ -124,17 +124,6 @@ def _times(cfg, path):
     return ts
 
 
-def _dyadic_scheme(path, exponents):
-    top = path.n_samples - 1
-    parts = []
-    for j in exponents:
-        pts = np.unique(np.rint(np.linspace(0, top, 2**j + 1)).astype(np.int64))
-        if path.jump_indices.size:
-            pts = np.union1d(pts, path.jump_indices)
-        parts.append(pts)
-    return PartitionScheme.explicit(parts)
-
-
 def _field_rows(field):
     rows = []
     width = "" if field.width is None else _fmt(field.width)
@@ -169,7 +158,7 @@ def cmd_qv(args) -> int:
     path = _resolve_path(args, cfg)
     exponents = args.levels or cfg.get("levels") or [2, 4, 6, 8]
     exponents = sorted(int(j) for j in exponents)
-    scheme = _dyadic_scheme(path, exponents)
+    scheme = PartitionScheme.dyadic(path.n_samples, exponents, include_jumps=path)
     times = _times(cfg, path)
     rows = []
     for k, j in enumerate(exponents):
@@ -251,7 +240,7 @@ def cmd_tanaka_check(args) -> int:
     path = _resolve_path(args, cfg)
     exponents = args.levels or cfg.get("levels") or [2, 3, 4, 5, 6]
     exponents = sorted(int(j) for j in exponents)
-    scheme = _dyadic_scheme(path, exponents)
+    scheme = PartitionScheme.dyadic(path.n_samples, exponents, include_jumps=path)
     times = cfg.get("times")
     if times is None:
         T = path.duration

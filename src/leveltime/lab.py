@@ -28,7 +28,7 @@ from .crossing import (
 from .dcfuncs import SecondDerivativeMeasure, dc_function_from_descriptor
 from .errors import ConfigError, InvariantViolation
 from .paths import LevelGrid, PartitionScheme, SampledCadlagPath
-from .skorokhod import crossing_count_field
+from .skorokhod import crossing_count_field, interval_crossing_local_time
 
 GENERATOR_KINDS = (
     "brownian",
@@ -438,17 +438,11 @@ def _ladder_fields(config: ExperimentConfig, path, grid):
     """One estimator field per ladder level for a single path."""
     t = config.t
     if config.estimator == "K_pi":
-        jumps = path if config.include_jumps else None
-        parts = []
-        top = path.n_samples - 1
-        for n_exp in config.ladder:
-            pts = np.unique(
-                np.rint(np.linspace(0, top, 2**n_exp + 1)).astype(np.int64)
-            )
-            if jumps is not None and jumps.jump_indices.size:
-                pts = np.union1d(pts, jumps.jump_indices)
-            parts.append(pts)
-        scheme = PartitionScheme.explicit(parts)
+        scheme = PartitionScheme.dyadic(
+            path.n_samples,
+            config.ladder,
+            include_jumps=path if config.include_jumps else None,
+        )
         jf = j_pi(path, t=t, grid=grid, mode=config.field_mode)
         out = []
         for k in range(len(config.ladder)):
@@ -460,20 +454,9 @@ def _ladder_fields(config: ExperimentConfig, path, grid):
             occupation_local_time(path, t=t, bandwidth=eps, grid=grid)
             for eps in config.ladder
         ]
-    fields = []
-    t_eval = path.duration if t is None else float(t)
-    for c in config.ladder:
-        counts = crossing_count_field(path, grid, c, t=t, strict=False)
-        fields.append(
-            LocalTimeField(
-                grid,
-                np.array([t_eval]),
-                (c * counts.astype(np.float64))[None, :],
-                "L_interval",
-                width=c,
-            )
-        )
-    return fields
+    return interval_crossing_local_time(
+        path, t=t, widths=config.ladder, grid=grid
+    )
 
 
 def _classical_reference(config: ExperimentConfig, path, grid) -> LocalTimeField:

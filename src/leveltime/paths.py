@@ -206,31 +206,32 @@ class PartitionScheme:
             )
 
     @classmethod
-    def dyadic(cls, n_samples: int, n_levels: int, include_jumps=None):
-        """Levels ``j = 1..n_levels`` targeting ``2**j + 1`` points each.
+    def dyadic(cls, n_samples: int, exponents, include_jumps=None):
+        """One level per exponent ``j``, targeting ``2**j + 1`` points.
 
-        Points are placed by rounding an even spread of the index range, so
-        consecutive levels refine each other exactly.  ``include_jumps`` may
-        be a jump-index array (or a path) whose marked indices are unioned
-        into every level.
+        Built by :meth:`uniform`; the power-of-two spreads make increasing
+        exponents refine each other exactly.  Each count is capped at
+        ``n_samples``: once ``2**j >= n_samples - 1`` the level already
+        holds every index.  ``include_jumps`` is as in :meth:`uniform`.
         """
-        if n_levels < 1:
+        exponents = [int(j) for j in exponents]
+        if not exponents:
             raise ValueError("need at least one level")
-        top = n_samples - 1
-        if top < 1:
+        if min(exponents) < 0:
+            raise ValueError("dyadic exponents must be >= 0")
+        if n_samples < 2:
             raise ValueError("need at least two samples to partition")
-        extra = _jump_index_array(include_jumps)
-        parts = []
-        for j in range(1, n_levels + 1):
-            pts = np.unique(np.rint(np.linspace(0, top, 2**j + 1)).astype(np.int64))
-            if extra.size:
-                pts = np.union1d(pts, extra[(extra > 0) & (extra <= top)])
-            parts.append(pts)
-        return cls(tuple(parts))
+        counts = [min(2**j + 1, n_samples) for j in exponents]
+        return cls.uniform(n_samples, counts, include_jumps)
 
     @classmethod
     def uniform(cls, n_samples: int, counts, include_jumps=None):
-        """One level per entry of ``counts``, each an even spread of points."""
+        """One level per entry of ``counts``, each an even spread of points.
+
+        Points are placed by rounding an even spread of the index range.
+        ``include_jumps`` may be a jump-index array (or a path) whose marked
+        indices are unioned into every level.
+        """
         top = n_samples - 1
         extra = _jump_index_array(include_jumps)
         parts = []
@@ -257,9 +258,9 @@ class PartitionScheme:
     def from_descriptor(cls, obj, n_samples: int, path=None):
         """Build a scheme from a JSON-style mapping.
 
-        Recognised kinds: ``dyadic`` (fields ``levels``, optional
-        ``include_jumps``), ``uniform`` (``counts``, optional
-        ``include_jumps``), ``explicit`` (``indices``), ``full``.
+        Recognised kinds: ``dyadic`` (fields ``levels``, meaning exponents
+        ``1..levels``, optional ``include_jumps``), ``uniform`` (``counts``,
+        optional ``include_jumps``), ``explicit`` (``indices``), ``full``.
         """
         if not isinstance(obj, dict) or "kind" not in obj:
             raise ConfigError("partition descriptor must be a mapping with a 'kind'")
@@ -273,7 +274,8 @@ class PartitionScheme:
             jumps = path
         try:
             if kind == "dyadic":
-                return cls.dyadic(n_samples, int(obj["levels"]), jumps)
+                levels = int(obj["levels"])
+                return cls.dyadic(n_samples, range(1, levels + 1), jumps)
             if kind == "uniform":
                 return cls.uniform(n_samples, list(obj["counts"]), jumps)
             if kind == "explicit":

@@ -71,7 +71,7 @@ def test_1_discrete_tanaka_identity(capsys):
     worst_ratio = 0.0
     for path in paths:
         scheme = PartitionScheme.dyadic(
-            path.n_samples, 5, include_jumps=path.jump_indices
+            path.n_samples, range(1, 6), include_jumps=path.jump_indices
         )
         tol = 1e-9 * (1.0 + total_variation(path))
         T = path.duration

@@ -173,6 +173,29 @@ class TestQv:
     def test_no_input_exits_1(self, tmp_path):
         assert main(["qv", "--out", str(tmp_path)]) == 1
 
+    def test_negative_level_exits_1(self, tmp_path, path_csv, capsys):
+        rc = main(["qv", "--path", path_csv, "--levels=-1", "--out", str(tmp_path)])
+        assert rc == 1
+        assert "error: dyadic exponents must be >= 0" in capsys.readouterr().out
+
+    def test_levels_zero_and_beyond_the_samples(self, tmp_path, sample_path, path_csv):
+        # 2**0 + 1 points are the two endpoints; 2**40 + 1 points cap at the
+        # 257 samples, which is the full partition
+        out = tmp_path / "qv"
+        rc = main(["qv", "--path", path_csv, "--levels", "0,40", "--out", str(out)])
+        assert rc == 0
+        body = read_rows(out / "qv.csv")[1:]
+        schemes = (
+            dyadic_scheme(sample_path, [0]),
+            PartitionScheme.full(sample_path.n_samples),
+        )
+        for row, j, scheme in zip(body, ["0", "40"], schemes):
+            qv = quadratic_variation(sample_path, scheme, 0)
+            total, cont, jump = qv.value_at(sample_path.duration)
+            assert row == [
+                j, fmt(sample_path.duration), fmt(total), fmt(cont), fmt(jump)
+            ]
+
 
 class TestLocaltimeOcc:
     def test_default_width_is_twice_du(self, tmp_path, sample_path, path_csv):

@@ -55,7 +55,7 @@ class TestQuadraticVariation:
 
     def test_decomposition_and_monotonicity(self, step_path):
         p = step_path(11)
-        scheme = PartitionScheme.dyadic(p.n_samples, 4, include_jumps=p)
+        scheme = PartitionScheme.dyadic(p.n_samples, range(1, 5), include_jumps=p)
         for n in range(scheme.n_levels):
             qv = quadratic_variation(p, scheme, n)
             np.testing.assert_allclose(
@@ -80,7 +80,7 @@ class TestQuadraticVariation:
 
     def test_jump_exhausting_partition_captures_jump_square(self, step_path):
         p = step_path(5, jump_rate=8.0)
-        scheme = PartitionScheme.dyadic(p.n_samples, 3, include_jumps=p)
+        scheme = PartitionScheme.dyadic(p.n_samples, range(1, 4), include_jumps=p)
         assert scheme.exhausts_jumps(p)
         qv = quadratic_variation(p, scheme, scheme.n_levels - 1)
         _, _, jump = qv.value_at(p.duration)
@@ -91,7 +91,7 @@ class TestQuadraticVariation:
 class TestRiemannIntegral:
     def test_callable_and_array_forms_agree(self, step_path):
         p = step_path(2)
-        scheme = PartitionScheme.dyadic(p.n_samples, 3)
+        scheme = PartitionScheme.dyadic(p.n_samples, range(1, 4))
         g = lambda x: np.cos(x)
         a = riemann_integral(p, g, scheme, 2)
         b = riemann_integral(p, np.cos(p.values), scheme, 2)
@@ -99,7 +99,7 @@ class TestRiemannIntegral:
 
     def test_constant_integrand_telescopes(self, step_path):
         p = step_path(3)
-        scheme = PartitionScheme.dyadic(p.n_samples, 2)
+        scheme = PartitionScheme.dyadic(p.n_samples, range(1, 3))
         val = riemann_integral(p, lambda x: np.ones_like(x), scheme, 0)
         assert val == pytest.approx(p.final_value - p.initial_value, abs=1e-12)
 
@@ -156,7 +156,7 @@ class TestFollmerResidual:
         # residual = (2^-n - 2^-k) / 2 exactly
         k = 10
         p = ramp_path(2**k)
-        scheme = PartitionScheme.dyadic(p.n_samples, 6)
+        scheme = PartitionScheme.dyadic(p.n_samples, range(1, 7))
         for n in range(scheme.n_levels):
             res = follmer_residual(p, make_square(), scheme, n)
             expected = 0.5 * (2.0 ** -(n + 1) - 2.0**-k)
@@ -189,7 +189,7 @@ class TestFollmerResidual:
                 jump_rate=6.0,
             )
             p = generate(spec)
-            scheme = PartitionScheme.dyadic(p.n_samples, 9, include_jumps=p)
+            scheme = PartitionScheme.dyadic(p.n_samples, range(1, 10), include_jumps=p)
             coarse.append(abs(follmer_residual(p, f, scheme, 0)))
             fine.append(abs(follmer_residual(p, f, scheme, 8)))
         assert np.mean(fine) < 0.3 * np.mean(coarse)
@@ -208,7 +208,7 @@ class TestFollmerResidual:
 
     def test_clipped_residual_matches_restricted_effort(self, step_path):
         p = step_path(13)
-        scheme = PartitionScheme.dyadic(p.n_samples, 4, include_jumps=p)
+        scheme = PartitionScheme.dyadic(p.n_samples, range(1, 5), include_jumps=p)
         res_t = follmer_residual(p, make_square(), scheme, 3, t=0.5)
         assert np.isfinite(res_t)
         full = follmer_residual(p, make_square(), scheme, 3)

@@ -1,18 +1,16 @@
 """Backend equivalence and brute-force oracles for the array kernels.
 
-Every kernel ships in a compiled and a pure-numpy variant; these tests pit
-the two against each other and against independent reference loops written
-here, so a regression in either backend shows up as a disagreement.
+Every kernel is reachable through a ``numba`` and a ``numpy`` backend; these
+tests pit the two against each other and against independent reference
+loops written here, so a regression in either backend shows up as a
+disagreement.  Without numba the ``numba`` entries hold the uncompiled
+loops, so every test runs on every machine.
 """
 
 import numpy as np
 import pytest
 
 from leveltime import _kernels
-
-pytestmark = pytest.mark.skipif(
-    not _kernels.HAS_NUMBA, reason="compiled backend unavailable"
-)
 
 
 def _sample_values(seed, n=400, jumpy=True):
@@ -111,19 +109,34 @@ def test_play_operator_matches_reference_recursion(eps):
     np.testing.assert_allclose(values - reg, dev, rtol=0, atol=1e-12)
 
 
+def _grid_snapped_values(seed, u0, du, m, eps, n=400):
+    # samples sitting exactly on band edges z +- eps/2 and on levels, so
+    # every arm/fire comparison meets its tie
+    rng = np.random.default_rng(seed)
+    k = rng.integers(-2, m + 2, n)
+    side = rng.choice([-1.0, 0.0, 1.0], n)
+    return (u0 + k * du) + side * (0.5 * eps)
+
+
 @pytest.mark.parametrize("seed", [3, 4])
-@pytest.mark.parametrize("eps,strict", [(0.5, False), (0.5, True), (0.0, True)])
-def test_crossing_counts_backends_and_reference(seed, eps, strict):
-    values = _sample_values(seed)
+@pytest.mark.parametrize("snapped", [False, True], ids=["walk", "snapped"])
+@pytest.mark.parametrize(
+    "eps,strict",
+    # 0.05 is the grid spacing du
+    [(0.5, False), (0.5, True), (0.0, True), (0.0, False), (0.05, False), (0.05, True)],
+)
+def test_crossing_counts_backends_and_reference(seed, snapped, eps, strict):
     u0, du, m = -2.0, 0.05, 100
+    if snapped:
+        values = _grid_snapped_values(seed, u0, du, m, eps)
+    else:
+        values = _sample_values(seed)
     ua, da = _kernels.BACKENDS["numba"]["crossing_counts"](values, u0, du, m, eps, strict)
     ub, db = _kernels.BACKENDS["numpy"]["crossing_counts"](values, u0, du, m, eps, strict)
     assert np.array_equal(ua, ub)
     assert np.array_equal(da, db)
-    for k in range(0, m, 7):
-        z = u0 + k * du
-        eu, ed = ref_crossings(values, z, eps, strict)
-        assert (ua[k], da[k]) == (eu, ed)
+    expected = [ref_crossings(values, u0 + k * du, eps, strict) for k in range(m)]
+    assert [(int(u), int(d)) for u, d in zip(ua, da)] == expected
 
 
 def test_crossing_counts_armed_sample_never_fires_same_step():

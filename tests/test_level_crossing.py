@@ -52,7 +52,7 @@ class TestKField:
         # increments, exactly, because each cell stores its exact average
         p = step_path(21)
         grid = LevelGrid.for_path(p, 0.05, margin=0.1)
-        scheme = PartitionScheme.dyadic(p.n_samples, 4)
+        scheme = PartitionScheme.dyadic(p.n_samples, range(1, 5))
         for n in range(scheme.n_levels):
             field = k_pi(p, scheme, n, grid=grid, mode="cell")
             idx = scheme[n]
@@ -120,7 +120,7 @@ class TestDiscreteTanaka:
     def test_identity_exact_on_random_paths(self, f, step_path):
         for seed in (31, 32, 33):
             p = step_path(seed)
-            scheme = PartitionScheme.dyadic(p.n_samples, 5, include_jumps=p)
+            scheme = PartitionScheme.dyadic(p.n_samples, range(1, 6), include_jumps=p)
             tol = 1e-9 * (1.0 + total_variation(p))
             for n in range(scheme.n_levels):
                 res = discrete_tanaka_residual(p, f, scheme, n)
@@ -128,7 +128,7 @@ class TestDiscreteTanaka:
 
     def test_identity_exact_at_interior_times(self, step_path):
         p = step_path(34)
-        scheme = PartitionScheme.dyadic(p.n_samples, 4)
+        scheme = PartitionScheme.dyadic(p.n_samples, range(1, 5))
         f = builtin_suite()[4]
         tol = 1e-9 * (1.0 + total_variation(p))
         for t in (0.21, 0.5, 0.83):

@@ -112,16 +112,33 @@ class TestAccessors:
 
 class TestPartitionScheme:
     def test_dyadic_levels_refine(self):
-        scheme = PartitionScheme.dyadic(1025, 5)
+        scheme = PartitionScheme.dyadic(1025, range(1, 6))
         assert scheme.n_levels == 5
         assert scheme.refining
         assert scheme[0].size == 3
         assert scheme[4].size == 33
         assert scheme.last_index == 1024
 
+    def test_dyadic_takes_any_exponent_list(self):
+        scheme = PartitionScheme.dyadic(1025, [0, 3, 20])
+        np.testing.assert_array_equal(scheme[0], [0, 1024])
+        assert scheme[1].size == 9
+        # 2**20 + 1 points cap at the 1025 samples: every index
+        np.testing.assert_array_equal(scheme[2], np.arange(1025))
+        assert scheme.refining
+        np.testing.assert_array_equal(
+            PartitionScheme.dyadic(65, [40])[0], np.arange(65)
+        )
+
+    def test_dyadic_rejects_negative_or_missing_exponents(self):
+        with pytest.raises(ValueError, match=">= 0"):
+            PartitionScheme.dyadic(65, [2, -1])
+        with pytest.raises(ValueError, match="at least one level"):
+            PartitionScheme.dyadic(65, [])
+
     def test_dyadic_include_jumps_unions_marks(self):
         p = make_step_path()
-        scheme = PartitionScheme.dyadic(p.n_samples, 2, include_jumps=p)
+        scheme = PartitionScheme.dyadic(p.n_samples, range(1, 3), include_jumps=p)
         for n in range(scheme.n_levels):
             assert 3 in scheme[n]
         assert scheme.exhausts_jumps(p)
@@ -129,7 +146,7 @@ class TestPartitionScheme:
 
     def test_mesh_shrinks_across_levels(self):
         p = make_step_path()
-        scheme = PartitionScheme.dyadic(p.n_samples, 2)
+        scheme = PartitionScheme.dyadic(p.n_samples, range(1, 3))
         assert scheme.mesh(p, 1) <= scheme.mesh(p, 0)
 
     def test_full_uses_every_index(self):
