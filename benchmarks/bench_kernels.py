@@ -1,13 +1,17 @@
 """Compare the two kernel backends on identical inputs.
 
-Every kernel is reachable through a numba and a numpy backend.  The four
-field kernels have a vectorised numpy reformulation of the loop; the play
+Every kernel is reachable through a numba and a numpy backend.  The three
+field kernels share one range computation and differ only in the
+accumulator (a loop for numba, difference arrays for numpy); the signed
+increment sum has a vectorised numpy reformulation of its loop; the play
 operator and the crossing counts run the same loop on both, compiled or
-not.  This script first checks that both backends agree on a small seeded
-path (2,049 samples by 101 levels, small enough for the uncompiled loops
-that stand in for numba when it is absent), then reports best-of-``--repeat``
-wall times per kernel, plus the compiled backend's speedup when numba is
-installed.
+not.  This script first checks that both backends agree on two small
+inputs of 2,049 samples by 101 levels, small enough for the uncompiled
+loops that stand in for numba when it is absent: a seeded path, and values
+snapped to levels and cell edges with a band of one grid step, so that a
+backend split on ties fails the script.  It then reports
+best-of-``--repeat`` wall times per kernel, plus the compiled backend's
+speedup when numba is installed.
 
 Usage::
 
@@ -34,11 +38,20 @@ def make_inputs(steps, levels, seed):
     return values, u0, du
 
 
-def build_cases(values, u0, du, m):
+def snapped_inputs(steps, levels, seed):
+    """Values on levels and on cell edges ``u_k +- du/2``, some beyond the
+    grid's ends."""
+    rng = np.random.default_rng(seed)
+    u0, du = -1.0, 0.02
+    k = rng.integers(-2, levels + 2, steps + 1)
+    values = (u0 + k * du) + rng.choice([-0.5, 0.0, 0.5], k.size) * du
+    return values, u0, du
+
+
+def build_cases(values, u0, du, m, eps):
     a = values[:-1]
     b = values[1:]
     inc = np.diff(values)
-    eps = 8.0 * du
     return {
         "play_operator": lambda k: k(values, eps),
         "crossing_counts": lambda k: k(values, u0, du, m, eps, False),
@@ -88,13 +101,18 @@ def main(argv=None):
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args(argv)
 
-    checks = build_cases(*make_inputs(2048, 101, args.seed), 101)
-    for name, case in checks.items():
-        check_agreement(case, name)  # compiles the numba loops, if present
-    print(f"backends agree on {len(checks)} kernels (2049 samples x 101 levels)")
+    for label, make, band in (("path", make_inputs, 8), ("snapped", snapped_inputs, 1)):
+        values, u0, du = make(2048, 101, args.seed)
+        checks = build_cases(values, u0, du, 101, band * du)
+        for name, case in checks.items():
+            check_agreement(case, name)  # compiles the numba loops, if present
+        print(
+            f"backends agree on {len(checks)} kernels "
+            f"({label}, 2049 samples x 101 levels, eps = {band} du)"
+        )
 
     values, u0, du = make_inputs(args.steps, args.levels, args.seed)
-    cases = build_cases(values, u0, du, args.levels)
+    cases = build_cases(values, u0, du, args.levels, 8.0 * du)
     print(
         f"steps={args.steps} levels={args.levels} seed={args.seed} "
         f"repeat={args.repeat}"

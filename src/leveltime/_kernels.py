@@ -1,19 +1,25 @@
 """Hot numeric kernels behind a numba and a numpy backend.
 
 The loop variants are compiled with ``numba.njit(cache=True, nogil=True)``
-when numba is importable.  The four field kernels also have a vectorised
-numpy reformulation of the same contract.  The play operator and the
-crossing counts are each one sequential loop shared by both backends:
-compiled for numba, run uncompiled for numpy, so the two agree bit for bit.
-Without numba the ``numba`` entries hold the uncompiled loops.  The active
-backend is chosen once at import time: numba when available, unless the
+when numba is importable.  The three field kernels (point and cell
+interval fields, occupation weights) are each one shared range computation
+plus a per-backend accumulator: the shared part finds every bracket's first
+and last covered level or cell with :func:`_rank`, then the numba backend
+loops over those ranges and the numpy backend sums them through difference
+arrays.  The signed increment sum has a loop and a vectorised numpy
+reformulation of the same contract.  The play operator and the crossing
+counts are each one sequential loop shared by both backends: compiled for
+numba, run uncompiled for numpy, so the two agree bit for bit.  Without
+numba the ``numba`` entries hold the uncompiled loops.  The active backend
+is chosen once at import time: numba when available, unless the
 environment variable ``LOCALTIME_NO_NUMBA`` is set to ``1``/``true``/``yes``.
 Both backends stay importable through ``BACKENDS`` so the test suite and
 ``benchmarks/bench_kernels.py`` can compare them on identical inputs.
 
 Level-grid convention used by every kernel: levels sit at ``u0 + k*du`` for
 ``k = 0..m-1`` and cell ``k`` is the half-open interval
-``[u0 + (k-1/2)*du, u0 + (k+1/2)*du)``.
+``[u0 + (k-1/2)*du, u0 + (k+1/2)*du)``.  :func:`_rank` is the one rule that
+maps values onto that grid, here and in ``paths.LevelGrid``.
 """
 
 import os
@@ -158,212 +164,161 @@ def _crossing_counts(clamp, values, u0, du, m, eps, strict):
 
 
 # ---------------------------------------------------------------------------
-# pointwise field of one-sided distances over straddled value brackets
+# level ranks: the one rule that maps values to level and cell indices
 # ---------------------------------------------------------------------------
 
-def _interval_field_point_loop(a, b, u0, du, m, out):
-    """Accumulate ``|b_j - u_k|`` for every level inside ``[min, max)``."""
-    for j in range(a.size):
-        aj = a[j]
+def _rank(x, u0, du, right=False, off=0.0):
+    """``np.searchsorted(grid, x, side)`` on the unbounded grid
+    ``u0 + (k + off)*du``, ``k = 0, 1, ...``, without building the grid.
+
+    ``off=0`` ranks against the levels, ``off=-0.5`` against the cell edges.
+    The search starts one point below an arithmetic guess and steps up past
+    each of the next two points that lies below ``x`` (``<`` for the left
+    side, ``<=`` for the right), comparing with the grid points as written
+    above.  The rank is exact whenever the guess is within one point of it,
+    that is whenever ``|x - u0| / du`` is far below ``2**52``.
+    """
+    below = np.less_equal if right else np.less
+    r = np.subtract(x, u0, out=np.empty(np.shape(x)))
+    r *= 1.0 / du
+    if right:
+        r -= off
+        np.floor(r, out=r)
+    else:
+        r -= off + 1.0
+        np.ceil(r, out=r)
+    g = np.empty_like(r)
+    for _ in range(2):
+        np.add(r, off, out=g)
+        g *= du
+        g += u0
+        r += below(g, x)
+    np.maximum(r, 0.0, out=r)
+    return r.astype(np.int64)
+
+
+# ---------------------------------------------------------------------------
+# interval fields of one-sided distances over straddled value brackets
+# ---------------------------------------------------------------------------
+
+def _level_ranges(lo, hi, u0, du, m):
+    """Levels ``kf..kl`` with ``lo <= u_k < hi``."""
+    return _rank(lo, u0, du), np.minimum(_rank(hi, u0, du), m) - 1
+
+
+def _cell_ranges(lo, hi, u0, du, m):
+    """Cells ``kf..kl`` that meet ``[lo, hi)``: the cells holding ``lo``
+    and the last point below ``hi``."""
+    kf = np.maximum(_rank(lo, u0, du, True, -0.5) - 1, 0)
+    return kf, np.minimum(_rank(hi, u0, du, False, -0.5), m) - 1
+
+
+def _interval_field(ranges, accumulate, a, b, u0, du, m, out):
+    """Shared preamble of the point and cell fields.
+
+    Orders each bracket as ``lo <= hi``, takes the covered index range from
+    ``ranges`` and hands the brackets of nonzero length with a nonempty
+    range to the backend's ``accumulate``.
+    """
+    if a.size == 0:  # the jump brackets of every path without jumps
+        return out
+    lo = np.minimum(a, b)
+    hi = np.maximum(a, b)
+    kf, kl = ranges(lo, hi, u0, du, m)
+    j = np.flatnonzero((kf <= kl) & (a != b))
+    b, lo, hi, kf, kl = b[j], lo[j], hi[j], kf[j], kl[j]
+    return accumulate(b, lo, hi, kf, kl, u0, du, m, out)
+
+
+def _point_sums_loop(b, lo, hi, kf, kl, u0, du, m, out):
+    """Accumulate ``|b_j - u_k|`` over every level of each range."""
+    for j in range(b.size):
         bj = b[j]
-        if aj == bj:
-            continue
-        if aj < bj:
-            lo = aj
-            hi = bj
-        else:
-            lo = bj
-            hi = aj
-        kf = int(np.ceil((lo - u0) / du))
-        while u0 + kf * du < lo:
-            kf += 1
-        while kf > 0 and u0 + (kf - 1) * du >= lo:
-            kf -= 1
-        kl = int(np.ceil((hi - u0) / du)) - 1
-        while u0 + kl * du >= hi:
-            kl -= 1
-        while u0 + (kl + 1) * du < hi:
-            kl += 1
-        if kf < 0:
-            kf = 0
-        if kl > m - 1:
-            kl = m - 1
-        for k in range(kf, kl + 1):
+        for k in range(kf[j], kl[j] + 1):
             d = bj - (u0 + k * du)
             out[k] += d if d >= 0.0 else -d
     return out
 
 
-def _bracket_bounds_np(lo, hi, u0, du, m):
-    """Vectorised index ranges of levels with ``lo <= u_k < hi``."""
-    kf = np.ceil((lo - u0) / du).astype(np.int64)
-    bump = u0 + kf * du < lo
-    kf[bump] += 1
-    drop = (kf > 0) & (u0 + (kf - 1) * du >= lo)
-    kf[drop] -= 1
-    kl = np.ceil((hi - u0) / du).astype(np.int64) - 1
-    drop = u0 + kl * du >= hi
-    kl[drop] -= 1
-    bump = u0 + (kl + 1) * du < hi
-    kl[bump] += 1
-    np.clip(kf, 0, None, out=kf)
-    np.clip(kl, None, m - 1, out=kl)
-    return kf, kl
-
-
-def _interval_field_point_np(a, b, u0, du, m, out):
-    keep = a != b
-    a = a[keep]
-    b = b[keep]
-    if a.size == 0:
-        return out
-    lo = np.minimum(a, b)
-    hi = np.maximum(a, b)
-    kf, kl = _bracket_bounds_np(lo, hi, u0, du, m)
-    inside = kf <= kl
-    kf = kf[inside]
-    kl = kl[inside]
-    s = np.where(b > a, 1.0, -1.0)[inside]
-    sb = s * b[inside]
+def _point_sums_np(b, lo, hi, kf, kl, u0, du, m, out):
+    """The same sums through two difference arrays: over a range the
+    distance is ``s_j * (b_j - u_k)`` with one sign ``s_j`` per bracket."""
+    s = np.where(b > lo, 1.0, -1.0)
+    sb = s * b
     d_const = np.zeros(m + 1)
     d_slope = np.zeros(m + 1)
     np.add.at(d_const, kf, sb)
-    np.add.at(d_const, kl + 1, -sb)
+    np.subtract.at(d_const[1:], kl, sb)
     np.add.at(d_slope, kf, s)
-    np.add.at(d_slope, kl + 1, -s)
+    np.subtract.at(d_slope[1:], kl, s)
     levels = u0 + du * np.arange(m)
     out += np.cumsum(d_const)[:m] - np.cumsum(d_slope)[:m] * levels
     return out
 
 
-_interval_field_point_nb = njit(cache=True, nogil=True)(_interval_field_point_loop)
+_point_sums_nb = njit(cache=True, nogil=True)(_point_sums_loop)
 
 
-# ---------------------------------------------------------------------------
-# cell-averaged field (exact per-cell integrals, preserves total mass)
-# ---------------------------------------------------------------------------
-
-def _interval_field_cell_loop(a, b, u0, du, m, out):
+def _cell_sums_loop(b, lo, hi, kf, kl, u0, du, m, out):
+    """Exact cell averages: the clipped end cells take the field's integral
+    over ``[alpha, beta]`` divided by ``du``, interior cells the level value."""
     inv = 1.0 / du
-    for j in range(a.size):
-        aj = a[j]
+    for j in range(b.size):
         bj = b[j]
-        if aj == bj:
+        f = kf[j]
+        last = kl[j]
+        alpha = max(lo[j], u0 + (f - 0.5) * du)
+        if f == last:
+            beta = min(hi[j], u0 + (f + 0.5) * du)
+            d = bj - 0.5 * (alpha + beta)
+            out[f] += (beta - alpha) * (d if d >= 0.0 else -d) * inv
             continue
-        if aj < bj:
-            lo = aj
-            hi = bj
-        else:
-            lo = bj
-            hi = aj
-        kf = int(np.floor((lo - u0) * inv + 0.5))
-        while u0 + (kf + 0.5) * du <= lo:
-            kf += 1
-        while u0 + (kf - 0.5) * du > lo:
-            kf -= 1
-        kl = int(np.floor((hi - u0) * inv + 0.5))
-        while u0 + (kl - 0.5) * du >= hi:
-            kl -= 1
-        while u0 + (kl + 0.5) * du < hi:
-            kl += 1
-        if kf < 0:
-            kf = 0
-        if kl > m - 1:
-            kl = m - 1
-        if kf > kl:
-            continue
-        if kf == kl:
-            alpha = max(lo, u0 + (kf - 0.5) * du)
-            beta = min(hi, u0 + (kf + 0.5) * du)
-            d = bj - 0.5 * (alpha + beta)
-            out[kf] += (beta - alpha) * (d if d >= 0.0 else -d) * inv
-        else:
-            alpha = max(lo, u0 + (kf - 0.5) * du)
-            beta = u0 + (kf + 0.5) * du
-            d = bj - 0.5 * (alpha + beta)
-            out[kf] += (beta - alpha) * (d if d >= 0.0 else -d) * inv
-            for k in range(kf + 1, kl):
-                d = bj - (u0 + k * du)
-                out[k] += d if d >= 0.0 else -d
-            alpha = u0 + (kl - 0.5) * du
-            beta = min(hi, u0 + (kl + 0.5) * du)
-            d = bj - 0.5 * (alpha + beta)
-            out[kl] += (beta - alpha) * (d if d >= 0.0 else -d) * inv
+        beta = u0 + (f + 0.5) * du
+        d = bj - 0.5 * (alpha + beta)
+        out[f] += (beta - alpha) * (d if d >= 0.0 else -d) * inv
+        for k in range(f + 1, last):
+            d = bj - (u0 + k * du)
+            out[k] += d if d >= 0.0 else -d
+        alpha = u0 + (last - 0.5) * du
+        beta = min(hi[j], u0 + (last + 0.5) * du)
+        d = bj - 0.5 * (alpha + beta)
+        out[last] += (beta - alpha) * (d if d >= 0.0 else -d) * inv
     return out
 
 
-def _cell_bounds_np(lo, hi, u0, du, m):
-    inv = 1.0 / du
-    kf = np.floor((lo - u0) * inv + 0.5).astype(np.int64)
-    bump = u0 + (kf + 0.5) * du <= lo
-    kf[bump] += 1
-    drop = u0 + (kf - 0.5) * du > lo
-    kf[drop] -= 1
-    kl = np.floor((hi - u0) * inv + 0.5).astype(np.int64)
-    drop = u0 + (kl - 0.5) * du >= hi
-    kl[drop] -= 1
-    bump = u0 + (kl + 0.5) * du < hi
-    kl[bump] += 1
-    return kf, kl
+def _cell_sums_np(b, lo, hi, kf, kl, u0, du, m, out):
+    # end cells: the one cell of each short bracket, then the first and the
+    # last cell of each longer one
+    multi = np.flatnonzero(kf < kl)
+    j = np.concatenate([np.flatnonzero(kf == kl), multi, multi])
+    k = np.concatenate([kf[j[: j.size - multi.size]], kl[multi]])
+    # (beta - alpha) * |b - (alpha + beta) / 2| / du with [alpha, beta) the
+    # bracket clipped to the cell, in place: fewer full-size temporaries
+    # mean fewer page faults when the allocator returns freed memory
+    alpha = k - 0.5
+    alpha *= du
+    alpha += u0
+    np.maximum(alpha, lo[j], out=alpha)
+    beta = k + 0.5
+    beta *= du
+    beta += u0
+    np.minimum(beta, hi[j], out=beta)
+    mid = alpha + beta
+    mid *= 0.5
+    np.subtract(b[j], mid, out=mid)
+    np.abs(mid, out=mid)
+    beta -= alpha
+    beta *= mid
+    beta *= 1.0 / du
+    out += np.bincount(k, beta, m)
+    # interior cells take the point field at their level
+    i = np.flatnonzero(kl - kf >= 2)
+    return _point_sums_np(
+        b[i], lo[i], hi[i], kf[i] + 1, kl[i] - 1, u0, du, m, out
+    )
 
 
-def _interval_field_cell_np(a, b, u0, du, m, out):
-    keep = a != b
-    a = a[keep]
-    b = b[keep]
-    if a.size == 0:
-        return out
-    inv = 1.0 / du
-    lo = np.minimum(a, b)
-    hi = np.maximum(a, b)
-    kf, kl = _cell_bounds_np(lo, hi, u0, du, m)
-    np.clip(kf, 0, None, out=kf)
-    np.clip(kl, None, m - 1, out=kl)
-    inside = kf <= kl
-    a = a[inside]
-    b = b[inside]
-    lo = lo[inside]
-    hi = hi[inside]
-    kf = kf[inside]
-    kl = kl[inside]
-
-    single = kf == kl
-    if np.any(single):
-        alpha = np.maximum(lo[single], u0 + (kf[single] - 0.5) * du)
-        beta = np.minimum(hi[single], u0 + (kf[single] + 0.5) * du)
-        piece = (beta - alpha) * np.abs(b[single] - 0.5 * (alpha + beta)) * inv
-        np.add.at(out, kf[single], piece)
-    multi = ~single
-    if np.any(multi):
-        bm = b[multi]
-        lom = lo[multi]
-        him = hi[multi]
-        kfm = kf[multi]
-        klm = kl[multi]
-        alpha = np.maximum(lom, u0 + (kfm - 0.5) * du)
-        beta = u0 + (kfm + 0.5) * du
-        np.add.at(out, kfm, (beta - alpha) * np.abs(bm - 0.5 * (alpha + beta)) * inv)
-        alpha = u0 + (klm - 0.5) * du
-        beta = np.minimum(him, u0 + (klm + 0.5) * du)
-        np.add.at(out, klm, (beta - alpha) * np.abs(bm - 0.5 * (alpha + beta)) * inv)
-        has_interior = klm - kfm >= 2
-        if np.any(has_interior):
-            s = np.where(bm > lom, 1.0, -1.0)[has_interior]
-            sb = s * bm[has_interior]
-            first = kfm[has_interior] + 1
-            last = klm[has_interior] - 1
-            d_const = np.zeros(m + 1)
-            d_slope = np.zeros(m + 1)
-            np.add.at(d_const, first, sb)
-            np.add.at(d_const, last + 1, -sb)
-            np.add.at(d_slope, first, s)
-            np.add.at(d_slope, last + 1, -s)
-            levels = u0 + du * np.arange(m)
-            out += np.cumsum(d_const)[:m] - np.cumsum(d_slope)[:m] * levels
-    return out
-
-
-_interval_field_cell_nb = njit(cache=True, nogil=True)(_interval_field_cell_loop)
+_cell_sums_nb = njit(cache=True, nogil=True)(_cell_sums_loop)
 
 
 # ---------------------------------------------------------------------------
@@ -404,52 +359,34 @@ _signed_increment_sum_nb = njit(cache=True, nogil=True)(_signed_increment_sum_lo
 # occupation weights: band-indicator accumulation of squared increments
 # ---------------------------------------------------------------------------
 
-def _occupation_weights_loop(left, w, u0, du, m, eps, out):
-    for j in range(left.size):
-        x = left[j]
-        kf = int(np.ceil((x - eps - u0) / du))
-        while u0 + kf * du < x - eps:
-            kf += 1
-        while kf > 0 and u0 + (kf - 1) * du >= x - eps:
-            kf -= 1
-        kl = int(np.floor((x + eps - u0) / du))
-        while u0 + kl * du > x + eps:
-            kl -= 1
-        while u0 + (kl + 1) * du <= x + eps:
-            kl += 1
-        if kf < 0:
-            kf = 0
-        if kl > m - 1:
-            kl = m - 1
-        for k in range(kf, kl + 1):
+def _occupation_weights(accumulate, left, w, u0, du, m, eps, out):
+    """Shared preamble: levels ``kf..kl`` with ``|left_j - u_k| <= eps``,
+    handed to the backend's ``accumulate`` when nonempty."""
+    if left.size == 0:
+        return out
+    kf = _rank(left - eps, u0, du)
+    kl = np.minimum(_rank(left + eps, u0, du, True), m) - 1
+    j = np.flatnonzero(kf <= kl)
+    w, kf, kl = w[j], kf[j], kl[j]
+    return accumulate(w, kf, kl, m, out)
+
+
+def _band_sums_loop(w, kf, kl, m, out):
+    for j in range(w.size):
+        for k in range(kf[j], kl[j] + 1):
             out[k] += w[j]
     return out
 
 
-def _occupation_weights_np(left, w, u0, du, m, eps, out):
-    if left.size == 0:
-        return out
-    kf = np.ceil((left - eps - u0) / du).astype(np.int64)
-    bump = u0 + kf * du < left - eps
-    kf[bump] += 1
-    drop = (kf > 0) & (u0 + (kf - 1) * du >= left - eps)
-    kf[drop] -= 1
-    kl = np.floor((left + eps - u0) / du).astype(np.int64)
-    drop = u0 + kl * du > left + eps
-    kl[drop] -= 1
-    bump = u0 + (kl + 1) * du <= left + eps
-    kl[bump] += 1
-    np.clip(kf, 0, None, out=kf)
-    np.clip(kl, None, m - 1, out=kl)
-    inside = kf <= kl
+def _band_sums_np(w, kf, kl, m, out):
     diff = np.zeros(m + 1)
-    np.add.at(diff, kf[inside], w[inside])
-    np.add.at(diff, kl[inside] + 1, -w[inside])
+    np.add.at(diff, kf, w)
+    np.subtract.at(diff[1:], kl, w)
     out += np.cumsum(diff)[:m]
     return out
 
 
-_occupation_weights_nb = njit(cache=True, nogil=True)(_occupation_weights_loop)
+_band_sums_nb = njit(cache=True, nogil=True)(_band_sums_loop)
 
 
 # ---------------------------------------------------------------------------
@@ -460,18 +397,18 @@ BACKENDS = {
     "numpy": {
         "play_operator": _play_operator_np,
         "crossing_counts": partial(_crossing_counts, _crossing_clamp_np),
-        "interval_field_point": _interval_field_point_np,
-        "interval_field_cell": _interval_field_cell_np,
+        "interval_field_point": partial(_interval_field, _level_ranges, _point_sums_np),
+        "interval_field_cell": partial(_interval_field, _cell_ranges, _cell_sums_np),
         "signed_increment_sum": _signed_increment_sum_np,
-        "occupation_weights": _occupation_weights_np,
+        "occupation_weights": partial(_occupation_weights, _band_sums_np),
     },
     "numba": {
         "play_operator": _play_operator_nb,
         "crossing_counts": partial(_crossing_counts, _crossing_clamp_nb),
-        "interval_field_point": _interval_field_point_nb,
-        "interval_field_cell": _interval_field_cell_nb,
+        "interval_field_point": partial(_interval_field, _level_ranges, _point_sums_nb),
+        "interval_field_cell": partial(_interval_field, _cell_ranges, _cell_sums_nb),
         "signed_increment_sum": _signed_increment_sum_nb,
-        "occupation_weights": _occupation_weights_nb,
+        "occupation_weights": partial(_occupation_weights, _band_sums_nb),
     },
 }
 

@@ -145,7 +145,7 @@ class SecondDerivativeMeasure:
 
     def cell_masses(self, grid) -> np.ndarray:
         """Density mass per grid cell (atoms handled separately by callers)."""
-        edges = grid.u0 + grid.du * (np.arange(grid.n_levels + 1) - 0.5)
+        edges = grid.edges
         if self.cdf is not None:
             vals = np.asarray(self.cdf(edges), np.float64)
             return np.diff(vals)
@@ -323,16 +323,11 @@ def integrate_against_f2(
                 )
             if atom_policy == "skip":
                 continue
-        k = int(np.floor((loc - grid.u0) / grid.du))
-        while grid.u0 + (k + 1) * grid.du <= loc:
-            k += 1
-        while k > 0 and grid.u0 + k * grid.du > loc:
-            k -= 1
-        k = min(max(k, 0), grid.n_levels - 1)
+        k = min(max(grid.left_index(loc), 0), grid.n_levels - 1)
         total += w * g[k]
     if f2.density is not None:
         masses = f2.cell_masses(grid)
-        edges = grid.u0 + grid.du * (np.arange(grid.n_levels + 1) - 0.5)
+        edges = grid.edges
         inside = (edges[1:] > lo) & (edges[:-1] < hi)
         full = inside & (edges[:-1] >= lo) & (edges[1:] <= hi)
         total += float((g[full] * masses[full]).sum())

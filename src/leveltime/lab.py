@@ -313,11 +313,7 @@ def lp_distance(a, b, p: float = 1.0, weight=None, grid: LevelGrid = None):
         raise ValueError("weight must be a SecondDerivativeMeasure")
     masses = np.abs(weight.cell_masses(grid))
     for loc, w in weight.atoms:
-        k = int(np.floor((loc - grid.u0) / grid.du))
-        while grid.u0 + (k + 1) * grid.du <= loc:
-            k += 1
-        while k > 0 and grid.u0 + k * grid.du > loc:
-            k -= 1
+        k = grid.left_index(loc)
         if k < 0 or k >= grid.n_levels:
             raise ValueError(f"weight atom at {loc} outside the level grid")
         masses[k] += abs(w)
@@ -435,7 +431,8 @@ def _worker_count(n_jobs: int) -> int:
 
 
 def _ladder_fields(config: ExperimentConfig, path, grid):
-    """One estimator field per ladder level for a single path."""
+    """One estimator field per ladder level for a single path, built lazily
+    so that each level's build time can be charged to that level."""
     t = config.t
     if config.estimator == "K_pi":
         scheme = PartitionScheme.dyadic(
@@ -444,19 +441,18 @@ def _ladder_fields(config: ExperimentConfig, path, grid):
             include_jumps=path if config.include_jumps else None,
         )
         jf = j_pi(path, t=t, grid=grid, mode=config.field_mode)
-        out = []
         for k in range(len(config.ladder)):
             kf = k_pi(path, scheme, k, t=t, grid=grid, mode=config.field_mode)
-            out.append(split_Kc_Kd(kf, jf)[1])
-        return out
-    if config.estimator == "occupation":
-        return [
-            occupation_local_time(path, t=t, bandwidth=eps, grid=grid)
-            for eps in config.ladder
-        ]
-    return interval_crossing_local_time(
-        path, t=t, widths=config.ladder, grid=grid
-    )
+            yield split_Kc_Kd(kf, jf)[1]
+    elif config.estimator == "occupation":
+        for eps in config.ladder:
+            yield occupation_local_time(path, t=t, bandwidth=eps, grid=grid)
+    else:
+        for c in config.ladder:
+            (field,) = interval_crossing_local_time(
+                path, t=t, widths=(c,), grid=grid
+            )
+            yield field
 
 
 def _classical_reference(config: ExperimentConfig, path, grid) -> LocalTimeField:
@@ -498,10 +494,9 @@ def run_convergence_experiment(config: ExperimentConfig) -> ExperimentReport:
         grid = LevelGrid.for_path(path, config.grid_du, margin)
         ref = _classical_reference(config, path, grid)
         local_clock = np.zeros(n_levels)
-        tick = time.perf_counter()
-        fields = _ladder_fields(config, path, grid)
         row = np.empty(n_levels)
-        for k, fld in enumerate(fields):
+        tick = time.perf_counter()
+        for k, fld in enumerate(_ladder_fields(config, path, grid)):
             row[k] = lp_distance(
                 fld,
                 ref,

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._kernels import _rank
 from .errors import ConfigError
 
 
@@ -305,8 +306,13 @@ def _jump_index_array(include_jumps):
 class LevelGrid:
     """Evenly spaced levels ``u0 + k*du`` for ``k = 0..n_levels-1``.
 
-    Cell ``k`` is the half-open band ``[u_k - du/2, u_k + du/2)``; fields
-    sampled on the grid use that convention for mass accounting.
+    Cell ``k`` is the half-open band ``[u_k - du/2, u_k + du/2)``, so a
+    value on a cell edge belongs to the cell above it; fields sampled on the
+    grid use that convention for mass accounting.  A point mass (an atom of
+    a curvature measure) at ``u`` is placed at the nearest level to the
+    left, the level ``u_k <= u < u_{k+1}``.  Both lookups rank values
+    exactly as ``np.searchsorted`` would on :attr:`edges` and
+    :attr:`levels`.
     """
 
     u0: float
@@ -332,11 +338,23 @@ class LevelGrid:
     def u_max(self) -> float:
         return self.u0 + self.du * (self.n_levels - 1)
 
+    @property
+    def edges(self) -> np.ndarray:
+        """The ``n_levels + 1`` cell edges ``u_k - du/2``, then ``u_max + du/2``."""
+        return self.u0 + self.du * (np.arange(self.n_levels + 1) - 0.5)
+
     def cell_index(self, u) -> np.ndarray:
-        """Index of the cell containing ``u`` (nearest level)."""
-        k = np.rint((np.asarray(u, np.float64) - self.u0) / self.du).astype(np.int64)
+        """Index of the half-open cell containing ``u`` (nearest level)."""
+        k = _rank(np.asarray(u, np.float64), self.u0, self.du, True, -0.5) - 1
         if np.any(k < 0) or np.any(k >= self.n_levels):
             raise ValueError("value outside the level grid")
+        return k if k.ndim else int(k)
+
+    def left_index(self, u):
+        """Index of the nearest level at or left of ``u``, unclipped: ``-1``
+        below the first level, ``n_levels`` or more at and above
+        ``u_max + du``."""
+        k = _rank(np.asarray(u, np.float64), self.u0, self.du, True) - 1
         return k if k.ndim else int(k)
 
     def integrate(self, field_values) -> float:

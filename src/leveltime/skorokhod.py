@@ -176,6 +176,15 @@ def crossing_count_field(
     return up + down
 
 
+def _segments_until(solution: SkorokhodSolution, t):
+    """Regularized values and their monotone segments up to time ``t``."""
+    reg = solution.regularized
+    if t is None:
+        return reg.values, solution.monotone_segments
+    values = reg.values[: reg.index_at(t) + 1]
+    return values, monotone_segments(values)
+
+
 def banach_indicatrix(solution: SkorokhodSolution, z: float, t=None) -> int:
     """Number of level-z crossings of the regularized path, per segment.
 
@@ -183,14 +192,7 @@ def banach_indicatrix(solution: SkorokhodSolution, z: float, t=None) -> int:
     when b <= z < a.  The half-open conventions make the z-integral of the
     count equal to the total variation exactly.
     """
-    reg = solution.regularized
-    if t is None:
-        segs = solution.monotone_segments
-        values = reg.values
-    else:
-        i_t = reg.index_at(t)
-        values = reg.values[: i_t + 1]
-        segs = monotone_segments(values)
+    values, segs = _segments_until(solution, t)
     count = 0
     for start, end, direction in segs:
         a = values[start]
@@ -211,14 +213,7 @@ def banach_indicatrix_integral(solution: SkorokhodSolution, t=None) -> float:
     counting covering segments on each slice, so the total-variation identity
     is verified by an independent route rather than assumed.
     """
-    reg = solution.regularized
-    if t is None:
-        segs = solution.monotone_segments
-        values = reg.values
-    else:
-        i_t = reg.index_at(t)
-        values = reg.values[: i_t + 1]
-        segs = monotone_segments(values)
+    values, segs = _segments_until(solution, t)
     intervals = []
     for start, end, direction in segs:
         a = float(values[start])

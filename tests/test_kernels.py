@@ -9,6 +9,8 @@ loops, so every test runs on every machine.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from leveltime import _kernels
 
@@ -71,6 +73,19 @@ def ref_point_field(a, b, levels):
     return out
 
 
+def ref_cell_field(a, b, edges):
+    # exact integral of |b - u| over [lo, hi) meet cell k, divided by du
+    du = edges[1] - edges[0]
+    out = np.zeros(edges.size - 1)
+    for aj, bj in zip(a, b):
+        lo, hi = min(aj, bj), max(aj, bj)
+        for k in range(out.size):
+            alpha, beta = max(lo, edges[k]), min(hi, edges[k + 1])
+            if beta > alpha:
+                out[k] += (beta - alpha) * abs(bj - 0.5 * (alpha + beta)) / du
+    return out
+
+
 def ref_signed_sum(left, inc, levels):
     out = np.zeros(levels.size)
     for k, u in enumerate(levels):
@@ -79,9 +94,10 @@ def ref_signed_sum(left, inc, levels):
 
 
 def ref_occupation(left, w, levels, eps):
+    # the band [left - eps, left + eps] with its ends rounded as written
     out = np.zeros(levels.size)
     for k, u in enumerate(levels):
-        out[k] = w[np.abs(left - u) <= eps].sum()
+        out[k] = w[(left - eps <= u) & (u <= left + eps)].sum()
     return out
 
 
@@ -151,11 +167,32 @@ def test_crossing_counts_armed_sample_never_fires_same_step():
         assert (int(up[0]), int(down[0])) == (2, 0)
 
 
-@pytest.mark.parametrize("seed", [5, 6])
-def test_interval_field_point_backends_and_reference(seed):
-    values = _sample_values(seed)
+# Grid-snapped cases: values on levels, on cell edges u_k +- du/2 and beyond
+# both grid ends, so every range end meets its tie.
+def _snapped(seeds, grids):
+    return [
+        pytest.param(("snapped", seed, u0, du), id=f"snapped-{seed}-{u0}-{du}")
+        for seed in seeds
+        for u0, du in grids
+    ]
+
+
+def _field_case(case):
+    """``(values, u0, du, m)``: a jumpy walk for an integer seed, else
+    values snapped to the case's grid."""
+    if isinstance(case, int):
+        return _sample_values(case), -2.5, 0.04, 150
+    _, seed, u0, du = case
+    return _grid_snapped_values(seed, u0, du, 60, du), u0, du, 60
+
+
+_TIE_GRIDS = ((-2.5, 0.04), (0.0, 0.5), (1e3, 1e-3))
+
+
+@pytest.mark.parametrize("case", [5, 6] + _snapped((15, 16), _TIE_GRIDS))
+def test_interval_field_point_backends_and_reference(case):
+    values, u0, du, m = _field_case(case)
     a, b = values[:-1], values[1:]
-    u0, du, m = -2.5, 0.04, 150
     levels = u0 + du * np.arange(m)
     out_a = _kernels.BACKENDS["numba"]["interval_field_point"](
         a, b, u0, du, m, np.zeros(m)
@@ -167,11 +204,11 @@ def test_interval_field_point_backends_and_reference(seed):
     np.testing.assert_allclose(out_a, ref_point_field(a, b, levels), rtol=1e-10, atol=1e-10)
 
 
-@pytest.mark.parametrize("seed", [8, 9])
-def test_interval_field_cell_backends_agree(seed):
-    values = _sample_values(seed)
+@pytest.mark.parametrize("case", [8, 9] + _snapped((15, 16), _TIE_GRIDS))
+def test_interval_field_cell_backends_agree(case):
+    values, u0, du, m = _field_case(case)
     a, b = values[:-1], values[1:]
-    u0, du, m = -2.5, 0.04, 150
+    edges = u0 + du * (np.arange(m + 1) - 0.5)
     out_a = _kernels.BACKENDS["numba"]["interval_field_cell"](
         a, b, u0, du, m, np.zeros(m)
     )
@@ -179,6 +216,7 @@ def test_interval_field_cell_backends_agree(seed):
         a, b, u0, du, m, np.zeros(m)
     )
     np.testing.assert_allclose(out_a, out_b, rtol=1e-10, atol=1e-10)
+    np.testing.assert_allclose(out_a, ref_cell_field(a, b, edges), rtol=1e-10, atol=1e-10)
 
 
 def test_interval_field_cell_mass_identity():
@@ -236,13 +274,16 @@ def test_signed_increment_sum_left_continuous_sign():
     assert out[0] == -1.0
 
 
-@pytest.mark.parametrize("seed", [13, 14])
+# with eps 0.3 and 0.05 these grids put band half-widths of du/6, du/2, du,
+# 3 du and 6 du, so band ends land on levels too
+@pytest.mark.parametrize(
+    "case", [13, 14] + _snapped((17, 18), ((-2.5, 0.05), (0.0, 0.1), (1e3, 0.3)))
+)
 @pytest.mark.parametrize("eps", [0.3, 0.05])
-def test_occupation_weights_backends_and_reference(seed, eps):
-    values = _sample_values(seed)
+def test_occupation_weights_backends_and_reference(case, eps):
+    values, u0, du, m = _field_case(case)
     left = values[:-1]
     w = np.diff(values) ** 2
-    u0, du, m = -2.5, 0.04, 150
     levels = u0 + du * np.arange(m)
     out_a = _kernels.BACKENDS["numba"]["occupation_weights"](
         left, w, u0, du, m, eps, np.zeros(m)
@@ -254,6 +295,43 @@ def test_occupation_weights_backends_and_reference(seed, eps):
     np.testing.assert_allclose(
         out_a, ref_occupation(left, w, levels, eps), rtol=1e-12, atol=1e-12
     )
+
+
+_GRID_SIZE = 40
+
+
+@st.composite
+def _grid_probes(draw):
+    # values on the grid points, on their float neighbours, between them and
+    # beyond both ends of a grid with |u0| / du up to 1e10
+    u0 = draw(st.floats(-1e4, 1e4, allow_nan=False))
+    du = draw(st.floats(1e-6, 10.0))
+    off = draw(st.sampled_from([0.0, -0.5]))
+    grid = u0 + (np.arange(_GRID_SIZE) + off) * du
+    ks = draw(st.lists(st.integers(-3, _GRID_SIZE + 2), min_size=1, max_size=30))
+    shifts = draw(st.lists(st.sampled_from(["on", "up", "down", "mid"]), min_size=len(ks), max_size=len(ks)))
+    x = []
+    for k, shift in zip(ks, shifts):
+        v = u0 + (k + off) * du
+        if shift == "up":
+            v = np.nextafter(v, np.inf)
+        elif shift == "down":
+            v = np.nextafter(v, -np.inf)
+        elif shift == "mid":
+            v = v + 0.5 * du
+        x.append(v)
+    return u0, du, off, grid, np.array(x)
+
+
+@given(_grid_probes(), st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_rank_is_searchsorted_on_the_materialised_grid(probe, right):
+    u0, du, off, grid, x = probe
+    got = _kernels._rank(x, u0, du, right, off)
+    want = np.searchsorted(grid, x, "right" if right else "left")
+    np.testing.assert_array_equal(np.minimum(got, grid.size), want)
+    for v, expect in zip(x, got):
+        assert _kernels._rank(v, u0, du, right, off) == expect
 
 
 def test_kernels_empty_and_degenerate_inputs():

@@ -1,9 +1,12 @@
 """Generators, the classical Tanaka reference, the Q-statistic, field
 distances, and the convergence harness."""
 
+import time
+
 import numpy as np
 import pytest
 
+from leveltime import lab
 from leveltime import (
     ConfigError,
     ExperimentConfig,
@@ -362,6 +365,38 @@ class TestExperiments:
             )
             report = run_convergence_experiment(cfg)
             assert np.all(report.distances >= 0)
+
+    @pytest.mark.parametrize(
+        "estimator,builder,ladder",
+        [
+            ("K_pi", "k_pi", (2, 4, 6)),
+            ("occupation", "occupation_local_time", (0.4, 0.2, 0.1)),
+            ("interval_crossing", "interval_crossing_local_time", (0.4, 0.2, 0.1)),
+        ],
+    )
+    def test_each_level_is_charged_its_own_field(
+        self, monkeypatch, estimator, builder, ladder
+    ):
+        # a builder that takes a fixed time per field it returns: every
+        # ladder level's wall clock must cover its own fields, not only the
+        # first level's
+        pause = 0.03
+        original = getattr(lab, builder)
+
+        def slow(*args, **kwargs):
+            out = original(*args, **kwargs)
+            time.sleep(pause * (len(out) if isinstance(out, list) else 1))
+            return out
+
+        monkeypatch.setattr(lab, builder, slow)
+        cfg = self.brownian_config(
+            estimator=estimator,
+            ladder=ladder,
+            n_paths=2,
+            field_mode="cell" if estimator == "K_pi" else "point",
+        )
+        report = run_convergence_experiment(cfg)
+        assert all(c >= cfg.n_paths * pause for c in report.wall_clocks)
 
     def test_config_validation(self):
         with pytest.raises(ValueError, match="estimator"):

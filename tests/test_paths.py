@@ -238,6 +238,27 @@ class TestLevelGrid:
             g.cell_index(2.5)
         with pytest.raises(ValueError, match="outside"):
             g.cell_index(-0.3)
+        # cells are half-open: a value on an edge belongs to the cell above
+        assert g.cell_index(0.25) == 1
+        assert g.cell_index(-0.25) == 0
+        with pytest.raises(ValueError, match="outside"):
+            g.cell_index(2.25)
+
+    def test_edges_bound_the_cells(self):
+        g = LevelGrid(-1.0, 0.25, 4)
+        np.testing.assert_array_equal(
+            g.edges, [-1.125, -0.875, -0.625, -0.375, -0.125]
+        )
+        assert g.cell_index(g.edges[:-1]).tolist() == [0, 1, 2, 3]
+
+    def test_left_index_is_the_nearest_level_at_or_below(self):
+        g = LevelGrid(0.0, 0.5, 5)
+        assert g.left_index(0.5) == 1
+        assert g.left_index(0.49) == 0
+        assert g.left_index(-0.01) == -1
+        assert g.left_index(2.0) == 4
+        assert g.left_index(2.5) == 5
+        np.testing.assert_array_equal(g.left_index([0.0, 0.99, 1.0]), [0, 1, 2])
 
     def test_integrate_riemann_sum(self):
         g = LevelGrid(0.0, 0.25, 4)

@@ -162,6 +162,14 @@ class TestBanachIndicatrix:
                     tv, abs=1e-9 * (1.0 + tv)
                 )
 
+    def test_integral_equals_total_variation_at_lab_size(self, step_path):
+        # thousands of monotone segments, as the lab's band ladders produce
+        p = step_path(76, n_samples=2**14 + 1, kind="brownian")
+        sol = skorokhod_map(p, 0.01)
+        assert len(sol.monotone_segments) > 2000
+        tv = total_variation(sol.regularized)
+        assert abs(banach_indicatrix_integral(sol) - tv) <= 1e-9 * (1.0 + tv)
+
     def test_time_restricted_integral(self, step_path):
         p = step_path(75)
         sol = skorokhod_map(p, 0.2)
