@@ -1,17 +1,17 @@
-"""Compare the two kernel backends on identical inputs.
+"""Check and time the six kernels as they are bound on this machine.
 
-Every kernel is reachable through a numba and a numpy backend.  The three
-field kernels share one range computation and differ only in the
-accumulator (a loop for numba, difference arrays for numpy); the signed
-increment sum has a vectorised numpy reformulation of its loop; the play
-operator and the crossing counts run the same loop on both, compiled or
-not.  This script first checks that both backends agree on two small
-inputs of 2,049 samples by 101 levels, small enough for the uncompiled
-loops that stand in for numba when it is absent: a seeded path, and values
-snapped to levels and cell edges with a band of one grid step, so that a
-backend split on ties fails the script.  It then reports
-best-of-``--repeat`` wall times per kernel, plus the compiled backend's
-speedup when numba is installed.
+Each kernel is bound at import to one implementation: with numba, the
+compiled loop (the signed increment sum has one form, a sorted prefix sum);
+without numba, the array form where it beats the uncompiled loop.  This
+script first checks every kernel's bound implementation against its
+uncompiled loop (the signed increment sum against a dense numpy oracle) on
+two small inputs of 2,049 samples by 101 levels, small enough for the
+uncompiled loops: a seeded path, and values snapped to levels and cell
+edges with a band of one grid step, so that a variant split on ties fails
+the script.  It then prints which implementation each kernel is bound to
+and reports best-of-``--repeat`` wall times of the bound kernels.  With
+numba it also times the implementation each kernel binds without numba,
+and the compiled loop's speedup over it.
 
 Usage::
 
@@ -24,7 +24,50 @@ import time
 
 import numpy as np
 
-from leveltime._kernels import BACKENDS, HAS_NUMBA
+from leveltime import _kernels
+
+
+def dense_signed_sum(left, inc, u0, du, m):
+    """Oracle for the signed increment sum, which has no loop variant."""
+    levels = u0 + du * np.arange(m)
+    return np.where(left[None, :] > levels[:, None], inc, -inc).sum(axis=1)
+
+
+# per kernel: the implementation it is bound to, its uncompiled loop (an
+# oracle for the signed increment sum), and the implementation it binds
+# without numba
+VARIANTS = {
+    "play_operator": (
+        _kernels._play_operator,
+        _kernels._play_operator_loop,
+        _kernels._play_operator_loop,
+    ),
+    "crossing_counts": (
+        _kernels._crossing_clamp,
+        _kernels._crossing_clamp_loop,
+        _kernels._crossing_clamp_np,
+    ),
+    "interval_field_point": (
+        _kernels._point_sums,
+        _kernels._point_sums_loop,
+        _kernels._point_sums_np,
+    ),
+    "interval_field_cell": (
+        _kernels._cell_sums,
+        _kernels._cell_sums_loop,
+        _kernels._cell_sums_np,
+    ),
+    "signed_increment_sum": (
+        _kernels.signed_increment_sum,
+        dense_signed_sum,
+        _kernels.signed_increment_sum,
+    ),
+    "occupation_weights": (
+        _kernels._band_sums,
+        _kernels._band_sums_loop,
+        _kernels._band_sums_np,
+    ),
+}
 
 
 def make_inputs(steps, levels, seed):
@@ -49,33 +92,41 @@ def snapped_inputs(steps, levels, seed):
 
 
 def build_cases(values, u0, du, m, eps):
+    """Per kernel, a call taking one of its implementations: the play
+    operator, a crossing clamp, a field accumulator or a signed sum."""
     a = values[:-1]
     b = values[1:]
     inc = np.diff(values)
     return {
-        "play_operator": lambda k: k(values, eps),
-        "crossing_counts": lambda k: k(values, u0, du, m, eps, False),
-        "interval_field_point": lambda k: k(
-            a, b, u0, du, m, np.zeros(m)
+        "play_operator": lambda impl: impl(values, eps),
+        "crossing_counts": lambda impl: _kernels._crossing_counts(
+            impl, values, u0, du, m, eps, False
         ),
-        "interval_field_cell": lambda k: k(
-            a, b, u0, du, m, np.zeros(m)
+        "interval_field_point": lambda impl: _kernels._interval_field(
+            _kernels._level_ranges, impl, a, b, u0, du, m, np.zeros(m)
         ),
-        "signed_increment_sum": lambda k: k(
-            a, inc, u0, du, m, np.zeros(m)
+        "interval_field_cell": lambda impl: _kernels._interval_field(
+            _kernels._cell_ranges, impl, a, b, u0, du, m, np.zeros(m)
         ),
-        "occupation_weights": lambda k: k(
-            a, inc**2, u0, du, m, eps, np.zeros(m)
+        "signed_increment_sum": lambda impl: impl(a, inc, u0, du, m),
+        "occupation_weights": lambda impl: _kernels._occupation_weights(
+            impl, a, inc**2, u0, du, m, eps, np.zeros(m)
         ),
     }
 
 
 def check_agreement(case, name):
-    got_np = case(BACKENDS["numpy"][name])
-    got_nb = case(BACKENDS["numba"][name])
-    for x, y in zip(np.atleast_1d(got_np), np.atleast_1d(got_nb)):
+    bound, loop, _ = VARIANTS[name]
+    for x, y in zip(np.atleast_1d(case(bound)), np.atleast_1d(case(loop))):
         if not np.allclose(x, y, rtol=1e-9, atol=1e-9):
-            raise AssertionError(f"backends disagree on {name}")
+            raise AssertionError(f"{name}: the bound kernel disagrees with its loop")
+
+
+def describe(impl):
+    if impl is _kernels.signed_increment_sum:
+        return "sorted prefix sum (its one form)"
+    py_func = getattr(impl, "py_func", None)
+    return f"{py_func.__name__} (compiled)" if py_func else impl.__name__
 
 
 def best_time(fn, repeat):
@@ -107,9 +158,13 @@ def main(argv=None):
         for name, case in checks.items():
             check_agreement(case, name)  # compiles the numba loops, if present
         print(
-            f"backends agree on {len(checks)} kernels "
+            f"bound kernels agree with their loops on {len(checks)} kernels "
             f"({label}, 2049 samples x 101 levels, eps = {band} du)"
         )
+
+    print(f"backend {_kernels.ACTIVE_BACKEND}, HAS_NUMBA {_kernels.HAS_NUMBA}")
+    for name, (bound, _, _) in VARIANTS.items():
+        print(f"{name:24s} bound to {describe(bound)}")
 
     values, u0, du = make_inputs(args.steps, args.levels, args.seed)
     cases = build_cases(values, u0, du, args.levels, 8.0 * du)
@@ -117,20 +172,20 @@ def main(argv=None):
         f"steps={args.steps} levels={args.levels} seed={args.seed} "
         f"repeat={args.repeat}"
     )
-    if not HAS_NUMBA:
-        print("numba is not installed; timing the numpy backend only")
+    if not _kernels.HAS_NUMBA:
         for name, case in cases.items():
-            t = best_time(lambda: case(BACKENDS["numpy"][name]), args.repeat)
-            print(f"{name:24s} numpy {t * 1e3:9.3f} ms")
+            t = best_time(lambda: case(VARIANTS[name][0]), args.repeat)
+            print(f"{name:24s} {t * 1e3:9.3f} ms")
         return 0
 
-    print(f"{'kernel':24s} {'numpy':>12s} {'numba':>12s} {'speedup':>9s}")
+    print(f"{'kernel':24s} {'bound':>12s} {'no numba':>12s} {'speedup':>9s}")
     for name, case in cases.items():
-        t_np = best_time(lambda: case(BACKENDS["numpy"][name]), args.repeat)
-        t_nb = best_time(lambda: case(BACKENDS["numba"][name]), args.repeat)
+        bound, _, fallback = VARIANTS[name]
+        t_bound = best_time(lambda: case(bound), args.repeat)
+        t_fallback = best_time(lambda: case(fallback), args.repeat)
         print(
-            f"{name:24s} {t_np * 1e3:9.3f} ms {t_nb * 1e3:9.3f} ms "
-            f"{t_np / t_nb:8.1f}x"
+            f"{name:24s} {t_bound * 1e3:9.3f} ms {t_fallback * 1e3:9.3f} ms "
+            f"{t_fallback / t_bound:8.1f}x"
         )
     return 0
 

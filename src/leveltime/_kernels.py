@@ -1,29 +1,33 @@
-"""Hot numeric kernels behind a numba and a numpy backend.
+"""Hot numeric kernels, each bound to one implementation at import.
 
-The loop variants are compiled with ``numba.njit(cache=True, nogil=True)``
-when numba is importable.  The three field kernels (point and cell
-interval fields, occupation weights) are each one shared range computation
-plus a per-backend accumulator: the shared part finds every bracket's first
-and last covered level or cell with :func:`_rank`, then the numba backend
-loops over those ranges and the numpy backend sums them through difference
-arrays.  The signed increment sum has a loop and a vectorised numpy
-reformulation of the same contract.  The play operator and the crossing
-counts are each one sequential loop shared by both backends: compiled for
-numba, run uncompiled for numpy, so the two agree bit for bit.  Without
-numba the ``numba`` entries hold the uncompiled loops.  The active backend
-is chosen once at import time: numba when available, unless the
-environment variable ``LOCALTIME_NO_NUMBA`` is set to ``1``/``true``/``yes``.
-Both backends stay importable through ``BACKENDS`` so the test suite and
-``benchmarks/bench_kernels.py`` can compare them on identical inputs.
+Where numba is importable (``HAS_NUMBA``) the sequential loops are compiled
+with ``numba.njit(cache=True, nogil=True)`` and every kernel but the signed
+increment sum runs its loop.
+Without numba a kernel runs its loop uncompiled only where no array form
+beats it:
+
+- the play operator is one sequential loop, compiled or not;
+- the crossing counts run one clamp loop, compiled over int64 arrays or,
+  uncompiled, over lists;
+- the three field kernels (point and cell interval fields, occupation
+  weights) are each one shared range computation, which finds every
+  bracket's first and last covered level or cell with :func:`_rank`, plus
+  an accumulator over those ranges: the compiled loop, or difference arrays
+  without numba;
+- the signed increment sum has one form on every machine, a sorted prefix
+  sum.
+
+The module-level ``if HAS_NUMBA:`` block below makes that choice once;
+``ACTIVE_BACKEND`` names it.  The loop variants stay importable under their
+private ``*_loop`` names so the test suite and
+``benchmarks/bench_kernels.py`` can check them against the array variants
+on every machine.
 
 Level-grid convention used by every kernel: levels sit at ``u0 + k*du`` for
 ``k = 0..m-1`` and cell ``k`` is the half-open interval
 ``[u0 + (k-1/2)*du, u0 + (k+1/2)*du)``.  :func:`_rank` is the one rule that
 maps values onto that grid, here and in ``paths.LevelGrid``.
 """
-
-import os
-from functools import partial
 
 import numpy as np
 
@@ -34,20 +38,7 @@ try:
 except ImportError:  # pragma: no cover - exercised only when numba is absent
     HAS_NUMBA = False
 
-    def njit(*args, **kwargs):
-        def wrap(func):
-            return func
-
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
-
-
-def _env_flag(name):
-    return os.environ.get(name, "0").strip().lower() in ("1", "true", "yes")
-
-
-USE_NUMBA = HAS_NUMBA and not _env_flag("LOCALTIME_NO_NUMBA")
+ACTIVE_BACKEND = "numba" if HAS_NUMBA else "numpy"
 
 
 # ---------------------------------------------------------------------------
@@ -95,12 +86,6 @@ def _play_operator_loop(values, eps):
     return reg, dev
 
 
-# The recursion is inherently sequential, so the numpy backend runs the same
-# loop uncompiled; both backends are therefore bit-identical.
-_play_operator_np = _play_operator_loop
-_play_operator_nb = njit(cache=True, nogil=True)(_play_operator_loop)
-
-
 # ---------------------------------------------------------------------------
 # crossing counts over a grid of levels
 # ---------------------------------------------------------------------------
@@ -130,9 +115,6 @@ def _crossing_clamp_np(arm, last, a, diff):
     # uncompiled, the loop runs two to three times faster over lists than
     # over int64 arrays
     return _crossing_clamp_loop(arm.tolist(), last.tolist(), a, diff)
-
-
-_crossing_clamp_nb = njit(cache=True, nogil=True)(_crossing_clamp_loop)
 
 
 def _crossing_counts(clamp, values, u0, du, m, eps, strict):
@@ -218,7 +200,7 @@ def _interval_field(ranges, accumulate, a, b, u0, du, m, out):
 
     Orders each bracket as ``lo <= hi``, takes the covered index range from
     ``ranges`` and hands the brackets of nonzero length with a nonempty
-    range to the backend's ``accumulate``.
+    range to ``accumulate``, a loop or its difference-array form.
     """
     if a.size == 0:  # the jump brackets of every path without jumps
         return out
@@ -254,9 +236,6 @@ def _point_sums_np(b, lo, hi, kf, kl, u0, du, m, out):
     levels = u0 + du * np.arange(m)
     out += np.cumsum(d_const)[:m] - np.cumsum(d_slope)[:m] * levels
     return out
-
-
-_point_sums_nb = njit(cache=True, nogil=True)(_point_sums_loop)
 
 
 def _cell_sums_loop(b, lo, hi, kf, kl, u0, du, m, out):
@@ -318,50 +297,13 @@ def _cell_sums_np(b, lo, hi, kf, kl, u0, du, m, out):
     )
 
 
-_cell_sums_nb = njit(cache=True, nogil=True)(_cell_sums_loop)
-
-
-# ---------------------------------------------------------------------------
-# signed increment sums (left-continuous sign, sign(0) = -1)
-# ---------------------------------------------------------------------------
-
-def _signed_increment_sum_loop(left, inc, u0, du, m, out):
-    for k in range(m):
-        u = u0 + k * du
-        s = 0.0
-        for j in range(left.size):
-            if left[j] > u:
-                s += inc[j]
-            else:
-                s -= inc[j]
-        out[k] = s
-    return out
-
-
-def _signed_increment_sum_np(left, inc, u0, du, m, out):
-    if left.size == 0:
-        return out
-    order = np.argsort(left, kind="stable")
-    xs = left[order]
-    cs = np.cumsum(inc[order])
-    total = cs[-1]
-    levels = u0 + du * np.arange(m)
-    cnt = np.searchsorted(xs, levels, side="right")
-    prefix = np.where(cnt > 0, cs[np.maximum(cnt - 1, 0)], 0.0)
-    out += total - 2.0 * prefix
-    return out
-
-
-_signed_increment_sum_nb = njit(cache=True, nogil=True)(_signed_increment_sum_loop)
-
-
 # ---------------------------------------------------------------------------
 # occupation weights: band-indicator accumulation of squared increments
 # ---------------------------------------------------------------------------
 
 def _occupation_weights(accumulate, left, w, u0, du, m, eps, out):
     """Shared preamble: levels ``kf..kl`` with ``|left_j - u_k| <= eps``,
-    handed to the backend's ``accumulate`` when nonempty."""
+    handed to ``accumulate`` when nonempty."""
     if left.size == 0:
         return out
     kf = _rank(left - eps, u0, du)
@@ -386,48 +328,38 @@ def _band_sums_np(w, kf, kl, m, out):
     return out
 
 
-_band_sums_nb = njit(cache=True, nogil=True)(_band_sums_loop)
-
-
 # ---------------------------------------------------------------------------
-# backend dispatch
+# one binding per kernel
 # ---------------------------------------------------------------------------
 
-BACKENDS = {
-    "numpy": {
-        "play_operator": _play_operator_np,
-        "crossing_counts": partial(_crossing_counts, _crossing_clamp_np),
-        "interval_field_point": partial(_interval_field, _level_ranges, _point_sums_np),
-        "interval_field_cell": partial(_interval_field, _cell_ranges, _cell_sums_np),
-        "signed_increment_sum": _signed_increment_sum_np,
-        "occupation_weights": partial(_occupation_weights, _band_sums_np),
-    },
-    "numba": {
-        "play_operator": _play_operator_nb,
-        "crossing_counts": partial(_crossing_counts, _crossing_clamp_nb),
-        "interval_field_point": partial(_interval_field, _level_ranges, _point_sums_nb),
-        "interval_field_cell": partial(_interval_field, _cell_ranges, _cell_sums_nb),
-        "signed_increment_sum": _signed_increment_sum_nb,
-        "occupation_weights": partial(_occupation_weights, _band_sums_nb),
-    },
-}
-
-ACTIVE_BACKEND = "numba" if USE_NUMBA else "numpy"
-_active = BACKENDS[ACTIVE_BACKEND]
+if HAS_NUMBA:
+    _compile = njit(cache=True, nogil=True)
+    _play_operator = _compile(_play_operator_loop)
+    _crossing_clamp = _compile(_crossing_clamp_loop)
+    _point_sums = _compile(_point_sums_loop)
+    _cell_sums = _compile(_cell_sums_loop)
+    _band_sums = _compile(_band_sums_loop)
+else:
+    _play_operator = _play_operator_loop
+    _crossing_clamp = _crossing_clamp_np
+    _point_sums = _point_sums_np
+    _cell_sums = _cell_sums_np
+    _band_sums = _band_sums_np
 
 
 def play_operator(values, eps):
     """Band regularisation of a sample sequence; returns ``(reg, dev)``."""
     values = np.ascontiguousarray(values, np.float64)
-    return _active["play_operator"](values, float(eps))
+    return _play_operator(values, float(eps))
 
 
 def crossing_counts(values, u0, du, m, eps, strict=False):
     """Completed up/down crossings of the band ``[z - eps/2, z + eps/2]``
     for every level ``z = u0 + k*du``; returns ``(up, down)``."""
     values = np.ascontiguousarray(values, np.float64)
-    return _active["crossing_counts"](
-        values, float(u0), float(du), int(m), float(eps), bool(strict)
+    return _crossing_counts(
+        _crossing_clamp, values, float(u0), float(du), int(m), float(eps),
+        bool(strict),
     )
 
 
@@ -436,7 +368,9 @@ def interval_field_point(a, b, u0, du, m):
     a = np.ascontiguousarray(a, np.float64)
     b = np.ascontiguousarray(b, np.float64)
     out = np.zeros(int(m), np.float64)
-    return _active["interval_field_point"](a, b, float(u0), float(du), int(m), out)
+    return _interval_field(
+        _level_ranges, _point_sums, a, b, float(u0), float(du), int(m), out
+    )
 
 
 def interval_field_cell(a, b, u0, du, m):
@@ -449,7 +383,9 @@ def interval_field_cell(a, b, u0, du, m):
     a = np.ascontiguousarray(a, np.float64)
     b = np.ascontiguousarray(b, np.float64)
     out = np.zeros(int(m), np.float64)
-    return _active["interval_field_cell"](a, b, float(u0), float(du), int(m), out)
+    return _interval_field(
+        _cell_ranges, _cell_sums, a, b, float(u0), float(du), int(m), out
+    )
 
 
 def signed_increment_sum(left, inc, u0, du, m):
@@ -457,7 +393,17 @@ def signed_increment_sum(left, inc, u0, du, m):
     left = np.ascontiguousarray(left, np.float64)
     inc = np.ascontiguousarray(inc, np.float64)
     out = np.zeros(int(m), np.float64)
-    return _active["signed_increment_sum"](left, inc, float(u0), float(du), int(m), out)
+    if left.size == 0:
+        return out
+    # sum_j inc_j - 2 * (sum of inc_j with left_j <= u_k), the second sum a
+    # prefix sum over the samples sorted by left
+    order = np.argsort(left, kind="stable")
+    cs = np.cumsum(inc[order])
+    levels = float(u0) + float(du) * np.arange(int(m))
+    cnt = np.searchsorted(left[order], levels, side="right")
+    prefix = np.where(cnt > 0, cs[np.maximum(cnt - 1, 0)], 0.0)
+    out += cs[-1] - 2.0 * prefix
+    return out
 
 
 def occupation_weights(left, w, u0, du, m, eps):
@@ -465,18 +411,17 @@ def occupation_weights(left, w, u0, du, m, eps):
     left = np.ascontiguousarray(left, np.float64)
     w = np.ascontiguousarray(w, np.float64)
     out = np.zeros(int(m), np.float64)
-    return _active["occupation_weights"](
-        left, w, float(u0), float(du), int(m), float(eps), out
+    return _occupation_weights(
+        _band_sums, left, w, float(u0), float(du), int(m), float(eps), out
     )
 
 
 def warmup():
-    """Trigger jit compilation of every kernel on tiny inputs."""
+    """Trigger jit compilation of every compiled loop on tiny inputs."""
     x = np.array([0.0, 1.0, -0.5, 0.25])
     play_operator(x, 0.5)
     crossing_counts(x, -1.0, 0.5, 5, 0.5, False)
     crossing_counts(x, -1.0, 0.5, 5, 0.5, True)
     interval_field_point(x[:-1], x[1:], -1.0, 0.5, 5)
     interval_field_cell(x[:-1], x[1:], -1.0, 0.5, 5)
-    signed_increment_sum(x[:-1], np.diff(x), -1.0, 0.5, 5)
     occupation_weights(x[:-1], np.diff(x) ** 2, -1.0, 0.5, 5, 0.5)

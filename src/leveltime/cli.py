@@ -16,6 +16,7 @@ from dataclasses import replace
 
 import numpy as np
 
+from ._kernels import ACTIVE_BACKEND, HAS_NUMBA
 from .crossing import j_pi, k_pi, occupation_local_time, split_Kc_Kd
 from .dcfuncs import builtin_suite
 from .errors import ConfigError, InvariantViolation
@@ -400,6 +401,10 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
+    print(
+        f"backend {ACTIVE_BACKEND} "
+        f"({'compiled loops' if HAS_NUMBA else 'numba not installed'})"
+    )
     try:
         return args.func(args)
     except InvariantViolation as exc:

@@ -269,10 +269,10 @@ def integrate_against_f2(
     """Integral of ``g`` against the curvature measure on [window[0], window[1]).
 
     ``g`` is either a callable or an array sampled on ``grid`` levels (cell
-    convention).  Atom terms for grid-sampled ``g`` use the nearest-left grid
-    cell; ``atom_policy`` says what to do when an atom falls outside the
-    grid: ``"error"`` raises, ``"extend"`` clamps to the edge cell,
-    ``"skip"`` drops the atom.
+    convention).  Atom terms for grid-sampled ``g`` use the nearest level to
+    the left (:meth:`LevelGrid.atom_index`); ``atom_policy`` says what to do
+    when an atom has none on the grid: ``"error"`` raises, ``"extend"``
+    clamps to the edge level, ``"skip"`` drops the atom.
     """
     lo, hi = float(window[0]), float(window[1])
     if hi <= lo:
@@ -311,19 +311,17 @@ def integrate_against_f2(
     if g.shape != (grid.n_levels,):
         raise ValueError("g must have one value per grid level")
     total = 0.0
-    covered_lo = grid.u0 - 0.5 * grid.du
-    covered_hi = grid.u_max + 0.5 * grid.du
     for loc, w in f2.atoms:
         if not lo <= loc < hi:
             continue
-        if not covered_lo <= loc < covered_hi:
+        try:
+            k = grid.atom_index(loc)
+        except ValueError:
             if atom_policy == "error":
-                raise ValueError(
-                    f"curvature atom at {loc} outside the level grid"
-                )
+                raise
             if atom_policy == "skip":
                 continue
-        k = min(max(grid.left_index(loc), 0), grid.n_levels - 1)
+            k = 0 if loc < grid.u0 else grid.n_levels - 1
         total += w * g[k]
     if f2.density is not None:
         masses = f2.cell_masses(grid)

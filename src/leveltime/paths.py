@@ -357,6 +357,17 @@ class LevelGrid:
         k = _rank(np.asarray(u, np.float64), self.u0, self.du, True) - 1
         return k if k.ndim else int(k)
 
+    def atom_index(self, u) -> int:
+        """Level of an atom at ``u``: the nearest level at or left of ``u``.
+
+        Raises ``ValueError`` unless ``u0 <= u < u_max + du``, the values
+        whose nearest level to the left is on the grid.
+        """
+        k = self.left_index(float(u))
+        if not 0 <= k < self.n_levels:
+            raise ValueError(f"atom at {u} outside the level grid")
+        return k
+
     def integrate(self, field_values) -> float:
         """Riemann sum ``du * sum(field)`` of a field sampled on the grid."""
         field_values = np.asarray(field_values, np.float64)

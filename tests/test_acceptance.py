@@ -12,7 +12,7 @@ import time
 
 import numpy as np
 
-from leveltime._kernels import USE_NUMBA
+from leveltime._kernels import HAS_NUMBA
 from leveltime.crossing import (
     discrete_tanaka_residual,
     j_pi,
@@ -40,7 +40,7 @@ from leveltime.skorokhod import (
     skorokhod_map,
 )
 
-RELAX = 1.0 if USE_NUMBA else 10.0
+RELAX = 1.0 if HAS_NUMBA else 10.0
 
 
 def report(capsys, label, ok, detail, elapsed, budget):

@@ -7,6 +7,7 @@ import json
 import numpy as np
 import pytest
 
+from leveltime._kernels import HAS_NUMBA
 from leveltime.cli import main
 from leveltime.crossing import occupation_local_time
 from leveltime.follmer import quadratic_variation
@@ -394,6 +395,18 @@ class TestParser:
 
     def test_subcommand_help_exits_0(self):
         assert main(["generate", "--help"]) == 0
+
+    def test_every_run_names_its_backend_first(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"generator": GEN})
+        assert main(["generate", "--config", cfg, "--out", str(tmp_path)]) == 0
+        expected = (
+            "backend numba (compiled loops)"
+            if HAS_NUMBA
+            else "backend numpy (numba not installed)"
+        )
+        assert capsys.readouterr().out.splitlines()[0] == expected
+        assert main(["qv", "--levels=-1", "--config", cfg, "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().out.splitlines()[0] == expected
 
     def test_unknown_subcommand_exits_1(self):
         assert main(["frobnicate"]) == 1

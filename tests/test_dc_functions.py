@@ -25,6 +25,7 @@ from leveltime import (
     mollify,
 )
 from leveltime.dcfuncs import jf_measure_side, left_sign
+from leveltime.lab import lp_distance
 
 SUITE = builtin_suite()
 
@@ -205,7 +206,7 @@ class TestIntegrateAgainstCurvature:
 
     def test_grid_sampled_atom_policies(self):
         f = make_relu(0.7)
-        grid = LevelGrid(0.0, 0.1, 5)  # covers [-0.05, 0.45)
+        grid = LevelGrid(0.0, 0.1, 5)  # places atoms in [0, 0.5)
         g = np.ones(5)
         with pytest.raises(ValueError, match="outside the level grid"):
             integrate_against_f2(g, f, (0.0, 1.0), grid=grid)
@@ -217,6 +218,21 @@ class TestIntegrateAgainstCurvature:
             g, f, (0.0, 1.0), grid=grid, atom_policy="skip"
         )
         assert val == 0.0
+
+    def test_grid_ends_agree_with_lp_distance(self):
+        # one coverage rule: an atom sits on the grid iff its nearest level
+        # to the left is a grid level, for the integral and the weighted
+        # distance alike
+        grid = LevelGrid(0.0, 1.0, 5)
+        g = np.arange(1.0, 6.0)
+        w = make_abs(4.75).second_derivative  # atom weight 2 at 4.75
+        assert integrate_against_f2(g, make_abs(4.75), (-10.0, 10.0), grid=grid) == 10.0
+        assert lp_distance(g, np.zeros(5), weight=w, grid=grid) == 10.0
+        w = make_abs(-0.25).second_derivative
+        with pytest.raises(ValueError, match="outside the level grid"):
+            integrate_against_f2(g, make_abs(-0.25), (-10.0, 10.0), grid=grid)
+        with pytest.raises(ValueError, match="outside the level grid"):
+            lp_distance(g, np.zeros(5), weight=w, grid=grid)
 
     def test_grid_sampled_density_full_and_partial_cells(self):
         f = make_square()

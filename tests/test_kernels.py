@@ -1,10 +1,11 @@
-"""Backend equivalence and brute-force oracles for the array kernels.
+"""Variant equivalence and brute-force oracles for the array kernels.
 
-Every kernel is reachable through a ``numba`` and a ``numpy`` backend; these
-tests pit the two against each other and against independent reference
-loops written here, so a regression in either backend shows up as a
-disagreement.  Without numba the ``numba`` entries hold the uncompiled
-loops, so every test runs on every machine.
+Each kernel is bound at import to one implementation, but the loop variants
+stay reachable under their private names.  These tests run every variant of
+a kernel on the same input: the uncompiled loop, its array form where there
+is one, and with numba the compiled loop.  Each is compared with the others
+and with an independent reference loop written here, so a regression in any
+variant shows up as a disagreement on every machine.
 """
 
 import numpy as np
@@ -13,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from leveltime import _kernels
+from leveltime._kernels import HAS_NUMBA
 
 
 def _sample_values(seed, n=400, jumpy=True):
@@ -101,18 +103,44 @@ def ref_occupation(left, w, levels, eps):
     return out
 
 
+def variants(loop, array_form, bound):
+    """The implementations of one kernel: the uncompiled loop, its array
+    form unless that is ``None``, and with numba the compiled loop
+    ``bound``."""
+    found = [loop] if array_form is None else [loop, array_form]
+    if HAS_NUMBA:
+        assert bound.py_func is loop
+        found.append(bound)
+    return found
+
+
+def assert_variants_agree(run, impls, expected, tol):
+    """``run(impl)`` for every implementation agrees with the first one and
+    with the oracle's ``expected``."""
+    outs = [run(impl) for impl in impls]
+    for out in outs:
+        np.testing.assert_allclose(out, outs[0], rtol=tol, atol=tol)
+        np.testing.assert_allclose(out, expected, rtol=tol, atol=tol)
+
+
 # ---------------------------------------------------------------------------
-# backend-vs-backend and backend-vs-reference
+# variant-vs-variant and variant-vs-reference
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 @pytest.mark.parametrize("eps", [1.0, 0.25, 0.01])
 def test_play_operator_backends_bitwise_equal(seed, eps):
     values = _sample_values(seed)
-    ra, da = _kernels.BACKENDS["numba"]["play_operator"](values, eps)
-    rb, db = _kernels.BACKENDS["numpy"]["play_operator"](values, eps)
-    assert np.array_equal(ra, rb)
-    assert np.array_equal(da, db)
+    reg, dev = _kernels.play_operator(values, eps)
+    for kernel in variants(_kernels._play_operator_loop, None, _kernels._play_operator):
+        r, d = kernel(values, eps)
+        assert np.array_equal(r, reg)
+        assert np.array_equal(d, dev)
+    # the band holds exactly after the ulp nudges, and a stall copies the
+    # previous regularised value bit for bit
+    assert np.all(np.abs(values - reg) <= 0.5 * eps)
+    stall = np.abs(dev[1:]) < 0.5 * eps
+    assert np.array_equal(reg[1:][stall], reg[:-1][stall])
 
 
 @pytest.mark.parametrize("eps", [1.0, 0.3])
@@ -134,6 +162,11 @@ def _grid_snapped_values(seed, u0, du, m, eps, n=400):
     return (u0 + k * du) + side * (0.5 * eps)
 
 
+CLAMPS = variants(
+    _kernels._crossing_clamp_loop, _kernels._crossing_clamp_np, _kernels._crossing_clamp
+)
+
+
 @pytest.mark.parametrize("seed", [3, 4])
 @pytest.mark.parametrize("snapped", [False, True], ids=["walk", "snapped"])
 @pytest.mark.parametrize(
@@ -147,12 +180,10 @@ def test_crossing_counts_backends_and_reference(seed, snapped, eps, strict):
         values = _grid_snapped_values(seed, u0, du, m, eps)
     else:
         values = _sample_values(seed)
-    ua, da = _kernels.BACKENDS["numba"]["crossing_counts"](values, u0, du, m, eps, strict)
-    ub, db = _kernels.BACKENDS["numpy"]["crossing_counts"](values, u0, du, m, eps, strict)
-    assert np.array_equal(ua, ub)
-    assert np.array_equal(da, db)
     expected = [ref_crossings(values, u0 + k * du, eps, strict) for k in range(m)]
-    assert [(int(u), int(d)) for u, d in zip(ua, da)] == expected
+    for clamp in CLAMPS:
+        up, down = _kernels._crossing_counts(clamp, values, u0, du, m, eps, strict)
+        assert [(int(u), int(d)) for u, d in zip(up, down)] == expected
 
 
 def test_crossing_counts_armed_sample_never_fires_same_step():
@@ -160,10 +191,8 @@ def test_crossing_counts_armed_sample_never_fires_same_step():
     # must not also complete a crossing on that same sample: here every
     # v=0 sample re-arms the down tally (v >= high), so down stays 0
     values = np.array([1.0, 0.0, 1.0, 0.0, 1.0])
-    for backend in ("numba", "numpy"):
-        up, down = _kernels.BACKENDS[backend]["crossing_counts"](
-            values, 0.0, 1.0, 1, 0.0, False
-        )
+    for clamp in CLAMPS:
+        up, down = _kernels._crossing_counts(clamp, values, 0.0, 1.0, 1, 0.0, False)
         assert (int(up[0]), int(down[0])) == (2, 0)
 
 
@@ -193,30 +222,28 @@ _TIE_GRIDS = ((-2.5, 0.04), (0.0, 0.5), (1e3, 1e-3))
 def test_interval_field_point_backends_and_reference(case):
     values, u0, du, m = _field_case(case)
     a, b = values[:-1], values[1:]
-    levels = u0 + du * np.arange(m)
-    out_a = _kernels.BACKENDS["numba"]["interval_field_point"](
-        a, b, u0, du, m, np.zeros(m)
+    assert_variants_agree(
+        lambda accumulate: _kernels._interval_field(
+            _kernels._level_ranges, accumulate, a, b, u0, du, m, np.zeros(m)
+        ),
+        variants(_kernels._point_sums_loop, _kernels._point_sums_np, _kernels._point_sums),
+        ref_point_field(a, b, u0 + du * np.arange(m)),
+        1e-10,
     )
-    out_b = _kernels.BACKENDS["numpy"]["interval_field_point"](
-        a, b, u0, du, m, np.zeros(m)
-    )
-    np.testing.assert_allclose(out_a, out_b, rtol=1e-10, atol=1e-10)
-    np.testing.assert_allclose(out_a, ref_point_field(a, b, levels), rtol=1e-10, atol=1e-10)
 
 
 @pytest.mark.parametrize("case", [8, 9] + _snapped((15, 16), _TIE_GRIDS))
 def test_interval_field_cell_backends_agree(case):
     values, u0, du, m = _field_case(case)
     a, b = values[:-1], values[1:]
-    edges = u0 + du * (np.arange(m + 1) - 0.5)
-    out_a = _kernels.BACKENDS["numba"]["interval_field_cell"](
-        a, b, u0, du, m, np.zeros(m)
+    assert_variants_agree(
+        lambda accumulate: _kernels._interval_field(
+            _kernels._cell_ranges, accumulate, a, b, u0, du, m, np.zeros(m)
+        ),
+        variants(_kernels._cell_sums_loop, _kernels._cell_sums_np, _kernels._cell_sums),
+        ref_cell_field(a, b, u0 + du * (np.arange(m + 1) - 0.5)),
+        1e-10,
     )
-    out_b = _kernels.BACKENDS["numpy"]["interval_field_cell"](
-        a, b, u0, du, m, np.zeros(m)
-    )
-    np.testing.assert_allclose(out_a, out_b, rtol=1e-10, atol=1e-10)
-    np.testing.assert_allclose(out_a, ref_cell_field(a, b, edges), rtol=1e-10, atol=1e-10)
 
 
 def test_interval_field_cell_mass_identity():
@@ -248,21 +275,16 @@ def test_interval_field_cell_averages_the_point_field():
         assert abs(out[k] - approx) < 2e-4
 
 
-@pytest.mark.parametrize("seed", [11, 12])
-def test_signed_increment_sum_backends_and_reference(seed):
-    values = _sample_values(seed)
+@pytest.mark.parametrize("case", [11, 12] + _snapped((19,), _TIE_GRIDS))
+def test_signed_increment_sum_backends_and_reference(case):
+    values, u0, du, m = _field_case(case)
     left, inc = values[:-1], np.diff(values)
-    u0, du, m = -2.5, 0.04, 150
-    levels = u0 + du * np.arange(m)
-    out_a = _kernels.BACKENDS["numba"]["signed_increment_sum"](
-        left, inc, u0, du, m, np.zeros(m)
-    )
-    out_b = _kernels.BACKENDS["numpy"]["signed_increment_sum"](
-        left, inc, u0, du, m, np.zeros(m)
-    )
-    np.testing.assert_allclose(out_a, out_b, rtol=1e-10, atol=1e-10)
+    out = _kernels.signed_increment_sum(left, inc, u0, du, m)
     np.testing.assert_allclose(
-        out_a, ref_signed_sum(left, inc, levels), rtol=1e-10, atol=1e-10
+        out,
+        ref_signed_sum(left, inc, u0 + du * np.arange(m)),
+        rtol=1e-10,
+        atol=1e-10,
     )
 
 
@@ -284,16 +306,13 @@ def test_occupation_weights_backends_and_reference(case, eps):
     values, u0, du, m = _field_case(case)
     left = values[:-1]
     w = np.diff(values) ** 2
-    levels = u0 + du * np.arange(m)
-    out_a = _kernels.BACKENDS["numba"]["occupation_weights"](
-        left, w, u0, du, m, eps, np.zeros(m)
-    )
-    out_b = _kernels.BACKENDS["numpy"]["occupation_weights"](
-        left, w, u0, du, m, eps, np.zeros(m)
-    )
-    np.testing.assert_allclose(out_a, out_b, rtol=1e-12, atol=1e-12)
-    np.testing.assert_allclose(
-        out_a, ref_occupation(left, w, levels, eps), rtol=1e-12, atol=1e-12
+    assert_variants_agree(
+        lambda accumulate: _kernels._occupation_weights(
+            accumulate, left, w, u0, du, m, eps, np.zeros(m)
+        ),
+        variants(_kernels._band_sums_loop, _kernels._band_sums_np, _kernels._band_sums),
+        ref_occupation(left, w, u0 + du * np.arange(m), eps),
+        1e-12,
     )
 
 

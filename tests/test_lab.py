@@ -179,8 +179,12 @@ class TestClassicalLocalTime:
         p = step_path(102, n_samples=2049)
         grid = LevelGrid.for_path(p, 0.02, margin=0.3)
         ref = classical_local_time(p, grid=grid)
+        # the raw Tanaka sum is 2 (K_full - J) >= 0 in exact arithmetic, so
+        # flooring removes rounding only
+        mass = ref.field.masses()[0]
         assert ref.neg_min <= 0.0
-        assert ref.neg_l1 < 0.05 * ref.field.masses()[0]
+        assert -ref.neg_min <= 1e-12 * (1 + mass)
+        assert ref.neg_l1 <= 1e-12 * (1 + mass)
 
     def test_needs_grid(self, step_path):
         with pytest.raises(ValueError, match="grid"):
