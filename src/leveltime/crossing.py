@@ -90,19 +90,9 @@ def _field_kernel(mode):
     )
 
 
-def _clipped_pairs(path, scheme, n, i_t):
-    scheme._check_path(path)
-    idx = scheme[n]
-    a = path.values[np.minimum(idx[:-1], i_t)]
-    b = path.values[np.minimum(idx[1:], i_t)]
-    return a, b
-
-
-def _time_indices(path, t):
-    if t is None:
-        return np.array([path.n_samples - 1]), np.array([path.duration])
-    ts = np.atleast_1d(np.asarray(t, np.float64))
-    return np.array([path.index_at(tv) for tv in ts]), ts
+def _eval_times(path, t):
+    """Evaluation times as an array: ``t``, or the horizon when None."""
+    return np.atleast_1d(np.asarray(path.duration if t is None else t, np.float64))
 
 
 def k_pi(
@@ -122,11 +112,11 @@ def k_pi(
     if grid is None:
         raise ValueError("k_pi needs a level grid")
     kernel = _field_kernel(mode)
-    idxs, ts = _time_indices(path, t)
+    ts = _eval_times(path, t)
     rows = np.empty((ts.size, grid.n_levels))
-    for r, i_t in enumerate(idxs):
-        a, b = _clipped_pairs(path, scheme, n, int(i_t))
-        rows[r] = kernel(a, b, grid.u0, grid.du, grid.n_levels)
+    for r, tv in enumerate(ts):
+        x = path.values[scheme.clipped(path, n, tv)]
+        rows[r] = kernel(x[:-1], x[1:], grid.u0, grid.du, grid.n_levels)
     return LocalTimeField(grid, ts, rows, "K")
 
 
@@ -141,14 +131,11 @@ def j_pi(
     if grid is None:
         raise ValueError("j_pi needs a level grid")
     kernel = _field_kernel(mode)
-    idxs, ts = _time_indices(path, t)
-    jidx = path.jump_indices
+    ts = _eval_times(path, t)
     rows = np.empty((ts.size, grid.n_levels))
-    for r, i_t in enumerate(idxs):
-        sel = jidx[jidx <= i_t]
-        a = path.values[sel - 1]
-        b = path.values[sel]
-        rows[r] = kernel(a, b, grid.u0, grid.du, grid.n_levels)
+    for r, tv in enumerate(ts):
+        pre, post = path.jump_brackets(tv)
+        rows[r] = kernel(pre, post, grid.u0, grid.du, grid.n_levels)
     return LocalTimeField(grid, ts, rows, "J")
 
 
@@ -168,11 +155,9 @@ def discrete_tanaka_residual(
     antiderivatives), never through the binned grid.  The ``grid`` argument
     is accepted for signature symmetry and ignored by the exact route.
     """
-    i_t = path.n_samples - 1 if t is None else path.index_at(t)
-    a, b = _clipped_pairs(path, scheme, n, i_t)
-    head = np.asarray(
-        f.eval_f(np.array([path.values[i_t], path.values[0]])), np.float64
-    )
+    x = path.values[scheme.clipped(path, n, t)]
+    a, b = x[:-1], x[1:]
+    head = np.asarray(f.eval_f(np.array([x[-1], x[0]])), np.float64)
     fprime = np.asarray(f.eval_fprime(a), np.float64)
     lhs = float(head[0] - head[1]) - float(np.dot(fprime, b - a))
     lo = np.minimum(a, b)
@@ -216,14 +201,11 @@ def occupation_local_time(
             f"bandwidth {eps} under the grid spacing {grid.du}; "
             "the band would miss every level"
         )
-    idxs, ts = _time_indices(path, t)
+    ts = _eval_times(path, t)
     rows = np.empty((ts.size, grid.n_levels))
-    for r, i_t in enumerate(idxs):
-        inc = np.diff(path.values[: i_t + 1])
-        unmarked = ~path.jump_mask[1 : i_t + 1]
-        left = path.values[:i_t][unmarked]
-        w = inc[unmarked] ** 2
+    for r, tv in enumerate(ts):
+        left, inc = path.continuous_steps(tv)
         rows[r] = _kernels.occupation_weights(
-            left, w, grid.u0, grid.du, grid.n_levels, eps
+            left, inc**2, grid.u0, grid.du, grid.n_levels, eps
         ) / (2.0 * eps)
     return LocalTimeField(grid, ts, rows, "L_occupation", width=eps)

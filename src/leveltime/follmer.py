@@ -43,13 +43,6 @@ class QuadraticVariation:
         )
 
 
-def _clip_indices(path: SampledCadlagPath, scheme: PartitionScheme, n: int, t):
-    scheme._check_path(path)
-    idx = scheme[n]
-    i_t = path.n_samples - 1 if t is None else path.index_at(t)
-    return idx, i_t
-
-
 def quadratic_variation(
     path: SampledCadlagPath,
     scheme: PartitionScheme,
@@ -57,17 +50,13 @@ def quadratic_variation(
     t=None,
 ) -> QuadraticVariation:
     """Clipped squared-increment sums of partition level ``n`` up to ``t``."""
-    idx, i_t = _clip_indices(path, scheme, n, t)
-    clipped = np.minimum(idx, i_t)
-    vals = path.values[clipped]
-    inc = np.diff(vals)
+    clipped = scheme.clipped(path, n, t)
+    inc = np.diff(path.values[clipped])
     total = np.concatenate([[0.0], np.cumsum(inc * inc)])
 
     jump_sq = np.zeros(path.n_samples)
-    jidx = path.jump_indices
-    if jidx.size:
-        d = path.values[jidx] - path.values[jidx - 1]
-        jump_sq[jidx] = d * d
+    pre, post = path.jump_brackets()
+    jump_sq[path.jump_indices] = (post - pre) ** 2
     jump_raw = np.cumsum(jump_sq)[clipped]
 
     continuous = np.maximum.accumulate(total - jump_raw)
@@ -92,28 +81,21 @@ def riemann_integral(
     ``integrand`` is either a callable applied to sample values or an array
     of per-sample values ``g(x_i)`` aligned with the path grid.
     """
-    idx, i_t = _clip_indices(path, scheme, n, t)
+    x = path.values[scheme.clipped(path, n, t)]
     if callable(integrand):
         g = np.asarray(integrand(path.values), np.float64)
     else:
         g = np.asarray(integrand, np.float64)
         if g.shape != path.values.shape:
             raise ValueError("integrand values must align with path samples")
-    left = idx[:-1]
-    a = path.values[np.minimum(left, i_t)]
-    b = path.values[np.minimum(idx[1:], i_t)]
-    return float(np.dot(g[left], b - a))
+    return float(np.dot(g[scheme[n][:-1]], np.diff(x)))
 
 
 def jump_compensator(path: SampledCadlagPath, f: DCFunction, t=None) -> float:
     """Sum over marked jumps of ``f(x_s) - f(x_{s-}) - f'(x_{s-}) dx_s``."""
-    i_t = path.n_samples - 1 if t is None else path.index_at(t)
-    jidx = path.jump_indices
-    jidx = jidx[jidx <= i_t]
-    if jidx.size == 0:
+    pre, post = path.jump_brackets(t)
+    if pre.size == 0:
         return 0.0
-    pre = path.values[jidx - 1]
-    post = path.values[jidx]
     terms = (
         np.asarray(f.eval_f(post), np.float64)
         - np.asarray(f.eval_f(pre), np.float64)
@@ -138,18 +120,14 @@ def follmer_residual(
     """
     if not f.is_smooth:
         raise ValueError("follmer_residual needs f'' without atoms")
-    i_t = path.n_samples - 1 if t is None else path.index_at(t)
-    head = f.eval_f(np.array([path.values[i_t], path.values[0]]))
+    head = f.eval_f(np.array([path.values[path.index_at(t)], path.values[0]]))
     term_f = float(head[0] - head[1])
     term_riemann = riemann_integral(path, f.eval_fprime, scheme, n, t)
     f2 = f.second_derivative
     term_qv = 0.0
-    if f2.density is not None and i_t >= 1:
-        inc = np.diff(path.values[: i_t + 1])
-        unmarked = ~path.jump_mask[1 : i_t + 1]
-        if np.any(unmarked):
-            left = path.values[:i_t][unmarked]
-            dens = np.asarray(f2.density(left), np.float64)
-            term_qv = 0.5 * float(np.dot(dens, inc[unmarked] ** 2))
+    left, inc = path.continuous_steps(t)
+    if f2.density is not None and left.size:
+        dens = np.asarray(f2.density(left), np.float64)
+        term_qv = 0.5 * float(np.dot(dens, inc**2))
     term_jumps = jump_compensator(path, f, t)
     return term_f - term_riemann - term_qv - term_jumps

@@ -190,27 +190,23 @@ def classical_local_time(
     with the left-continuous sign(0) = -1, floored at zero."""
     if grid is None:
         raise ValueError("classical_local_time needs a level grid")
-    i_t = path.n_samples - 1 if t is None else path.index_at(t)
-    t_eval = path.duration if t is None else float(t)
     levels = grid.levels
-    vals = path.values[: i_t + 1]
-    if i_t >= 1:
+    vals = path.values[: path.index_at(t) + 1]
+    if vals.size > 1:
         signed = _kernels.signed_increment_sum(
             vals[:-1], np.diff(vals), grid.u0, grid.du, grid.n_levels
         )
     else:
         signed = np.zeros(grid.n_levels)
-    jrow = j_pi(path, t=t_eval, grid=grid, mode="point").data[0]
+    jf = j_pi(path, t=t, grid=grid, mode="point")
     raw = (
         np.abs(vals[-1] - levels)
         - np.abs(vals[0] - levels)
         - signed
-        - 2.0 * jrow
+        - 2.0 * jf.data[0]
     )
     neg = np.minimum(raw, 0.0)
-    fld = LocalTimeField(
-        grid, np.array([t_eval]), np.maximum(raw, 0.0)[None, :], "L_classical"
-    )
+    fld = LocalTimeField(grid, jf.times, np.maximum(raw, 0.0)[None, :], "L_classical")
     return ClassicalLocalTime(
         field=fld,
         neg_l1=float(-grid.du * neg.sum()),
@@ -222,10 +218,7 @@ def mass_consistency(path: SampledCadlagPath, grid: LevelGrid, t=None):
     """(local-time mass, unmarked squared-increment sum, relative gap)."""
     ref = classical_local_time(path, t=t, grid=grid)
     mass = float(ref.field.masses()[0])
-    i_t = path.n_samples - 1 if t is None else path.index_at(t)
-    inc = np.diff(path.values[: i_t + 1])
-    unmarked = ~path.jump_mask[1 : i_t + 1]
-    qv_c = float((inc[unmarked] ** 2).sum())
+    qv_c = float((path.continuous_steps(t)[1] ** 2).sum())
     gap = abs(mass - qv_c) / qv_c if qv_c > 0 else abs(mass)
     return mass, qv_c, gap
 
@@ -299,9 +292,6 @@ def lp_distance(a, b, p: float = 1.0, weight=None, grid: LevelGrid = None):
     """
     row_a, grid = _field_row(a, grid)
     row_b, grid = _field_row(b, grid)
-    if isinstance(b, LocalTimeField) and isinstance(a, LocalTimeField):
-        if a.grid != b.grid:
-            raise ValueError("fields live on different level grids")
     if grid is None:
         raise ValueError("lp_distance needs a grid for raw arrays")
     if row_a.shape != row_b.shape or row_a.shape != (grid.n_levels,):
@@ -509,16 +499,13 @@ def run_convergence_experiment(config: ExperimentConfig) -> ExperimentReport:
         return i, row, local_clock
 
     workers = _worker_count(config.n_paths)
-    if workers == 1:
-        results = map(job, range(config.n_paths))
-        for i, row, local_clock in results:
+    # the pool starts no thread until a job is submitted, so one worker
+    # runs every path inline
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        run = map if workers == 1 else pool.map
+        for i, row, local_clock in run(job, range(config.n_paths)):
             distances[i] = row
             clocks += local_clock
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for i, row, local_clock in pool.map(job, range(config.n_paths)):
-                distances[i] = row
-                clocks += local_clock
     if not np.all(np.isfinite(distances)):
         raise InvariantViolation("non-finite distance in experiment run")
     if np.any(distances < 0):

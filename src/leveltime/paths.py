@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -98,17 +98,32 @@ class SampledCadlagPath:
 
     def pre_jump_values(self) -> np.ndarray:
         """Values immediately before each marked jump."""
-        idx = self.jump_indices
-        return self.values[idx - 1]
+        return self.jump_brackets()[0]
 
-    def index_at(self, t: float) -> int:
-        """Largest sample index ``i`` with ``times[i] <= t``."""
+    def index_at(self, t=None) -> int:
+        """Largest sample index ``i`` with ``times[i] <= t``; the last index
+        when ``t`` is None.  This is where the path is stopped at ``t``."""
+        if t is None:
+            return self.n_samples - 1
         t = float(t)
         if not 0.0 <= t <= self.duration:
             raise ValueError(
                 f"time {t} outside the sampled horizon [0, {self.duration}]"
             )
         return int(np.searchsorted(self.times, t, side="right") - 1)
+
+    def continuous_steps(self, t=None):
+        """Left values and increments of the unmarked steps up to ``t``."""
+        i_t = self.index_at(t)
+        unmarked = ~self.jump_mask[1 : i_t + 1]
+        inc = np.diff(self.values[: i_t + 1])
+        return self.values[:i_t][unmarked], inc[unmarked]
+
+    def jump_brackets(self, t=None):
+        """Pre- and post-jump values of the marked jumps up to ``t``."""
+        idx = self.jump_indices
+        idx = idx[idx <= self.index_at(t)]
+        return self.values[idx - 1], self.values[idx]
 
 
 def value_at(path: SampledCadlagPath, t: float) -> float:
@@ -126,8 +141,8 @@ def restrict(path: SampledCadlagPath, t: float) -> SampledCadlagPath:
 
 def jump_sizes(path: SampledCadlagPath) -> np.ndarray:
     """Signed sizes of the marked jumps, in time order."""
-    idx = path.jump_indices
-    return path.values[idx] - path.values[idx - 1]
+    pre, post = path.jump_brackets()
+    return post - pre
 
 
 def total_variation(path: SampledCadlagPath) -> float:
@@ -146,12 +161,10 @@ class PartitionScheme:
     """A finite sequence of partitions of the sample index range.
 
     Each partition is a strictly increasing array of sample indices that
-    starts at 0 and ends at the final index.  ``refining`` records whether
-    every partition's points are contained in the next one's.
+    starts at 0 and ends at the final index.
     """
 
     partitions: tuple
-    refining: bool = field(init=False)
 
     def __post_init__(self):
         if len(self.partitions) == 0:
@@ -171,12 +184,13 @@ class PartitionScheme:
             elif int(idx[-1]) != n_last:
                 raise ValueError("all partitions must end at the same index")
             cleaned.append(_readonly(idx))
-        refining = all(
-            np.isin(cleaned[i], cleaned[i + 1]).all()
-            for i in range(len(cleaned) - 1)
-        )
         object.__setattr__(self, "partitions", tuple(cleaned))
-        object.__setattr__(self, "refining", bool(refining))
+
+    @property
+    def refining(self) -> bool:
+        """Whether every partition's points are contained in the next one's."""
+        parts = self.partitions
+        return all(np.isin(a, b).all() for a, b in zip(parts[:-1], parts[1:]))
 
     @property
     def n_levels(self) -> int:
@@ -188,6 +202,12 @@ class PartitionScheme:
 
     def __getitem__(self, n) -> np.ndarray:
         return self.partitions[n]
+
+    def clipped(self, path: SampledCadlagPath, n: int, t=None) -> np.ndarray:
+        """Partition ``n`` on the path stopped at ``t``: each point ``t_j``
+        becomes the sample index of ``t_j ^ t``."""
+        self._check_path(path)
+        return np.minimum(self.partitions[n], path.index_at(t))
 
     def mesh(self, path: SampledCadlagPath, n: int) -> float:
         """Largest time gap of partition ``n`` on the given path."""
@@ -211,9 +231,8 @@ class PartitionScheme:
         """One level per exponent ``j``, targeting ``2**j + 1`` points.
 
         Built by :meth:`uniform`; the power-of-two spreads make increasing
-        exponents refine each other exactly.  Each count is capped at
-        ``n_samples``: once ``2**j >= n_samples - 1`` the level already
-        holds every index.  ``include_jumps`` is as in :meth:`uniform`.
+        exponents refine each other exactly.  ``include_jumps`` is as in
+        :meth:`uniform`.
         """
         exponents = [int(j) for j in exponents]
         if not exponents:
@@ -222,27 +241,32 @@ class PartitionScheme:
             raise ValueError("dyadic exponents must be >= 0")
         if n_samples < 2:
             raise ValueError("need at least two samples to partition")
-        counts = [min(2**j + 1, n_samples) for j in exponents]
-        return cls.uniform(n_samples, counts, include_jumps)
+        return cls.uniform(n_samples, [2**j + 1 for j in exponents], include_jumps)
 
     @classmethod
     def uniform(cls, n_samples: int, counts, include_jumps=None):
         """One level per entry of ``counts``, each an even spread of points.
 
         Points are placed by rounding an even spread of the index range.
-        ``include_jumps`` may be a jump-index array (or a path) whose marked
-        indices are unioned into every level.
+        Each count is capped at ``n_samples``, where the level holds every
+        index; below the cap the spread's step is at least 1, so the rounded
+        points are distinct.  ``include_jumps`` may be a jump-index array (or
+        a path) whose marked indices are unioned into every level.
         """
         top = n_samples - 1
         extra = _jump_index_array(include_jumps)
+        extra = extra[(extra > 0) & (extra <= top)]
         parts = []
         for c in counts:
             c = int(c)
             if c < 2:
                 raise ValueError("each level needs at least two points")
-            pts = np.unique(np.rint(np.linspace(0, top, c)).astype(np.int64))
+            pts = np.rint(np.linspace(0, top, min(c, n_samples))).astype(np.int64)
             if extra.size:
-                pts = np.union1d(pts, extra[(extra > 0) & (extra <= top)])
+                keep = np.zeros(n_samples, bool)
+                keep[pts] = True
+                keep[extra] = True
+                pts = np.flatnonzero(keep)
             parts.append(pts)
         return cls(tuple(parts))
 

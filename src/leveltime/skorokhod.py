@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from . import _kernels
-from .crossing import LocalTimeField, j_pi
+from .crossing import LocalTimeField, _eval_times, j_pi
 from .dcfuncs import DCFunction
 from .paths import LevelGrid, SampledCadlagPath
 
@@ -43,25 +43,17 @@ class SkorokhodSolution:
 def monotone_segments(values) -> tuple:
     """Maximal runs of one-signed increments (flat steps stay in the run)."""
     values = np.asarray(values, np.float64)
-    n = values.size
-    if n <= 1:
-        return ((0, max(n - 1, 0), 0),)
-    segs = []
-    start = 0
-    direction = 0
-    for i in range(1, n):
-        d = values[i] - values[i - 1]
-        s = 0 if d == 0 else (1 if d > 0 else -1)
-        if s == 0:
-            continue
-        if direction == 0:
-            direction = s
-        elif s != direction:
-            segs.append((start, i - 1, direction))
-            start = i - 1
-            direction = s
-    segs.append((start, n - 1, direction))
-    return tuple(segs)
+    d = np.diff(np.atleast_1d(values))
+    moves = np.flatnonzero(d != 0)
+    if moves.size == 0:
+        return ((0, max(values.size - 1, 0), 0),)
+    up = d[moves] > 0
+    # a run turns at the first move against it; the turning sample ends the
+    # old run and starts the new one
+    turns = np.flatnonzero(up[1:] != up[:-1]) + 1
+    cuts = moves[turns].tolist()
+    dirs = np.where(up[np.r_[0, turns]], 1, -1).tolist()
+    return tuple(zip([0] + cuts, cuts + [values.size - 1], dirs))
 
 
 def skorokhod_map(path: SampledCadlagPath, eps: float) -> SkorokhodSolution:
@@ -132,8 +124,7 @@ def count_crossings(
             "non-strict crossing counts need eps > 0; "
             "use the Banach indicatrix for the zero-width limit"
         )
-    i_t = path.n_samples - 1 if t is None else path.index_at(t)
-    values = path.values[: i_t + 1]
+    values = path.values[: path.index_at(t) + 1]
     s_up, s_down = _kernels.crossing_counts(
         values, float(z), 1.0, 1, float(eps), True
     )
@@ -164,9 +155,8 @@ def crossing_count_field(
     """Vector of total band-crossing counts n^{z,eps} over all grid levels."""
     if eps <= 0 and not strict:
         raise ValueError("non-strict counts need eps > 0")
-    i_t = path.n_samples - 1 if t is None else path.index_at(t)
     up, down = _kernels.crossing_counts(
-        path.values[: i_t + 1],
+        path.values[: path.index_at(t) + 1],
         grid.u0,
         grid.du,
         grid.n_levels,
@@ -246,13 +236,13 @@ def interval_crossing_local_time(
         raise ValueError("widths must be positive")
     if any(b >= a for a, b in zip(widths[:-1], widths[1:])):
         raise ValueError("widths must be strictly decreasing")
-    t_eval = path.duration if t is None else float(t)
+    ts = _eval_times(path, t)
     fields = []
     for c in widths:
         counts = crossing_count_field(path, grid, c, t=t, strict=strict)
         fields.append(
             LocalTimeField(
-                grid, np.array([t_eval]), c * counts[None, :].astype(np.float64),
+                grid, ts, c * counts[None, :].astype(np.float64),
                 "L_interval", width=c,
             )
         )
@@ -281,7 +271,7 @@ def stieltjes_integral_fprime(
     out the equivalent integration-by-parts route used by the two-route
     consistency checks.
     """
-    i_t = path.n_samples - 1 if t is None else path.index_at(t)
+    i_t = path.index_at(t)
     if i_t == 0:
         return 0.0
     fp = np.asarray(f.eval_fprime(solution.regularized.values[: i_t + 1]))
@@ -298,7 +288,7 @@ def stieltjes_integral_ibp(
     """Integration-by-parts route: boundary term minus ``int x d f'(x^eps)``
     minus the increment cross terms, summed over every step (step-function
     semantics: each sample change is a common jump of both factors)."""
-    i_t = path.n_samples - 1 if t is None else path.index_at(t)
+    i_t = path.index_at(t)
     if i_t == 0:
         return 0.0
     x = path.values[: i_t + 1]
@@ -318,7 +308,7 @@ def stieltjes_integral_band(
     """Barrier-form route, exact when f' is nondecreasing on the path range:
     boundary term minus ``int x^eps d f'(x^eps)`` minus (eps/2) TV(f'(x^eps)).
     """
-    i_t = path.n_samples - 1 if t is None else path.index_at(t)
+    i_t = path.index_at(t)
     if i_t == 0:
         return 0.0
     x = path.values[: i_t + 1]

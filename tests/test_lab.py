@@ -1,6 +1,7 @@
 """Generators, the classical Tanaka reference, the Q-statistic, field
 distances, and the convergence harness."""
 
+import threading
 import time
 
 import numpy as np
@@ -326,6 +327,26 @@ class TestExperiments:
         np.testing.assert_array_equal(r1.distances, r2.distances)
         assert r1.levels == ("2", "4", "6")
         assert r1.distances.shape == (6, 3)
+
+    def test_one_worker_runs_inline_with_the_same_report(self, monkeypatch):
+        threads = []
+        original = lab.generate
+
+        def spy(spec, rng=None):
+            threads.append(threading.get_ident())
+            return original(spec, rng)
+
+        monkeypatch.setattr(lab, "generate", spy)
+        cfg = self.brownian_config()
+        reports = []
+        for workers in ("1", "3"):
+            monkeypatch.setenv("LOCALTIME_THREADS", workers)
+            threads.clear()
+            reports.append(run_convergence_experiment(cfg))
+            inline = {t == threading.get_ident() for t in threads}
+            assert len(threads) == cfg.n_paths
+            assert inline == {workers == "1"}
+        np.testing.assert_array_equal(reports[0].distances, reports[1].distances)
 
     def test_seed_changes_distances(self):
         r1 = run_convergence_experiment(self.brownian_config())

@@ -88,10 +88,47 @@ class TestAccessors:
         assert p.index_at(0.25) == 1
         assert p.index_at(0.3) == 1
         assert p.index_at(1.0) == 4
+        assert p.index_at(None) == p.index_at() == 4
         with pytest.raises(ValueError, match="outside"):
             p.index_at(1.5)
         with pytest.raises(ValueError, match="outside"):
             p.index_at(-0.1)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("where", ["none", "zero", "jump", "between", "end"])
+    def test_stop_accessors_match_slicing(self, step_path, seed, where):
+        p = make_step_path() if seed == 0 else step_path(seed)
+        jump_t = float(p.times[p.jump_indices[0]])
+        t = {
+            "none": None,
+            "zero": 0.0,
+            "jump": jump_t,
+            "between": 0.5 * (p.times[2] + p.times[3]),
+            "end": p.duration,
+        }[where]
+        # the stop rule written out by slicing
+        i_t = p.n_samples - 1 if t is None else p.index_at(t)
+        inc = np.diff(p.values[: i_t + 1])
+        unmarked = ~p.jump_mask[1 : i_t + 1]
+        jidx = p.jump_indices[p.jump_indices <= i_t]
+
+        assert p.index_at(t) == i_t
+        left, steps = p.continuous_steps(t)
+        np.testing.assert_array_equal(left, p.values[:i_t][unmarked])
+        np.testing.assert_array_equal(steps, inc[unmarked])
+        pre, post = p.jump_brackets(t)
+        np.testing.assert_array_equal(pre, p.values[jidx - 1])
+        np.testing.assert_array_equal(post, p.values[jidx])
+        if where == "jump":
+            # stopped at a jump instant, the jump itself is included
+            assert jidx[-1] == i_t
+        scheme = PartitionScheme.dyadic(p.n_samples, range(4), include_jumps=p)
+        for n in range(scheme.n_levels):
+            np.testing.assert_array_equal(
+                scheme.clipped(p, n, t), np.minimum(scheme[n], i_t)
+            )
+        with pytest.raises(ValueError, match="samples"):
+            PartitionScheme.full(p.n_samples + 1).clipped(p, 0, t)
 
     def test_value_at_steps(self):
         p = make_step_path()
@@ -110,7 +147,43 @@ class TestAccessors:
         assert total_variation(p) == pytest.approx(1.0 + 0.0 + 1.5 + 0.75)
 
 
+def rounded_spread(n_samples, count, jumps=None):
+    # reference: deduplicate the rounded spread, which needs no cap on the count
+    pts = np.unique(np.rint(np.linspace(0, n_samples - 1, count)).astype(np.int64))
+    if jumps is not None:
+        pts = np.union1d(pts, jumps[(jumps > 0) & (jumps < n_samples)])
+    return pts
+
+
+def spread_counts(n_samples):
+    # every count from 2 to 3n on small n; on large n the small counts, a
+    # stride through the range and the neighbourhoods of n/k and 2n
+    top = 3 * n_samples
+    if n_samples <= 5:
+        return list(range(2, top + 1))
+    near = [n_samples // k + d for k in (1, 2, 3, 7) for d in range(-3, 4)]
+    near += [2 * n_samples + d for d in range(-2, 3)] + [top]
+    strided = range(2, top + 1, top // 60)
+    return sorted(set(near) | set(strided) | set(range(2, 30)))
+
+
 class TestPartitionScheme:
+    @pytest.mark.parametrize("with_jumps", [False, True])
+    @pytest.mark.parametrize("n", [2, 3, 5, 1000, 1025, 12345, 16385])
+    def test_spreads_match_the_deduplicated_construction(self, n, with_jumps):
+        jumps = None
+        if with_jumps:
+            jumps = np.array([-1, 0, 1, n // 3, n // 3 + 1, n - 2, n - 1, n, n + 7])
+        counts = spread_counts(n)
+        scheme = PartitionScheme.uniform(n, counts, jumps)
+        for c, part in zip(counts, scheme.partitions):
+            np.testing.assert_array_equal(part, rounded_spread(n, c, jumps))
+        exponents = range(int(np.log2(3 * n)) + 2)
+        scheme = PartitionScheme.dyadic(n, exponents, jumps)
+        for j, part in zip(exponents, scheme.partitions):
+            np.testing.assert_array_equal(part, rounded_spread(n, 2**j + 1, jumps))
+        assert scheme.refining
+
     def test_dyadic_levels_refine(self):
         scheme = PartitionScheme.dyadic(1025, range(1, 6))
         assert scheme.n_levels == 5

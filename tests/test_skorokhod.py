@@ -3,6 +3,8 @@ three Stieltjes integral routes."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from leveltime import (
     LevelGrid,
@@ -91,7 +93,60 @@ class TestSkorokhodMap:
             assert d0 != 0 and d1 != 0 and d0 != d1
 
 
+def ref_monotone_segments(values):
+    """Per-step reference loop for monotone_segments."""
+    values = np.asarray(values, np.float64)
+    n = values.size
+    if n <= 1:
+        return ((0, max(n - 1, 0), 0),)
+    segs = []
+    start = 0
+    direction = 0
+    for i in range(1, n):
+        d = values[i] - values[i - 1]
+        s = 0 if d == 0 else (1 if d > 0 else -1)
+        if s == 0:
+            continue
+        if direction == 0:
+            direction = s
+        elif s != direction:
+            segs.append((start, i - 1, direction))
+            start = i - 1
+            direction = s
+    segs.append((start, n - 1, direction))
+    return tuple(segs)
+
+
 class TestMonotoneSegments:
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [],
+            [1.0],
+            [2.0, 2.0, 2.0],
+            [0.0, 0.0, 1.0, 1.0, 0.0],
+            [0.0, 1.0, 0.0, 0.0, 0.0],
+            [3.0, 3.0, 1.0, 1.0, 2.0, 2.0],
+        ],
+    )
+    def test_edge_inputs_match_the_loop(self, values):
+        assert monotone_segments(values) == ref_monotone_segments(values)
+
+    @given(st.lists(st.integers(-3, 3), max_size=40))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_loop_on_integer_walks(self, steps):
+        # small integer steps make flat runs and ties frequent
+        values = np.cumsum(np.asarray(steps, np.float64))
+        segs = monotone_segments(values)
+        assert segs == ref_monotone_segments(values)
+        assert all(type(v) is int for seg in segs for v in seg)
+
+    def test_matches_the_loop_on_band_solutions(self, step_path):
+        p = step_path(8, n_samples=4097)
+        for eps in (0.4, 0.1, 0.01):
+            reg = skorokhod_map(p, eps).regularized.values
+            assert monotone_segments(reg) == ref_monotone_segments(reg)
+
     def test_constant(self):
         assert monotone_segments([2.0, 2.0, 2.0]) == ((0, 2, 0),)
 
