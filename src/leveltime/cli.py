@@ -9,7 +9,6 @@ outputs; wall-clock numbers go to a separate timings sidecar.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 from dataclasses import replace
@@ -33,22 +32,16 @@ from .lab import (
 from .paths import (
     LevelGrid,
     PartitionScheme,
+    _fmt,
+    _positive,
+    _write_table,
     read_path_csv,
     total_variation,
     write_path_csv,
 )
 from .skorokhod import interval_crossing_local_time
 
-
-def _fmt(v) -> str:
-    return "%.17g" % float(v)
-
-
-def _write_csv(filename, header, rows):
-    with open(filename, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+_FIELD_HEADER = ["t", "u", "value", "kind", "width"]
 
 
 def _load_config(args) -> dict:
@@ -64,24 +57,53 @@ def _load_config(args) -> dict:
     return cfg
 
 
-def _floats_csv(text):
+def _cfg_float(cfg, key, default):
+    value = cfg.get(key, default)
     try:
-        return [float(v) for v in text.split(",") if v.strip()]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad float list {text!r}") from exc
+        return float(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"config {key!r} must be a number, got {value!r}") from exc
 
 
-def _ints_csv(text):
+def _cfg_list(cfg, key, convert, scalar_ok=False):
+    """Config list ``key`` with ``convert`` applied to every entry; None when
+    the key is absent or null.  ``scalar_ok`` also takes one bare value."""
+    value = cfg.get(key)
+    if value is None:
+        return None
     try:
-        return [int(v) for v in text.split(",") if v.strip()]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad integer list {text!r}") from exc
+        if scalar_ok or isinstance(value, list):
+            return [convert(v) for v in np.atleast_1d(value).tolist()]
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ConfigError(
+        f"config {key!r} must be a list of {convert.__name__}s, got {value!r}"
+    )
+
+
+def _csv_list(convert):
+    """Argument type for a comma-separated list of ``convert`` values."""
+    def parse(text):
+        try:
+            return [convert(v) for v in text.split(",") if v.strip()]
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(
+                f"bad {convert.__name__} list {text!r}"
+            ) from exc
+    return parse
 
 
 def _outdir(args) -> str:
     out = args.out or "."
     os.makedirs(out, exist_ok=True)
     return out
+
+
+def _emit(args, name, header, columns):
+    """Write one artifact table into the output directory and say so."""
+    out = os.path.join(_outdir(args), name)
+    _write_table(out, header, columns)
+    print(f"wrote {out}")
 
 
 def _resolve_spec(cfg, seed):
@@ -101,6 +123,8 @@ def _resolve_path(args, cfg):
     if file and gen:
         raise ConfigError("give either --path or a generator, not both")
     if file:
+        if not isinstance(file, str):
+            raise ConfigError(f"config 'path_file' must be a string, got {file!r}")
         return read_path_csv(file)
     if gen:
         return generate(_resolve_spec(cfg, getattr(args, "seed", None)))
@@ -108,31 +132,44 @@ def _resolve_path(args, cfg):
 
 
 def _resolve_grid(args, cfg, path, extra_margin=0.0):
-    du = getattr(args, "grid_du", None)
+    du = args.grid_du
     if du is None:
-        du = cfg.get("grid_du", 0.05)
-    margin = float(cfg.get("grid_margin", 0.5)) + extra_margin
-    return LevelGrid.for_path(path, float(du), margin)
+        du = _cfg_float(cfg, "grid_du", 0.05)
+    margin = _cfg_float(cfg, "grid_margin", 0.5) + extra_margin
+    return LevelGrid.for_path(path, du, margin)
 
 
-def _times(cfg, path):
-    ts = cfg.get("times")
+def _widths(args, cfg, default):
+    """The width ladder: --widths, else the config's, else ``default``."""
+    widths = args.widths or _cfg_list(cfg, "widths", float) or default
+    return [_positive("widths", c) for c in widths]
+
+
+def _exponents(args, cfg, default):
+    """Sorted dyadic exponents: --levels, else the config's, else ``default``."""
+    return sorted(args.levels or _cfg_list(cfg, "levels", int) or default)
+
+
+def _times(cfg, path, default):
+    ts = _cfg_list(cfg, "times", float, scalar_ok=True)
     if ts is None:
-        return [path.duration]
-    ts = [float(v) for v in np.atleast_1d(ts)]
+        return default
     if any(v < 0 or v > path.duration for v in ts):
         raise ConfigError("evaluation times must lie inside the horizon")
     return ts
 
 
-def _field_rows(field):
-    rows = []
-    width = "" if field.width is None else _fmt(field.width)
-    for i in range(field.n_times):
-        t = _fmt(field.times[i])
-        for u, v in zip(field.grid.levels, field.data[i]):
-            rows.append([t, _fmt(u), _fmt(v), field.kind, width])
-    return rows
+def _field_columns(fields):
+    """Field-table columns: one row per (time, level) of each field in turn."""
+    t, u, value, kind, width = [], [], [], [], []
+    for f in fields:
+        n = f.data.size
+        t += _fmt(np.repeat(f.times, f.grid.n_levels))
+        u += _fmt(np.tile(f.grid.levels, f.n_times))
+        value += _fmt(f.data)
+        kind += [f.kind] * n
+        width += ["" if f.width is None else _fmt(f.width)] * n
+    return [t, u, value, kind, width]
 
 
 # ---------------------------------------------------------------------------
@@ -157,36 +194,29 @@ def cmd_generate(args) -> int:
 def cmd_qv(args) -> int:
     cfg = _load_config(args)
     path = _resolve_path(args, cfg)
-    exponents = args.levels or cfg.get("levels") or [2, 4, 6, 8]
-    exponents = sorted(int(j) for j in exponents)
+    exponents = _exponents(args, cfg, [2, 4, 6, 8])
     scheme = PartitionScheme.dyadic(path.n_samples, exponents, include_jumps=path)
-    times = _times(cfg, path)
-    rows = []
+    times = _times(cfg, path, [path.duration])
+    levels, table = [], []
     for k, j in enumerate(exponents):
         qv = quadratic_variation(path, scheme, k)
-        for t in times:
-            total, cont, jump = qv.value_at(t)
-            rows.append([str(j), _fmt(t), _fmt(total), _fmt(cont), _fmt(jump)])
-    out = os.path.join(_outdir(args), "qv.csv")
-    _write_csv(out, ["n", "t", "total", "continuous", "jump"], rows)
-    print(f"wrote {out}")
+        levels += [str(j)] * len(times)
+        table += [(t, *qv.value_at(t)) for t in times]
+    columns = np.reshape(table, (-1, 4)).T
+    _emit(args, "qv.csv", ["n", "t", "total", "continuous", "jump"],
+          [levels, *map(_fmt, columns)])
     return 0
 
 
 def cmd_localtime_occ(args) -> int:
     cfg = _load_config(args)
     path = _resolve_path(args, cfg)
-    widths = args.widths or cfg.get("widths")
     grid = _resolve_grid(args, cfg, path)
-    if widths is None:
-        widths = [2.0 * grid.du]
-    rows = []
-    for eps in widths:
-        fld = occupation_local_time(path, bandwidth=float(eps), grid=grid)
-        rows.extend(_field_rows(fld))
-    out = os.path.join(_outdir(args), "localtime_occ.csv")
-    _write_csv(out, ["t", "u", "value", "kind", "width"], rows)
-    print(f"wrote {out}")
+    fields = [
+        occupation_local_time(path, bandwidth=eps, grid=grid)
+        for eps in _widths(args, cfg, [2.0 * grid.du])
+    ]
+    _emit(args, "localtime_occ.csv", _FIELD_HEADER, _field_columns(fields))
     return 0
 
 
@@ -198,39 +228,24 @@ def cmd_localtime_crossing(args) -> int:
     kf = k_pi(path, scheme, 0, grid=grid, mode="cell")
     jf = j_pi(path, grid=grid, mode="cell")
     kc, lt = split_Kc_Kd(kf, jf)
-    rows = []
-    for fld in (kf, jf, kc, lt):
-        rows.extend(_field_rows(fld))
-    out = os.path.join(_outdir(args), "localtime_crossing.csv")
-    _write_csv(out, ["t", "u", "value", "kind", "width"], rows)
-    print(f"wrote {out}")
+    _emit(args, "localtime_crossing.csv", _FIELD_HEADER,
+          _field_columns([kf, jf, kc, lt]))
     return 0
 
 
 def cmd_localtime_skorokhod(args) -> int:
     cfg = _load_config(args)
     path = _resolve_path(args, cfg)
-    widths = args.widths or cfg.get("widths") or [0.4, 0.2, 0.1, 0.05]
-    widths = [float(c) for c in widths]
+    widths = _widths(args, cfg, [0.4, 0.2, 0.1, 0.05])
     grid = _resolve_grid(args, cfg, path, extra_margin=max(widths))
     fields = interval_crossing_local_time(path, widths=widths, grid=grid)
-    outdir = _outdir(args)
-    written = []
     for c, fld in zip(widths, fields):
-        name = "localtime_skorokhod_" + repr(float(c)).replace(".", "p") + ".csv"
-        out = os.path.join(outdir, name)
-        _write_csv(out, ["t", "u", "value", "kind", "width"], _field_rows(fld))
-        written.append(out)
-    cauchy = []
-    for (ca, fa), (cb, fb) in zip(
-        zip(widths[:-1], fields[:-1]), zip(widths[1:], fields[1:])
-    ):
-        dist = lp_distance(fa, fb, p=1.0)
-        cauchy.append([_fmt(ca), _fmt(cb), _fmt(dist)])
-    table = os.path.join(outdir, "skorokhod_cauchy.csv")
-    _write_csv(table, ["width_coarse", "width_fine", "l1_distance"], cauchy)
-    for name in written + [table]:
-        print(f"wrote {name}")
+        name = "localtime_skorokhod_" + repr(c).replace(".", "p") + ".csv"
+        _emit(args, name, _FIELD_HEADER, _field_columns([fld]))
+    dist = [lp_distance(a, b, p=1.0) for a, b in zip(fields[:-1], fields[1:])]
+    _emit(args, "skorokhod_cauchy.csv",
+          ["width_coarse", "width_fine", "l1_distance"],
+          [_fmt(widths[:-1]), _fmt(widths[1:]), _fmt(dist)])
     return 0
 
 
@@ -239,30 +254,24 @@ def cmd_tanaka_check(args) -> int:
 
     cfg = _load_config(args)
     path = _resolve_path(args, cfg)
-    exponents = args.levels or cfg.get("levels") or [2, 3, 4, 5, 6]
-    exponents = sorted(int(j) for j in exponents)
+    exponents = _exponents(args, cfg, [2, 3, 4, 5, 6])
     scheme = PartitionScheme.dyadic(path.n_samples, exponents, include_jumps=path)
-    times = cfg.get("times")
-    if times is None:
-        T = path.duration
-        times = [T / 3.0, 2.0 * T / 3.0, T]
+    T = path.duration
+    times = _times(cfg, path, [T / 3.0, 2.0 * T / 3.0, T])
     tv = total_variation(path)
-    tol = float(cfg.get("tolerance", 1e-9 * (1.0 + tv)))
-    rows = []
-    worst = 0.0
-    for f in builtin_suite():
-        for k, j in enumerate(exponents):
-            for t in times:
-                r = discrete_tanaka_residual(path, f, scheme, k, t=float(t))
-                r = abs(float(r))
-                worst = max(worst, r)
-                rows.append(
-                    [f.name, str(j), _fmt(t), _fmt(r), _fmt(tol),
-                     "pass" if r <= tol else "FAIL"]
-                )
-    out = os.path.join(_outdir(args), "tanaka_check.csv")
-    _write_csv(out, ["function", "level", "t", "residual", "bound", "status"], rows)
-    print(f"wrote {out}")
+    tol = _cfg_float(cfg, "tolerance", 1e-9 * (1.0 + tv))
+    cells = [(f, k, t) for f in builtin_suite()
+             for k in range(len(exponents)) for t in times]
+    residuals = [abs(float(discrete_tanaka_residual(path, f, scheme, k, t=t)))
+                 for f, k, t in cells]
+    _emit(args, "tanaka_check.csv",
+          ["function", "level", "t", "residual", "bound", "status"],
+          [[f.name for f, _, _ in cells],
+           [str(exponents[k]) for _, k, _ in cells],
+           _fmt([t for _, _, t in cells]), _fmt(residuals),
+           [_fmt(tol)] * len(cells),
+           ["pass" if r <= tol else "FAIL" for r in residuals]])
+    worst = max([0.0, *residuals])
     print(f"worst residual {_fmt(worst)} against bound {_fmt(tol)}")
     if worst > tol:
         print("identity check FAILED")
@@ -278,29 +287,16 @@ def cmd_experiment(args) -> int:
         cfg = dict(cfg, seed=int(args.seed))
     config = experiment_config_from_json(cfg)
     report = run_convergence_experiment(config)
-    outdir = _outdir(args)
-
-    report_csv = os.path.join(outdir, "report.csv")
-    _write_csv(
-        report_csv,
-        ["level", "paths", "mean", "se"],
-        [[r.level, str(r.n_paths), _fmt(r.mean), _fmt(r.se)] for r in report.rows],
-    )
-    long_csv = os.path.join(outdir, "long.csv")
-    long_rows = [
-        [str(i), report.levels[k], _fmt(report.distances[i, k])]
-        for i in range(report.distances.shape[0])
-        for k in range(len(report.levels))
-    ]
-    _write_csv(long_csv, ["path", "level", "distance"], long_rows)
-    timings_csv = os.path.join(outdir, "timings.csv")
-    _write_csv(
-        timings_csv,
-        ["level", "seconds"],
-        [[r.level, _fmt(r.wall_clock)] for r in report.rows],
-    )
-    for name in (report_csv, long_csv, timings_csv):
-        print(f"wrote {name}")
+    n_paths, n_levels = report.distances.shape
+    levels = [str(v) for v in report.levels]
+    _emit(args, "report.csv", ["level", "paths", "mean", "se"],
+          [levels, [str(n_paths)] * n_levels, _fmt(report.means),
+           _fmt(report.standard_errors)])
+    _emit(args, "long.csv", ["path", "level", "distance"],
+          [[str(i) for i in range(n_paths) for _ in levels],
+           levels * n_paths, _fmt(report.distances)])
+    _emit(args, "timings.csv", ["level", "seconds"],
+          [levels, _fmt(report.wall_clocks)])
     for r in report.rows:
         print(f"level {r.level}: mean={_fmt(r.mean)} se={_fmt(r.se)}")
     return 0
@@ -309,17 +305,11 @@ def cmd_experiment(args) -> int:
 def cmd_qstat(args) -> int:
     cfg = _load_config(args)
     path = _resolve_path(args, cfg)
-    widths = args.widths or cfg.get("widths") or [0.4, 0.2, 0.1]
-    widths = [float(d) for d in widths]
+    widths = _widths(args, cfg, [0.4, 0.2, 0.1])
     grid = _resolve_grid(args, cfg, path, extra_margin=max(widths))
     ref = classical_local_time(path, grid=grid)
-    rows = []
-    for d in widths:
-        q = q_statistic(path, grid=grid, d=d, classical=ref)
-        rows.append([_fmt(d), _fmt(q)])
-    out = os.path.join(_outdir(args), "qstat.csv")
-    _write_csv(out, ["d", "q_l1"], rows)
-    print(f"wrote {out}")
+    q = [q_statistic(path, grid=grid, d=d, classical=ref) for d in widths]
+    _emit(args, "qstat.csv", ["d", "q_l1"], [_fmt(widths), _fmt(q)])
     return 0
 
 
@@ -339,10 +329,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--grid-du", type=float, dest="grid_du", help="level grid spacing"
     )
     pathin.add_argument(
-        "--widths", type=_floats_csv, help="comma-separated width ladder"
+        "--widths", type=_csv_list(float), help="comma-separated width ladder"
     )
     pathin.add_argument(
-        "--levels", type=_ints_csv, help="comma-separated dyadic exponents"
+        "--levels", type=_csv_list(int), help="comma-separated dyadic exponents"
     )
 
     parser = argparse.ArgumentParser(
@@ -351,47 +341,24 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("generate", parents=[common], help="write a seeded path CSV")
-    p.set_defaults(func=cmd_generate)
+    def command(subs, name, func, summary, parents=(common, pathin)):
+        subs.add_parser(name, parents=list(parents), help=summary).set_defaults(
+            func=func
+        )
 
-    p = sub.add_parser(
-        "qv", parents=[common, pathin], help="quadratic variation per level"
-    )
-    p.set_defaults(func=cmd_qv)
-
+    command(sub, "generate", cmd_generate, "write a seeded path CSV", [common])
+    command(sub, "qv", cmd_qv, "quadratic variation per level")
     lt = sub.add_parser("localtime", help="local-time estimators")
     ltsub = lt.add_subparsers(dest="variant", required=True)
-    p = ltsub.add_parser(
-        "occ", parents=[common, pathin], help="occupation-density estimator"
-    )
-    p.set_defaults(func=cmd_localtime_occ)
-    p = ltsub.add_parser(
-        "crossing", parents=[common, pathin], help="level-crossing fields"
-    )
-    p.set_defaults(func=cmd_localtime_crossing)
-    p = ltsub.add_parser(
-        "skorokhod",
-        parents=[common, pathin],
-        help="interval-crossing estimator ladder",
-    )
-    p.set_defaults(func=cmd_localtime_skorokhod)
-
-    p = sub.add_parser(
-        "tanaka-check",
-        parents=[common, pathin],
-        help="discrete Tanaka identity residuals",
-    )
-    p.set_defaults(func=cmd_tanaka_check)
-
-    p = sub.add_parser(
-        "experiment", parents=[common], help="Monte Carlo convergence run"
-    )
-    p.set_defaults(func=cmd_experiment)
-
-    p = sub.add_parser(
-        "q-stat", parents=[common, pathin], help="crossing-occupation defect"
-    )
-    p.set_defaults(func=cmd_qstat)
+    command(ltsub, "occ", cmd_localtime_occ, "occupation-density estimator")
+    command(ltsub, "crossing", cmd_localtime_crossing, "level-crossing fields")
+    command(ltsub, "skorokhod", cmd_localtime_skorokhod,
+            "interval-crossing estimator ladder")
+    command(sub, "tanaka-check", cmd_tanaka_check,
+            "discrete Tanaka identity residuals")
+    command(sub, "experiment", cmd_experiment, "Monte Carlo convergence run",
+            [common])
+    command(sub, "q-stat", cmd_qstat, "crossing-occupation defect")
     return parser
 
 

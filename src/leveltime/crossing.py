@@ -16,7 +16,7 @@ import numpy as np
 
 from . import _kernels
 from .dcfuncs import DCFunction
-from .paths import LevelGrid, PartitionScheme, SampledCadlagPath
+from .paths import LevelGrid, PartitionScheme, SampledCadlagPath, _positive
 
 FIELD_KINDS = ("K", "Kc", "J", "L_occupation", "L_interval", "L_classical")
 
@@ -193,9 +193,7 @@ def occupation_local_time(
     """
     if grid is None:
         raise ValueError("occupation_local_time needs a level grid")
-    if bandwidth is None or bandwidth <= 0:
-        raise ValueError("bandwidth must be positive")
-    eps = float(bandwidth)
+    eps = _positive("bandwidth", bandwidth)
     if eps < grid.du:
         raise ValueError(
             f"bandwidth {eps} under the grid spacing {grid.du}; "

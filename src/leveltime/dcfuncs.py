@@ -98,14 +98,6 @@ class SecondDerivativeMeasure:
         )
 
     @property
-    def atom_locations(self) -> np.ndarray:
-        return np.array([loc for loc, _ in self.atoms])
-
-    @property
-    def atom_weights(self) -> np.ndarray:
-        return np.array([w for _, w in self.atoms])
-
-    @property
     def is_absolutely_continuous(self) -> bool:
         return len(self.atoms) == 0
 
@@ -599,15 +591,9 @@ class Mollifier:
 
 
 def _kink_set(f: DCFunction):
+    """Sorted atom locations, density breakpoints and finite support ends."""
     f2 = f.second_derivative
-    kinks = [loc for loc, _ in f2.atoms]
-    kinks.extend(b for b in f2.breakpoints)
-    lo, hi = f2.support
-    if np.isfinite(lo):
-        kinks.append(lo)
-    if np.isfinite(hi):
-        kinks.append(hi)
-    return sorted(set(kinks))
+    return sorted({loc for loc, _ in f2.atoms}.union(f2._density_breaks()))
 
 
 def mollify(f: DCFunction, n: int, rho: Optional[Mollifier] = None) -> DCFunction:

@@ -27,7 +27,7 @@ from .crossing import (
 )
 from .dcfuncs import SecondDerivativeMeasure, dc_function_from_descriptor
 from .errors import ConfigError, InvariantViolation
-from .paths import LevelGrid, PartitionScheme, SampledCadlagPath
+from .paths import LevelGrid, PartitionScheme, SampledCadlagPath, _positive
 from .skorokhod import crossing_count_field, interval_crossing_local_time
 
 GENERATOR_KINDS = (
@@ -242,8 +242,7 @@ def q_statistic(
     """
     if grid is None:
         raise ValueError("q_statistic needs a level grid")
-    if d is None or d <= 0:
-        raise ValueError("d must be positive")
+    d = _positive("d", d)
     if d < 2.0 * grid.du:
         raise ValueError(
             f"window width {d} is below twice the grid spacing {grid.du}"
@@ -296,8 +295,8 @@ def lp_distance(a, b, p: float = 1.0, weight=None, grid: LevelGrid = None):
         raise ValueError("lp_distance needs a grid for raw arrays")
     if row_a.shape != row_b.shape or row_a.shape != (grid.n_levels,):
         raise ValueError("fields must share the grid shape")
-    if p < 1:
-        raise ValueError("p must be at least 1")
+    if not (np.isfinite(p) and p >= 1):
+        raise ValueError(f"p must be finite and at least 1, got {p}")
     diff = np.abs(row_a - row_b)
     if weight is None:
         return float((diff**p).sum() * grid.du) ** (1.0 / p)
@@ -345,16 +344,16 @@ class ExperimentConfig:
             if any(b <= a for a, b in zip(ladder[:-1], ladder[1:])):
                 raise ValueError("dyadic ladder must increase")
         else:
-            ladder = tuple(float(v) for v in self.ladder)
-            if any(v <= 0 for v in ladder):
-                raise ValueError("widths must be positive")
+            ladder = tuple(_positive("widths", v) for v in self.ladder)
             if any(b >= a for a, b in zip(ladder[:-1], ladder[1:])):
                 raise ValueError("width ladder must decrease")
         object.__setattr__(self, "ladder", ladder)
         if self.n_paths < 1:
             raise ValueError("need at least one path")
-        if self.grid_du <= 0:
-            raise ValueError("grid_du must be positive")
+        _positive("grid_du", self.grid_du)
+        _positive("grid_margin", self.grid_margin, zero=True)
+        if not (np.isfinite(self.distance_p) and self.distance_p >= 1):
+            raise ValueError("distance p must be finite and at least 1")
         if self.field_mode not in ("point", "cell"):
             raise ValueError("field_mode must be 'point' or 'cell'")
 
@@ -563,11 +562,11 @@ def experiment_config_from_json(obj) -> ExperimentConfig:
             seed=int(obj["seed"]),
             grid_du=float(obj.get("grid_du", 0.02)),
             grid_margin=float(obj.get("grid_margin", 1.0)),
-            t=obj.get("t"),
+            t=None if obj.get("t") is None else float(obj["t"]),
             distance_p=float(dist.get("p", 1.0)) if dist else 1.0,
             distance_weight=weight,
             field_mode=obj.get("field_mode", "point"),
             include_jumps=bool(obj.get("include_jumps", False)),
         )
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad experiment config: {exc}") from exc

@@ -21,6 +21,16 @@ from ._kernels import _rank
 from .errors import ConfigError
 
 
+def _positive(name, value, zero=False) -> float:
+    """``value`` as a float; ``ValueError`` unless it is finite and positive
+    (or zero, with ``zero=True``)."""
+    v = np.nan if value is None else float(value)
+    if not (np.isfinite(v) and (v > 0 or zero and v == 0)):
+        sign = "nonnegative" if zero else "positive"
+        raise ValueError(f"{name} must be {sign} and finite, got {value}")
+    return v
+
+
 def _readonly(arr):
     arr = np.array(arr, copy=True)
     arr.setflags(write=False)
@@ -346,12 +356,10 @@ class LevelGrid:
     def __post_init__(self):
         if not np.isfinite(self.u0):
             raise ValueError("u0 must be finite")
-        if not (np.isfinite(self.du) and self.du > 0):
-            raise ValueError("du must be positive")
         if self.n_levels < 1:
             raise ValueError("need at least one level")
         object.__setattr__(self, "u0", float(self.u0))
-        object.__setattr__(self, "du", float(self.du))
+        object.__setattr__(self, "du", _positive("du", self.du))
         object.__setattr__(self, "n_levels", int(self.n_levels))
 
     @property
@@ -402,8 +410,8 @@ class LevelGrid:
     @classmethod
     def for_path(cls, path: SampledCadlagPath, du: float, margin: float = 0.0):
         """Grid of du-multiples covering the path's range plus a margin."""
-        if du <= 0:
-            raise ValueError("du must be positive")
+        du = _positive("du", du)
+        margin = _positive("margin", margin, zero=True)
         vmin = float(path.values.min()) - margin
         vmax = float(path.values.max()) + margin
         k0 = int(np.floor(vmin / du))
@@ -418,31 +426,42 @@ class LevelGrid:
 _CSV_HEADER = ["t", "x", "jump", "pre_x"]
 
 
+def _fmt(values):
+    """A float as text with 17 significant digits, enough to read back the
+    same double.  For an array, an iterator over the texts of its floats in
+    row-major order, so a table column is formatted as it is written."""
+    text = "%.17g".__mod__
+    if np.ndim(values) == 0:
+        return text(float(values))
+    return map(text, np.ravel(np.asarray(values, np.float64)).tolist())
+
+
+def _write_table(file, header, columns):
+    """Write ``header``, then row ``i`` of each of the equal-length string
+    ``columns`` (sequences or iterators), through ``csv.writer`` to a
+    filename or an open text file."""
+    if isinstance(file, (str, bytes)):
+        with open(file, "w", newline="") as fh:
+            return _write_table(fh, header, columns)
+    writer = csv.writer(file)
+    writer.writerow(header)
+    writer.writerows(zip(*columns, strict=True))
+
+
 def write_path_csv(path: SampledCadlagPath, file) -> None:
     """Write a path as CSV with columns ``t,x,jump,pre_x``.
 
     ``pre_x`` is empty on unmarked rows and repeats the previous sample value
     on marked rows, which makes jump bookkeeping auditable in the file.
-    Floats are rendered with ``%.17g`` so the round trip is exact.
+    Floats are rendered by :func:`_fmt`, so the round trip is exact.
     """
-    own = isinstance(file, (str, bytes))
-    fh = open(file, "w", newline="") if own else file
-    try:
-        writer = csv.writer(fh)
-        writer.writerow(_CSV_HEADER)
-        for i in range(path.n_samples):
-            marked = bool(path.jump_mask[i])
-            writer.writerow(
-                [
-                    "%.17g" % path.times[i],
-                    "%.17g" % path.values[i],
-                    "1" if marked else "0",
-                    ("%.17g" % path.values[i - 1]) if marked else "",
-                ]
-            )
-    finally:
-        if own:
-            fh.close()
+    pre = [""] * path.n_samples
+    for i in path.jump_indices.tolist():
+        pre[i] = _fmt(path.values[i - 1])
+    jump = ["1" if m else "0" for m in path.jump_mask.tolist()]
+    _write_table(
+        file, _CSV_HEADER, [_fmt(path.times), _fmt(path.values), jump, pre]
+    )
 
 
 def read_path_csv(file) -> SampledCadlagPath:

@@ -17,7 +17,7 @@ import numpy as np
 from . import _kernels
 from .crossing import LocalTimeField, _eval_times, j_pi
 from .dcfuncs import DCFunction
-from .paths import LevelGrid, SampledCadlagPath
+from .paths import LevelGrid, SampledCadlagPath, _positive
 
 
 @dataclass(frozen=True)
@@ -63,15 +63,14 @@ def skorokhod_map(path: SampledCadlagPath, eps: float) -> SkorokhodSolution:
     x^eps stalls while x stays within eps/2 of it and otherwise moves just
     enough to restore |x - x^eps| = eps/2.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    reg_values, dev = _kernels.play_operator(path.values, float(eps))
+    eps = _positive("eps", eps)
+    reg_values, dev = _kernels.play_operator(path.values, eps)
     regularized = SampledCadlagPath(path.times, reg_values, path.jump_mask)
     return SkorokhodSolution(
         path=path,
         regularized=regularized,
         deviation=dev,
-        eps=float(eps),
+        eps=eps,
         monotone_segments=monotone_segments(reg_values),
     )
 
@@ -117,8 +116,7 @@ def count_crossings(
     with eps=0 raises, because the zero-width non-strict count is only
     defined through the piecewise-monotone (indicatrix) route.
     """
-    if eps < 0:
-        raise ValueError("eps must be nonnegative")
+    eps = _positive("eps", eps, zero=True)
     if eps == 0 and strict is False:
         raise ValueError(
             "non-strict crossing counts need eps > 0; "
@@ -126,18 +124,18 @@ def count_crossings(
         )
     values = path.values[: path.index_at(t) + 1]
     s_up, s_down = _kernels.crossing_counts(
-        values, float(z), 1.0, 1, float(eps), True
+        values, float(z), 1.0, 1, eps, True
     )
     if eps > 0:
         u, d = _kernels.crossing_counts(
-            values, float(z), 1.0, 1, float(eps), False
+            values, float(z), 1.0, 1, eps, False
         )
         up, down = int(u[0]), int(d[0])
     else:
         up = down = None
     return CrossingTally(
         z=float(z),
-        width=float(eps),
+        width=eps,
         up=up,
         down=down,
         strict_up=int(s_up[0]),
@@ -153,14 +151,15 @@ def crossing_count_field(
     strict: bool = False,
 ):
     """Vector of total band-crossing counts n^{z,eps} over all grid levels."""
-    if eps <= 0 and not strict:
+    eps = _positive("eps", eps, zero=True)
+    if eps == 0 and not strict:
         raise ValueError("non-strict counts need eps > 0")
     up, down = _kernels.crossing_counts(
         path.values[: path.index_at(t) + 1],
         grid.u0,
         grid.du,
         grid.n_levels,
-        float(eps),
+        eps,
         bool(strict),
     )
     return up + down
@@ -231,9 +230,9 @@ def interval_crossing_local_time(
     """Fields c * n^{z,c} for a decreasing ladder of band widths ``c``."""
     if grid is None:
         raise ValueError("interval_crossing_local_time needs a level grid")
-    widths = [float(c) for c in widths]
-    if not widths or any(c <= 0 for c in widths):
-        raise ValueError("widths must be positive")
+    widths = [_positive("widths", c) for c in widths]
+    if not widths:
+        raise ValueError("need at least one positive width")
     if any(b >= a for a, b in zip(widths[:-1], widths[1:])):
         raise ValueError("widths must be strictly decreasing")
     ts = _eval_times(path, t)

@@ -2,14 +2,15 @@
 byte-level determinism of every CSV artifact."""
 
 import csv
+import io
 import json
 
 import numpy as np
 import pytest
 
 from leveltime._kernels import HAS_NUMBA
-from leveltime.cli import main
-from leveltime.crossing import occupation_local_time
+from leveltime.cli import _FIELD_HEADER, _field_columns, main
+from leveltime.crossing import LocalTimeField, occupation_local_time
 from leveltime.follmer import quadratic_variation
 from leveltime.lab import (
     GeneratorSpec,
@@ -21,6 +22,7 @@ from leveltime.lab import (
 from leveltime.paths import (
     LevelGrid,
     PartitionScheme,
+    _write_table,
     read_path_csv,
     total_variation,
     write_path_csv,
@@ -420,3 +422,92 @@ class TestParser:
              "--out", str(tmp_path)]
         )
         assert rc == 1
+
+
+class TestArtifactText:
+    def test_field_table_rows(self):
+        grid = LevelGrid(0.1, 0.1, 3)
+        data = [[0.0, 1.0 / 3.0, 2.0], [1.0, 2.5, 0.0]]
+        occ = LocalTimeField(grid, [0.5, 1.0], data, "L_occupation", width=0.2)
+        k = LocalTimeField(grid, [1.0], data[1], "K")
+        buf = io.StringIO()
+        _write_table(buf, _FIELD_HEADER, _field_columns([occ, k]))
+        lines = buf.getvalue().split("\r\n")
+        assert lines[0] == "t,u,value,kind,width"
+        # times repeat per level, levels tile per time
+        assert lines[2] == (
+            "0.5,0.20000000000000001,0.33333333333333331,L_occupation,"
+            "0.20000000000000001"
+        )
+        assert lines[6] == "1,0.30000000000000004,0,L_occupation,0.20000000000000001"
+        assert lines[8] == "1,0.20000000000000001,2.5,K,"
+        assert len(lines) == 11 and lines[-1] == ""
+
+
+class TestBadInput:
+    """Non-finite numbers and malformed config values exit 1 with an error
+    line, never with a traceback."""
+
+    def run(self, capsys, argv):
+        rc = main(argv)
+        return rc, capsys.readouterr().out.splitlines()[-1]
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize(
+        "command", [["localtime", "occ"], ["localtime", "skorokhod"], ["q-stat"]]
+    )
+    def test_non_finite_width_exits_1(self, tmp_path, path_csv, capsys,
+                                      command, value):
+        rc, last = self.run(capsys, command + [
+            "--path", path_csv, "--widths", value, "--out", str(tmp_path)
+        ])
+        assert rc == 1
+        assert last == f"error: widths must be positive and finite, got {value}"
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_grid_spacing_exits_1(self, tmp_path, path_csv, capsys,
+                                             value):
+        rc, last = self.run(capsys, [
+            "localtime", "crossing", "--path", path_csv, "--grid-du", value,
+            "--out", str(tmp_path),
+        ])
+        assert rc == 1
+        assert last.startswith("error: du must be positive and finite")
+
+    @pytest.mark.parametrize("p", ["inf", "nan"])
+    def test_non_finite_distance_exponent_exits_1(self, tmp_path, capsys, p):
+        cfg = write_config(tmp_path, dict(TestExperiment.CONFIG, distance={"p": p}))
+        rc, last = self.run(capsys, ["experiment", "--config", cfg,
+                                     "--out", str(tmp_path)])
+        assert rc == 1
+        assert last.startswith("error:") and "finite" in last
+
+    @pytest.mark.parametrize(
+        "command,config,message",
+        [
+            (["qv"], {"levels": 5}, "'levels' must be a list of ints, got 5"),
+            (["tanaka-check"], {"levels": 5},
+             "'levels' must be a list of ints, got 5"),
+            (["localtime", "occ"], {"widths": 0.1},
+             "'widths' must be a list of floats, got 0.1"),
+            (["localtime", "skorokhod"], {"widths": 0.1},
+             "'widths' must be a list of floats, got 0.1"),
+            (["q-stat"], {"widths": 0.1},
+             "'widths' must be a list of floats, got 0.1"),
+            (["localtime", "occ"], {"grid_margin": None},
+             "'grid_margin' must be a number, got None"),
+            (["localtime", "skorokhod"], {"grid_margin": None},
+             "'grid_margin' must be a number, got None"),
+            (["q-stat"], {"grid_margin": None},
+             "'grid_margin' must be a number, got None"),
+            (["qv"], {"times": "x"}, "'times' must be a list of floats, got 'x'"),
+        ],
+    )
+    def test_malformed_config_value_exits_1(self, tmp_path, path_csv, capsys,
+                                            command, config, message):
+        cfg = write_config(tmp_path, config)
+        rc, last = self.run(capsys, command + [
+            "--path", path_csv, "--config", cfg, "--out", str(tmp_path)
+        ])
+        assert rc == 1
+        assert last == "error: config " + message

@@ -143,6 +143,19 @@ def test_play_operator_backends_bitwise_equal(seed, eps):
     assert np.array_equal(reg[1:][stall], reg[:-1][stall])
 
 
+def test_play_operator_ulp_nudges():
+    # a one-ulp rise and fall against a band narrower than one ulp: both
+    # moves round back onto the previous value and must be nudged by an ulp
+    up = np.nextafter(1.0, 2.0)
+    values = np.array([1.0, up, 1.0])
+    eps = 2.4e-16
+    for kernel in variants(_kernels._play_operator_loop, None, _kernels._play_operator):
+        reg, dev = kernel(values, eps)
+        assert np.all(np.abs(values - reg) <= 0.5 * eps)
+        assert list(reg) == [1.0, up, 1.0]
+        assert list(dev) == [0.0, 0.5 * eps, -0.5 * eps]
+
+
 @pytest.mark.parametrize("eps", [1.0, 0.3])
 def test_play_operator_matches_reference_recursion(eps):
     values = _sample_values(7)

@@ -18,19 +18,23 @@ from leveltime import (
     PartitionScheme,
     SampledCadlagPath,
     classical_local_time,
+    crossing_count_field,
     experiment_config_from_json,
     generate,
     generate_many,
     generator_spec_from_json,
+    interval_crossing_local_time,
     j_pi,
     k_pi,
     lp_distance,
     make_abs,
     make_square,
     mass_consistency,
+    occupation_local_time,
     q_statistic,
     quadratic_variation,
     run_convergence_experiment,
+    skorokhod_map,
     split_Kc_Kd,
 )
 from leveltime.lab import _worker_count
@@ -500,3 +504,59 @@ class TestJsonDescriptors:
                     "seed": 0,
                 }
             )
+        with pytest.raises(ConfigError, match="bad experiment"):
+            experiment_config_from_json(
+                {
+                    "generator": {"kind": "brownian"},
+                    "estimator": "K_pi",
+                    "ladder": [2],
+                    "paths": 1,
+                    "seed": 0,
+                    "t": [0.5],
+                }
+            )
+
+
+# every width-like argument, called on (path, grid, value)
+WIDTH_ARGUMENTS = {
+    "occupation bandwidth": lambda p, g, v: occupation_local_time(
+        p, bandwidth=v, grid=g
+    ),
+    "interval width": lambda p, g, v: interval_crossing_local_time(
+        p, widths=[v], grid=g
+    ),
+    "crossing eps": lambda p, g, v: crossing_count_field(p, g, v),
+    "strict crossing eps": lambda p, g, v: crossing_count_field(
+        p, g, v, strict=True
+    ),
+    "band eps": lambda p, g, v: skorokhod_map(p, v),
+    "q window": lambda p, g, v: q_statistic(p, grid=g, d=v),
+    "grid du": lambda p, g, v: LevelGrid.for_path(p, v),
+    "grid margin": lambda p, g, v: LevelGrid.for_path(p, 0.1, v),
+    "distance p": lambda p, g, v: lp_distance(
+        np.zeros(g.n_levels), np.ones(g.n_levels), p=v, grid=g
+    ),
+}
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -0.1])
+@pytest.mark.parametrize("argument", sorted(WIDTH_ARGUMENTS))
+def test_non_finite_or_negative_width_rejected(argument, value):
+    p = SampledCadlagPath(np.linspace(0.0, 1.0, 5), [0.0, 0.5, -0.2, 0.3, 0.0])
+    grid = LevelGrid.for_path(p, 0.1, 0.5)
+    with pytest.raises(ValueError, match="finite"):
+        WIDTH_ARGUMENTS[argument](p, grid, value)
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [("distance_p", np.inf), ("distance_p", np.nan), ("grid_du", np.inf),
+     ("grid_margin", np.nan), ("ladder", (np.inf, 0.1))],
+)
+def test_experiment_config_rejects_non_finite_values(field, value):
+    base = dict(
+        generator=GeneratorSpec(kind="brownian", steps_per_unit=64, seed=0),
+        estimator="occupation", ladder=(0.4, 0.2), n_paths=1, seed=0,
+    )
+    with pytest.raises(ValueError, match="finite"):
+        ExperimentConfig(**dict(base, **{field: value}))

@@ -364,6 +364,17 @@ class TestCsvRoundTrip:
         assert rows[4][2] == "1" and rows[4][3] == "1"
         assert all(r[3] == "" for r in rows[1:] if r[2] == "0")
 
+    def test_exact_text_of_a_path_with_one_jump(self):
+        p = SampledCadlagPath(
+            [0.0, 0.1, 0.2], [0.3, -1.0 / 3.0, 0.1], [False, False, True]
+        )
+        assert path_to_csv_text(p) == (
+            "t,x,jump,pre_x\r\n"
+            "0,0.29999999999999999,0,\r\n"
+            "0.10000000000000001,-0.33333333333333331,0,\r\n"
+            "0.20000000000000001,0.10000000000000001,1,-0.33333333333333331\r\n"
+        )
+
     def test_header_required(self):
         with pytest.raises(ValueError, match="header"):
             path_from_csv_text("a,b,c,d\n0,0,0,\n")
