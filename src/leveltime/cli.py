@@ -1,7 +1,8 @@
 """Command-line surface: generators, identity checks, local-time estimators,
 and convergence experiments, all emitting deterministic CSV artifacts.
 
-Exit codes: 0 success, 1 bad input or I/O trouble, 2 invariant violation.
+Exit codes: 0 success, 1 bad input, I/O trouble or too little memory
+(say, for a level grid far too fine), 2 invariant violation.
 Given the same config and seed every subcommand writes byte-identical
 outputs; wall-clock numbers go to a separate timings sidecar.
 """
@@ -42,6 +43,8 @@ from .paths import (
 from .skorokhod import interval_crossing_local_time
 
 _FIELD_HEADER = ["t", "u", "value", "kind", "width"]
+# config keys read by _resolve_grid
+_GRID_KEYS = ("grid_du", "grid_margin")
 
 
 def _load_config(args) -> dict:
@@ -116,18 +119,24 @@ def _resolve_spec(cfg, seed):
     return spec
 
 
-def _resolve_path(args, cfg):
-    """Input path: exactly one of an input CSV and a generator descriptor."""
-    file = getattr(args, "path", None) or cfg.get("path_file")
+def _path_input(args, *keys):
+    """Config and input path of a subcommand that reads a path: exactly one
+    of an input CSV and a generator descriptor.  A config key other than
+    those two and ``keys`` is refused."""
+    cfg = _load_config(args)
+    unknown = set(cfg) - {"path_file", "generator", *keys}
+    if unknown:
+        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    file = args.path or cfg.get("path_file")
     gen = cfg.get("generator")
     if file and gen:
         raise ConfigError("give either --path or a generator, not both")
     if file:
         if not isinstance(file, str):
             raise ConfigError(f"config 'path_file' must be a string, got {file!r}")
-        return read_path_csv(file)
+        return cfg, read_path_csv(file)
     if gen:
-        return generate(_resolve_spec(cfg, getattr(args, "seed", None)))
+        return cfg, generate(_resolve_spec(cfg, args.seed))
     raise ConfigError("no input: pass --path or put a generator in --config")
 
 
@@ -192,8 +201,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_qv(args) -> int:
-    cfg = _load_config(args)
-    path = _resolve_path(args, cfg)
+    cfg, path = _path_input(args, "levels", "times")
     exponents = _exponents(args, cfg, [2, 4, 6, 8])
     scheme = PartitionScheme.dyadic(path.n_samples, exponents, include_jumps=path)
     times = _times(cfg, path, [path.duration])
@@ -209,8 +217,7 @@ def cmd_qv(args) -> int:
 
 
 def cmd_localtime_occ(args) -> int:
-    cfg = _load_config(args)
-    path = _resolve_path(args, cfg)
+    cfg, path = _path_input(args, "widths", *_GRID_KEYS)
     grid = _resolve_grid(args, cfg, path)
     fields = [
         occupation_local_time(path, bandwidth=eps, grid=grid)
@@ -221,8 +228,7 @@ def cmd_localtime_occ(args) -> int:
 
 
 def cmd_localtime_crossing(args) -> int:
-    cfg = _load_config(args)
-    path = _resolve_path(args, cfg)
+    cfg, path = _path_input(args, *_GRID_KEYS)
     grid = _resolve_grid(args, cfg, path)
     scheme = PartitionScheme.full(path.n_samples)
     kf = k_pi(path, scheme, 0, grid=grid, mode="cell")
@@ -234,8 +240,7 @@ def cmd_localtime_crossing(args) -> int:
 
 
 def cmd_localtime_skorokhod(args) -> int:
-    cfg = _load_config(args)
-    path = _resolve_path(args, cfg)
+    cfg, path = _path_input(args, "widths", *_GRID_KEYS)
     widths = _widths(args, cfg, [0.4, 0.2, 0.1, 0.05])
     grid = _resolve_grid(args, cfg, path, extra_margin=max(widths))
     fields = interval_crossing_local_time(path, widths=widths, grid=grid)
@@ -252,8 +257,7 @@ def cmd_localtime_skorokhod(args) -> int:
 def cmd_tanaka_check(args) -> int:
     from .crossing import discrete_tanaka_residual
 
-    cfg = _load_config(args)
-    path = _resolve_path(args, cfg)
+    cfg, path = _path_input(args, "levels", "times", "tolerance")
     exponents = _exponents(args, cfg, [2, 3, 4, 5, 6])
     scheme = PartitionScheme.dyadic(path.n_samples, exponents, include_jumps=path)
     T = path.duration
@@ -303,8 +307,7 @@ def cmd_experiment(args) -> int:
 
 
 def cmd_qstat(args) -> int:
-    cfg = _load_config(args)
-    path = _resolve_path(args, cfg)
+    cfg, path = _path_input(args, "widths", *_GRID_KEYS)
     widths = _widths(args, cfg, [0.4, 0.2, 0.1])
     grid = _resolve_grid(args, cfg, path, extra_margin=max(widths))
     ref = classical_local_time(path, grid=grid)
@@ -379,6 +382,9 @@ def main(argv=None) -> int:
         return 2
     except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}")
+        return 1
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}" if str(exc) else "error: out of memory")
         return 1
 
 

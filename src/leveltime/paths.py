@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -464,40 +465,119 @@ def write_path_csv(path: SampledCadlagPath, file) -> None:
     )
 
 
+# Characters per block of rows that read_path_csv converts at once: about
+# 1,100 rows of write_path_csv, so the block's cell strings stay small next
+# to the path's own arrays.
+_BLOCK_CHARS = 1 << 16
+
+
+def _floats(cells):
+    """The cells parsed by ``float``, so any text ``float`` takes is read."""
+    return np.fromiter(map(float, cells), np.float64, len(cells))
+
+
+def _block_columns(text, prev):
+    """Times, values and jump marks of the rows of ``text`` (joined by
+    ``"\\n"``), or None when a row breaks a rule, is blank or pads its jump
+    or ``pre_x`` cell.  ``prev`` is the value of the row before the block
+    (None at the first row); ``float`` strips the ``t`` and ``x`` cells."""
+    n = text.count("\n") + 1
+    # one "\n" cell after each row: every row has 4 cells iff the "\n" cells
+    # are exactly every fifth
+    cells = text.replace("\n", ",\n,").split(",")
+    if len(cells) != 5 * n - 1 or cells[4::5].count("\n") != n - 1:
+        return None
+    jump, pre = cells[2::5], cells[3::5]
+    if jump.count("0") + jump.count("1") != n:
+        return None
+    marks = np.frombuffer("".join(jump).encode(), np.uint8) == ord("1")
+    marked = np.flatnonzero(marks)
+    given = [pre[i] for i in marked.tolist()]
+    if pre.count("") != n - len(given) or not all(given):
+        return None
+    try:
+        t, x, pre_x = _floats(cells[0::5]), _floats(cells[1::5]), _floats(given)
+    except ValueError:
+        return None
+    before = np.concatenate(([np.nan if prev is None else prev], x[:-1]))
+    if not np.array_equal(pre_x, before[marked]):
+        return None
+    return t, x, marks
+
+
+def _text_blocks(fh):
+    """The text of ``fh`` in blocks of whole lines, every line end ``\\n``."""
+    while lines := fh.readlines(_BLOCK_CHARS):
+        text = "".join(lines)
+        if "\r" in text:
+            text = text.replace("\r\n", "\n").replace("\r", "\n")
+        yield text
+
+
+def _row_columns(rows, prev):
+    """Times, values and jump marks of ``rows`` checked one by one, blank
+    rows skipped.  Raises the ``ValueError`` of the first row that breaks a
+    rule of :func:`read_path_csv`, in the order: column count, ``t`` and
+    ``x`` parse, jump flag, ``pre_x`` on marked rows and equal to the
+    previous value, ``pre_x`` empty on unmarked rows."""
+    t, x, marks = [], [], []
+    for row in rows:
+        cells = [c.strip() for c in row.split(",")]
+        if not any(cells):
+            continue
+        if len(cells) != 4:
+            raise ValueError(f"path csv row needs 4 columns, got {len(cells)}")
+        t.append(float(cells[0]))  # a bad t raises before a bad x
+        value, jump, pre = float(cells[1]), cells[2], cells[3]
+        if jump not in ("0", "1"):
+            raise ValueError(f"jump column must be 0 or 1, got {jump!r}")
+        if jump == "1":
+            if not pre:
+                raise ValueError("marked rows must carry pre_x")
+            if prev is None or float(pre) != prev:
+                raise ValueError(
+                    "pre_x must equal the previous sample value exactly"
+                )
+        elif pre:
+            raise ValueError("unmarked rows must leave pre_x empty")
+        x.append(value)
+        marks.append(jump == "1")
+        prev = value
+    return np.array(t, np.float64), np.array(x, np.float64), np.array(marks, bool)
+
+
 def read_path_csv(file) -> SampledCadlagPath:
-    """Read a path written by :func:`write_path_csv`, validating jump rows."""
+    """Read a path written by :func:`write_path_csv`, validating jump rows.
+
+    ``file`` is a filename or an open text file.  The first row must be the
+    header ``t,x,jump,pre_x``.  Rows may end in ``\\n``, ``\\r\\n`` or ``\\r``;
+    cells may be padded with whitespace, and blank rows are skipped.  Cells
+    are split on every comma: quoted cells, which the writer never emits,
+    are not unquoted and fail as bad input.  Rows are converted a block at a
+    time, a column at once; a block that does not pass at once (a faulty,
+    blank or padded row) is read row by row, so the ``ValueError`` names
+    the first faulty row of the file.
+    """
     own = isinstance(file, (str, bytes))
     fh = open(file, "r", newline="") if own else file
     try:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != _CSV_HEADER:
+        texts = _text_blocks(fh)
+        header, _, text = next(texts, "").partition("\n")
+        if [h.strip() for h in header.split(",")] != _CSV_HEADER:
             raise ValueError("path csv must start with header 't,x,jump,pre_x'")
-        times, values, marks = [], [], []
-        for row in reader:
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) != 4:
-                raise ValueError(f"path csv row needs 4 columns, got {len(row)}")
-            t, x, jump, pre = (c.strip() for c in row)
-            times.append(float(t))
-            values.append(float(x))
-            if jump not in ("0", "1"):
-                raise ValueError(f"jump column must be 0 or 1, got {jump!r}")
-            marked = jump == "1"
-            marks.append(marked)
-            if marked:
-                if not pre:
-                    raise ValueError("marked rows must carry pre_x")
-                if len(values) < 2 or float(pre) != values[-2]:
-                    raise ValueError(
-                        "pre_x must equal the previous sample value exactly"
-                    )
-            elif pre:
-                raise ValueError("unmarked rows must leave pre_x empty")
-        return SampledCadlagPath(
-            np.asarray(times), np.asarray(values), np.asarray(marks, bool)
-        )
+        blocks, prev = [], None
+        for text in itertools.chain([text], texts):
+            text = text.removesuffix("\n")
+            columns = _block_columns(text, prev)
+            if columns is None:
+                columns = _row_columns(text.split("\n"), prev)
+                if not columns[0].size:
+                    continue
+            blocks.append(columns)
+            prev = columns[1][-1]
+        if not blocks:
+            return SampledCadlagPath(np.empty(0), np.empty(0))
+        return SampledCadlagPath(*map(np.concatenate, zip(*blocks)))
     finally:
         if own:
             fh.close()

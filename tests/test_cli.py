@@ -4,10 +4,14 @@ byte-level determinism of every CSV artifact."""
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import leveltime
 from leveltime._kernels import HAS_NUMBA
 from leveltime.cli import _FIELD_HEADER, _field_columns, main
 from leveltime.crossing import LocalTimeField, occupation_local_time
@@ -511,3 +515,43 @@ class TestBadInput:
         ])
         assert rc == 1
         assert last == "error: config " + message
+
+    @pytest.mark.parametrize(
+        "command,config",
+        [
+            (["qv"], {"widths": [0.1]}),
+            (["tanaka-check"], {"grid_du": 0.1}),
+            (["localtime", "occ"], {"widht": [0.3]}),
+            (["localtime", "crossing"], {"widths": [0.3]}),
+            (["localtime", "skorokhod"], {"levels": [2]}),
+            (["q-stat"], {"levels": 5}),
+        ],
+    )
+    def test_unknown_config_key_exits_1(self, tmp_path, path_csv, capsys,
+                                        command, config):
+        cfg = write_config(tmp_path, config)
+        rc, last = self.run(capsys, command + [
+            "--path", path_csv, "--config", cfg, "--out", str(tmp_path)
+        ])
+        assert rc == 1
+        assert last == f"error: unknown config keys: {sorted(config)}"
+        assert [p.name for p in tmp_path.glob("*.csv")] == ["input.csv"]
+
+    def test_out_of_memory_grid_exits_1(self, tmp_path, path_csv):
+        resource = pytest.importorskip("resource")
+        limit = 4 << 30  # address space for the child only; no page is touched
+
+        def lower_limit():
+            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+        src = os.path.dirname(os.path.dirname(leveltime.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-m", "leveltime.cli", "localtime", "occ",
+             "--path", path_csv, "--grid-du", "1e-9", "--out", str(tmp_path)],
+            capture_output=True, text=True, timeout=300, preexec_fn=lower_limit,
+            env=dict(os.environ, PYTHONPATH=src, OMP_NUM_THREADS="1",
+                     OPENBLAS_NUM_THREADS="1"),
+        )
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr == ""
+        assert proc.stdout.splitlines()[-1].startswith("error: out of memory")

@@ -1,12 +1,16 @@
 """Path skeleton, partition schemes, level grids, and the CSV round trip."""
 
+import csv
 import io
+import re
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from leveltime import paths
 from leveltime import (
     ConfigError,
     LevelGrid,
@@ -458,3 +462,216 @@ def test_buffer_round_trip_via_stringio():
     buf.seek(0)
     q = read_path_csv(buf)
     assert q.final_value == p.final_value
+
+
+# ---------------------------------------------------------------------------
+# the block-wise reader against the row loop it replaced
+# ---------------------------------------------------------------------------
+
+def row_loop_read(text):
+    """The reader ``read_path_csv`` had before block-wise parsing: one
+    ``csv.reader`` row, ``strip`` and ``float`` calls at a time.  It is the
+    oracle for every path, and every message, of the block-wise reader."""
+    reader = csv.reader(io.StringIO(text))
+    header = next(reader, None)
+    if header is None or [h.strip() for h in header] != ["t", "x", "jump", "pre_x"]:
+        raise ValueError("path csv must start with header 't,x,jump,pre_x'")
+    times, values, marks = [], [], []
+    for row in reader:
+        if not row or all(not c.strip() for c in row):
+            continue
+        if len(row) != 4:
+            raise ValueError(f"path csv row needs 4 columns, got {len(row)}")
+        t, x, jump, pre = (c.strip() for c in row)
+        times.append(float(t))
+        values.append(float(x))
+        if jump not in ("0", "1"):
+            raise ValueError(f"jump column must be 0 or 1, got {jump!r}")
+        marked = jump == "1"
+        marks.append(marked)
+        if marked:
+            if not pre:
+                raise ValueError("marked rows must carry pre_x")
+            if len(values) < 2 or float(pre) != values[-2]:
+                raise ValueError("pre_x must equal the previous sample value exactly")
+        elif pre:
+            raise ValueError("unmarked rows must leave pre_x empty")
+    return SampledCadlagPath(
+        np.asarray(times), np.asarray(values), np.asarray(marks, bool)
+    )
+
+
+def outcome(read, text):
+    """The path's arrays, or the type and message of the error."""
+    try:
+        p = read(text)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return p.times.tobytes(), p.values.tobytes(), p.jump_mask.tobytes()
+
+
+def long_rows(n=2**14, seed=5):
+    """Header and rows of a path of ``n`` samples, every 97th row marked."""
+    rng = np.random.default_rng(seed)
+    values = np.cumsum(rng.normal(0.0, 0.01, n))
+    mask = np.zeros(n, bool)
+    mask[97::97] = True
+    p = SampledCadlagPath(np.arange(n) / n, values, mask)
+    return path_to_csv_text(p).splitlines()
+
+
+DEEP = 12_000  # a row index far past the first block
+
+
+def deep_fault(row):
+    """``long_rows`` with row ``DEEP`` replaced by ``row(cells, previous
+    row's cells)``."""
+    lines = long_rows()
+    lines[DEEP] = row(lines[DEEP].split(","), lines[DEEP - 1].split(","))
+    return "\n".join(lines) + "\n"
+
+
+class TestCsvReaderContract:
+    @pytest.mark.parametrize(
+        "row,message",
+        [
+            (lambda c, _: ",".join(c[:3]), "path csv row needs 4 columns, got 3"),
+            (lambda c, _: ",".join(c + [""]), "path csv row needs 4 columns, got 5"),
+            (lambda c, _: ",".join(["abc"] + c[1:]),
+             "could not convert string to float: 'abc'"),
+            (lambda c, _: ",".join([c[0], "1.2.3"] + c[2:]),
+             "could not convert string to float: '1.2.3'"),
+            (lambda c, _: ",".join(c[:2] + ["2", ""]),
+             "jump column must be 0 or 1, got '2'"),
+            (lambda c, _: ",".join(c[:2] + ["1", ""]), "marked rows must carry pre_x"),
+            (lambda c, _: ",".join(c[:2] + ["1", "0.5"]),
+             "pre_x must equal the previous sample value exactly"),
+            (lambda c, prev: ",".join(c[:2] + ["0", prev[1]]),
+             "unmarked rows must leave pre_x empty"),
+            (lambda c, prev: ",".join(prev),
+             "times must be strictly increasing"),
+        ],
+    )
+    def test_message_of_a_fault_deep_in_the_file(self, row, message):
+        text = deep_fault(row)
+        assert len(text) > 2 * paths._BLOCK_CHARS
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            path_from_csv_text(text)
+        assert outcome(row_loop_read, text) == (ValueError, message)
+
+    def test_earlier_of_two_faults_in_different_blocks_is_raised(self):
+        lines = long_rows()
+        lines[3_000] = "0.5,1,7,"
+        lines[DEEP] = "0.5,1,0"
+        text = "\n".join(lines)
+        with pytest.raises(ValueError, match="got '7'"):
+            path_from_csv_text(text)
+        lines[3_000], lines[DEEP] = lines[DEEP], lines[3_000]
+        with pytest.raises(ValueError, match="got 3"):
+            path_from_csv_text("\n".join(lines))
+
+    def test_short_row_is_refused_when_a_long_row_realigns_the_cells(self):
+        # as one run of cells, the 3 + 5 cells read as two valid rows
+        text = "t,x,jump,pre_x\n0,0,0\n,1,2,0,\n"
+        with pytest.raises(ValueError, match="^path csv row needs 4 columns, got 3$"):
+            path_from_csv_text(text)
+
+    def test_bad_flag_is_named_before_a_missing_pre_x(self):
+        with pytest.raises(ValueError, match="jump column must be 0 or 1, got 'x'"):
+            path_from_csv_text("t,x,jump,pre_x\n0,0,0,\n1,1,x,\n")
+
+    @pytest.mark.parametrize("pre", ["0", "abc", ""])
+    def test_marked_first_row_is_refused(self, pre):
+        message = ("marked rows must carry pre_x" if not pre
+                   else "pre_x must equal the previous sample value exactly")
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            path_from_csv_text(f"t,x,jump,pre_x\n,,,\n0,0,1,{pre}\n")
+
+    def test_line_ends_read_identically(self, tmp_path):
+        text = "\n".join(long_rows()) + "\n"
+        expected = outcome(path_from_csv_text, text)
+        for end in ["\n", "\r\n", "\r"]:
+            target = tmp_path / "path.csv"
+            target.write_bytes(text.replace("\n", end).encode())
+            assert outcome(read_path_csv, str(target)) == expected
+            assert outcome(path_from_csv_text, text.replace("\n", end)) == expected
+
+    def test_writer_output_never_falls_back_to_the_row_loop(self, tmp_path):
+        p = path_from_csv_text("\n".join(long_rows()))
+        target = tmp_path / "path.csv"
+        write_path_csv(p, str(target))
+        with mock.patch.object(paths, "_row_columns", side_effect=AssertionError):
+            assert outcome(read_path_csv, str(target)) == outcome(lambda q: q, p)
+
+    def test_padded_cells_and_blank_rows_across_block_boundaries(self):
+        lines = long_rows()
+        blanks = ["", "   ", ",,,", " ,\t, , ", ",", "\xa0,\u3000"]
+        padded = [lines[0]]
+        for i, line in enumerate(lines[1:], 1):
+            # a run of blank rows longer than a block, then rows each
+            # followed by a blank one, so blanks fall on many block edges
+            if i == 6_000:
+                padded += [" , , , "] * (paths._BLOCK_CHARS // 7 + 10)
+            elif i % 50 == 0:
+                padded.append(blanks[i // 50 % len(blanks)])
+            padded.append(",".join(f" {c}\t" for c in line.split(",")))
+        text = "\r\n".join(padded) + "\r\n"
+        assert outcome(path_from_csv_text, text) == outcome(
+            path_from_csv_text, "\n".join(lines)
+        )
+        assert outcome(path_from_csv_text, text) == outcome(row_loop_read, text)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '"t","x","jump","pre_x"\n"0","0","0",""\n',
+            't,x,jump,pre_x\n"0","0","0",""\n',
+            't,x,jump,pre_x\n0,0,0,\n"1","2",0,\n',
+        ],
+    )
+    def test_quoted_cells_are_refused(self, text):
+        with pytest.raises(ValueError):
+            path_from_csv_text(text)
+
+    @given(
+        n=st.integers(1, 40),
+        seed=st.integers(0, 2**16),
+        end=st.sampled_from(["\n", "\r\n"]),
+        block=st.sampled_from([1, 40, 200, paths._BLOCK_CHARS]),
+        edits=st.lists(
+            st.tuples(
+                st.sampled_from(["cell", "comma", "blank", "flag"]),
+                st.integers(0, 10**6),
+                st.sampled_from(
+                    ["", " ", "0", "1", "2", "abc", "nan", "1e400", "-0",
+                     " 1 ", "0.5", "1_0", ",,,", " , , , "]
+                ),
+            ),
+            max_size=3,
+        ),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_mutated_texts_match_the_row_loop(self, n, seed, end, block, edits):
+        rng = np.random.default_rng(seed)
+        values = np.round(np.cumsum(rng.normal(0.0, 1.0, n)), int(rng.integers(0, 3)))
+        mask = np.zeros(n, bool)
+        mask[1:] = rng.random(n - 1) < 0.3
+        lines = path_to_csv_text(
+            SampledCadlagPath(np.arange(n) / 4.0, values, mask)
+        ).splitlines()
+        for kind, where, new in edits:
+            k = where % len(lines)
+            cells = lines[k].split(",")
+            if kind == "cell":
+                cells[where % len(cells)] = new
+            elif kind == "comma" and len(cells) > 1:
+                j = where % (len(cells) - 1)
+                cells[j : j + 2] = [cells[j] + cells[j + 1]]
+            elif kind == "blank":
+                cells = [new]
+            elif kind == "flag" and len(cells) > 2:
+                cells[2] = {"0": "1", "1": "0"}.get(cells[2], cells[2])
+            lines[k] = ",".join(cells)
+        text = end.join(lines) + end
+        with mock.patch.object(paths, "_BLOCK_CHARS", block):
+            assert outcome(path_from_csv_text, text) == outcome(row_loop_read, text)
