@@ -22,6 +22,7 @@ from .dcfuncs import builtin_suite
 from .errors import ConfigError, InvariantViolation
 from .follmer import quadratic_variation
 from .lab import (
+    _refuse_unknown,
     classical_local_time,
     experiment_config_from_json,
     generate,
@@ -43,8 +44,6 @@ from .paths import (
 from .skorokhod import interval_crossing_local_time
 
 _FIELD_HEADER = ["t", "u", "value", "kind", "width"]
-# config keys read by _resolve_grid
-_GRID_KEYS = ("grid_du", "grid_margin")
 
 
 def _load_config(args) -> dict:
@@ -119,14 +118,12 @@ def _resolve_spec(cfg, seed):
     return spec
 
 
-def _path_input(args, *keys):
+def _path_input(args):
     """Config and input path of a subcommand that reads a path: exactly one
     of an input CSV and a generator descriptor.  A config key other than
-    those two and ``keys`` is refused."""
+    those two and the subcommand's declared ``args.keys`` is refused."""
     cfg = _load_config(args)
-    unknown = set(cfg) - {"path_file", "generator", *keys}
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    _refuse_unknown(cfg, ("path_file", "generator", *args.keys))
     file = args.path or cfg.get("path_file")
     gen = cfg.get("generator")
     if file and gen:
@@ -169,12 +166,12 @@ def _times(cfg, path, default):
 
 
 def _field_columns(fields):
-    """Field-table columns: one row per (time, level) of each field in turn."""
+    """Field-table columns: one row per level of each field in turn."""
     t, u, value, kind, width = [], [], [], [], []
     for f in fields:
         n = f.data.size
-        t += _fmt(np.repeat(f.times, f.grid.n_levels))
-        u += _fmt(np.tile(f.grid.levels, f.n_times))
+        t += [_fmt(f.time)] * n
+        u += _fmt(f.grid.levels)
         value += _fmt(f.data)
         kind += [f.kind] * n
         width += ["" if f.width is None else _fmt(f.width)] * n
@@ -187,6 +184,7 @@ def _field_columns(fields):
 
 def cmd_generate(args) -> int:
     cfg = _load_config(args)
+    _refuse_unknown(cfg, ("generator",))
     spec = _resolve_spec(cfg, args.seed)
     path = generate(spec)
     out = os.path.join(_outdir(args), "path.csv")
@@ -201,7 +199,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_qv(args) -> int:
-    cfg, path = _path_input(args, "levels", "times")
+    cfg, path = _path_input(args)
     exponents = _exponents(args, cfg, [2, 4, 6, 8])
     scheme = PartitionScheme.dyadic(path.n_samples, exponents, include_jumps=path)
     times = _times(cfg, path, [path.duration])
@@ -217,7 +215,7 @@ def cmd_qv(args) -> int:
 
 
 def cmd_localtime_occ(args) -> int:
-    cfg, path = _path_input(args, "widths", *_GRID_KEYS)
+    cfg, path = _path_input(args)
     grid = _resolve_grid(args, cfg, path)
     fields = [
         occupation_local_time(path, bandwidth=eps, grid=grid)
@@ -228,7 +226,7 @@ def cmd_localtime_occ(args) -> int:
 
 
 def cmd_localtime_crossing(args) -> int:
-    cfg, path = _path_input(args, *_GRID_KEYS)
+    cfg, path = _path_input(args)
     grid = _resolve_grid(args, cfg, path)
     scheme = PartitionScheme.full(path.n_samples)
     kf = k_pi(path, scheme, 0, grid=grid, mode="cell")
@@ -240,7 +238,7 @@ def cmd_localtime_crossing(args) -> int:
 
 
 def cmd_localtime_skorokhod(args) -> int:
-    cfg, path = _path_input(args, "widths", *_GRID_KEYS)
+    cfg, path = _path_input(args)
     widths = _widths(args, cfg, [0.4, 0.2, 0.1, 0.05])
     grid = _resolve_grid(args, cfg, path, extra_margin=max(widths))
     fields = interval_crossing_local_time(path, widths=widths, grid=grid)
@@ -257,7 +255,7 @@ def cmd_localtime_skorokhod(args) -> int:
 def cmd_tanaka_check(args) -> int:
     from .crossing import discrete_tanaka_residual
 
-    cfg, path = _path_input(args, "levels", "times", "tolerance")
+    cfg, path = _path_input(args)
     exponents = _exponents(args, cfg, [2, 3, 4, 5, 6])
     scheme = PartitionScheme.dyadic(path.n_samples, exponents, include_jumps=path)
     T = path.duration
@@ -307,7 +305,7 @@ def cmd_experiment(args) -> int:
 
 
 def cmd_qstat(args) -> int:
-    cfg, path = _path_input(args, "widths", *_GRID_KEYS)
+    cfg, path = _path_input(args)
     widths = _widths(args, cfg, [0.4, 0.2, 0.1])
     grid = _resolve_grid(args, cfg, path, extra_margin=max(widths))
     ref = classical_local_time(path, grid=grid)
@@ -328,15 +326,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     pathin = argparse.ArgumentParser(add_help=False)
     pathin.add_argument("--path", metavar="CSV", help="input path CSV")
-    pathin.add_argument(
-        "--grid-du", type=float, dest="grid_du", help="level grid spacing"
-    )
-    pathin.add_argument(
-        "--widths", type=_csv_list(float), help="comma-separated width ladder"
-    )
-    pathin.add_argument(
-        "--levels", type=_csv_list(int), help="comma-separated dyadic exponents"
-    )
+    # the flag of each config key that has one
+    flags = {
+        "grid_du": ("--grid-du", float, "level grid spacing"),
+        "widths": ("--widths", _csv_list(float), "comma-separated width ladder"),
+        "levels": ("--levels", _csv_list(int), "comma-separated dyadic exponents"),
+    }
 
     parser = argparse.ArgumentParser(
         prog="leveltime",
@@ -344,24 +339,37 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(subs, name, func, summary, parents=(common, pathin)):
-        subs.add_parser(name, parents=list(parents), help=summary).set_defaults(
-            func=func
+    def command(subs, name, func, summary, keys=None):
+        """Add subcommand ``name``.  One that reads a path declares the
+        config ``keys`` it reads and takes the flag of each that has one."""
+        subparser = subs.add_parser(
+            name, parents=[common] if keys is None else [common, pathin],
+            help=summary,
         )
+        for key in keys or ():
+            if key in flags:
+                flag, convert, text = flags[key]
+                subparser.add_argument(flag, type=convert, dest=key, help=text)
+        subparser.set_defaults(func=func, keys=keys)
 
-    command(sub, "generate", cmd_generate, "write a seeded path CSV", [common])
-    command(sub, "qv", cmd_qv, "quadratic variation per level")
+    grid_keys = ("grid_du", "grid_margin")
+    command(sub, "generate", cmd_generate, "write a seeded path CSV")
+    command(sub, "qv", cmd_qv, "quadratic variation per level",
+            ("levels", "times"))
     lt = sub.add_parser("localtime", help="local-time estimators")
     ltsub = lt.add_subparsers(dest="variant", required=True)
-    command(ltsub, "occ", cmd_localtime_occ, "occupation-density estimator")
-    command(ltsub, "crossing", cmd_localtime_crossing, "level-crossing fields")
+    command(ltsub, "occ", cmd_localtime_occ, "occupation-density estimator",
+            ("widths", *grid_keys))
+    command(ltsub, "crossing", cmd_localtime_crossing, "level-crossing fields",
+            grid_keys)
     command(ltsub, "skorokhod", cmd_localtime_skorokhod,
-            "interval-crossing estimator ladder")
+            "interval-crossing estimator ladder", ("widths", *grid_keys))
     command(sub, "tanaka-check", cmd_tanaka_check,
-            "discrete Tanaka identity residuals")
-    command(sub, "experiment", cmd_experiment, "Monte Carlo convergence run",
-            [common])
-    command(sub, "q-stat", cmd_qstat, "crossing-occupation defect")
+            "discrete Tanaka identity residuals",
+            ("levels", "times", "tolerance"))
+    command(sub, "experiment", cmd_experiment, "Monte Carlo convergence run")
+    command(sub, "q-stat", cmd_qstat, "crossing-occupation defect",
+            ("widths", *grid_keys))
     return parser
 
 

@@ -25,10 +25,11 @@ _NEG_TOL = 1e-9
 
 @dataclass(frozen=True)
 class LocalTimeField:
-    """Nonnegative level field sampled at one or more evaluation times."""
+    """Nonnegative level field at one evaluation time ``time``: ``data``
+    holds one value per grid level."""
 
     grid: LevelGrid
-    times: np.ndarray
+    time: float
     data: np.ndarray
     kind: str
     width: Optional[float] = None
@@ -36,42 +37,30 @@ class LocalTimeField:
     def __post_init__(self):
         if self.kind not in FIELD_KINDS:
             raise ValueError(f"unknown field kind {self.kind!r}")
-        times = np.atleast_1d(np.asarray(self.times, np.float64))
         data = np.asarray(self.data, np.float64)
-        if data.ndim == 1:
-            data = data[None, :]
-        if data.shape != (times.size, self.grid.n_levels):
-            raise ValueError("data must be (n_times, n_levels)")
-        if times.size > 1 and np.any(np.diff(times) < 0):
-            raise ValueError("times must be nondecreasing")
+        if data.shape != (self.grid.n_levels,):
+            raise ValueError(
+                f"data must hold one value per level, got shape {data.shape}"
+            )
         low = data.min() if data.size else 0.0
         if low < -_NEG_TOL:
             raise ValueError(f"field data dips to {low}, below zero")
         data = np.maximum(data, 0.0)
-        times = times.copy()
-        times.setflags(write=False)
         data.setflags(write=False)
-        object.__setattr__(self, "times", times)
+        object.__setattr__(self, "time", float(self.time))
         object.__setattr__(self, "data", data)
         if self.width is not None:
             object.__setattr__(self, "width", float(self.width))
 
     @property
-    def n_times(self) -> int:
-        return self.times.size
-
-    def level_values(self, row: int = -1) -> np.ndarray:
-        """Field values over the grid at one evaluation time."""
-        return self.data[row]
-
-    def masses(self) -> np.ndarray:
-        """du-weighted total mass at each evaluation time."""
-        return self.grid.du * self.data.sum(axis=1)
+    def mass(self) -> float:
+        """du-weighted total mass."""
+        return float(self.grid.du * self.data.sum())
 
     def replace_data(self, data, kind=None, width=None) -> "LocalTimeField":
         return LocalTimeField(
             self.grid,
-            self.times,
+            self.time,
             data,
             self.kind if kind is None else kind,
             self.width if width is None else width,
@@ -90,9 +79,9 @@ def _field_kernel(mode):
     )
 
 
-def _eval_times(path, t):
-    """Evaluation times as an array: ``t``, or the horizon when None."""
-    return np.atleast_1d(np.asarray(path.duration if t is None else t, np.float64))
+def _eval_time(path, t):
+    """The evaluation time: ``t``, or the horizon when None."""
+    return path.duration if t is None else float(t)
 
 
 def k_pi(
@@ -103,21 +92,14 @@ def k_pi(
     grid: LevelGrid = None,
     mode: str = "cell",
 ) -> LocalTimeField:
-    """Level-crossing field K: per-interval ``|endpoint - u|`` over straddles.
-
-    ``t`` may be a scalar or an array of evaluation times (one data row per
-    time).  Defaults to the whole horizon.
-    """
+    """Level-crossing field K: per-interval ``|endpoint - u|`` over straddles,
+    on the path stopped at ``t`` (the whole horizon when None)."""
     _check_mode(mode)
     if grid is None:
         raise ValueError("k_pi needs a level grid")
-    kernel = _field_kernel(mode)
-    ts = _eval_times(path, t)
-    rows = np.empty((ts.size, grid.n_levels))
-    for r, tv in enumerate(ts):
-        x = path.values[scheme.clipped(path, n, tv)]
-        rows[r] = kernel(x[:-1], x[1:], grid.u0, grid.du, grid.n_levels)
-    return LocalTimeField(grid, ts, rows, "K")
+    x = path.values[scheme.clipped(path, n, t)]
+    data = _field_kernel(mode)(x[:-1], x[1:], grid.u0, grid.du, grid.n_levels)
+    return LocalTimeField(grid, _eval_time(path, t), data, "K")
 
 
 def j_pi(
@@ -130,13 +112,9 @@ def j_pi(
     _check_mode(mode)
     if grid is None:
         raise ValueError("j_pi needs a level grid")
-    kernel = _field_kernel(mode)
-    ts = _eval_times(path, t)
-    rows = np.empty((ts.size, grid.n_levels))
-    for r, tv in enumerate(ts):
-        pre, post = path.jump_brackets(tv)
-        rows[r] = kernel(pre, post, grid.u0, grid.du, grid.n_levels)
-    return LocalTimeField(grid, ts, rows, "J")
+    pre, post = path.jump_brackets(t)
+    data = _field_kernel(mode)(pre, post, grid.u0, grid.du, grid.n_levels)
+    return LocalTimeField(grid, _eval_time(path, t), data, "J")
 
 
 def discrete_tanaka_residual(
@@ -145,15 +123,13 @@ def discrete_tanaka_residual(
     scheme: PartitionScheme,
     n: int,
     t=None,
-    grid: LevelGrid = None,
 ) -> float:
     """Defect of the discrete Tanaka-Meyer identity at partition level ``n``.
 
     LHS: f(x_t) - f(x_0) - sum of f'(x_{t_i}) times clipped increments.
     RHS: the K-field integrated against f''(du), evaluated in closed form
     per partition interval (atoms by exact bracket membership, densities via
-    antiderivatives), never through the binned grid.  The ``grid`` argument
-    is accepted for signature symmetry and ignored by the exact route.
+    antiderivatives), never through the binned grid.
     """
     x = path.values[scheme.clipped(path, n, t)]
     a, b = x[:-1], x[1:]
@@ -171,11 +147,11 @@ def split_Kc_Kd(K: LocalTimeField, J: LocalTimeField):
     estimate 2*Kc (the occupation local time at this resolution)."""
     if K.grid != J.grid:
         raise ValueError("K and J live on different level grids")
-    if K.data.shape != J.data.shape or np.any(K.times != J.times):
-        raise ValueError("K and J must share evaluation times")
+    if K.data.shape != J.data.shape or K.time != J.time:
+        raise ValueError("K and J must share the evaluation time")
     kc = np.maximum(K.data - J.data, 0.0)
-    kc_field = LocalTimeField(K.grid, K.times, kc, "Kc")
-    l_field = LocalTimeField(K.grid, K.times, 2.0 * kc, "L_occupation")
+    kc_field = LocalTimeField(K.grid, K.time, kc, "Kc")
+    l_field = LocalTimeField(K.grid, K.time, 2.0 * kc, "L_occupation")
     return kc_field, l_field
 
 
@@ -199,11 +175,10 @@ def occupation_local_time(
             f"bandwidth {eps} under the grid spacing {grid.du}; "
             "the band would miss every level"
         )
-    ts = _eval_times(path, t)
-    rows = np.empty((ts.size, grid.n_levels))
-    for r, tv in enumerate(ts):
-        left, inc = path.continuous_steps(tv)
-        rows[r] = _kernels.occupation_weights(
-            left, inc**2, grid.u0, grid.du, grid.n_levels, eps
-        ) / (2.0 * eps)
-    return LocalTimeField(grid, ts, rows, "L_occupation", width=eps)
+    left, inc = path.continuous_steps(t)
+    data = _kernels.occupation_weights(
+        left, inc**2, grid.u0, grid.du, grid.n_levels, eps
+    ) / (2.0 * eps)
+    return LocalTimeField(
+        grid, _eval_time(path, t), data, "L_occupation", width=eps
+    )

@@ -203,10 +203,10 @@ def classical_local_time(
         np.abs(vals[-1] - levels)
         - np.abs(vals[0] - levels)
         - signed
-        - 2.0 * jf.data[0]
+        - 2.0 * jf.data
     )
     neg = np.minimum(raw, 0.0)
-    fld = LocalTimeField(grid, jf.times, np.maximum(raw, 0.0)[None, :], "L_classical")
+    fld = LocalTimeField(grid, jf.time, np.maximum(raw, 0.0), "L_classical")
     return ClassicalLocalTime(
         field=fld,
         neg_l1=float(-grid.du * neg.sum()),
@@ -217,7 +217,7 @@ def classical_local_time(
 def mass_consistency(path: SampledCadlagPath, grid: LevelGrid, t=None):
     """(local-time mass, unmarked squared-increment sum, relative gap)."""
     ref = classical_local_time(path, t=t, grid=grid)
-    mass = float(ref.field.masses()[0])
+    mass = ref.field.mass
     qv_c = float((path.continuous_steps(t)[1] ** 2).sum())
     gap = abs(mass - qv_c) / qv_c if qv_c > 0 else abs(mass)
     return mass, qv_c, gap
@@ -249,7 +249,7 @@ def q_statistic(
         )
     if classical is None:
         classical = classical_local_time(path, t=t, grid=grid)
-    ell = classical.field.data[0]
+    ell = classical.field.data
     du = grid.du
     prefix = np.concatenate(
         [[0.0], np.cumsum(0.5 * (ell[:-1] + ell[1:]) * du)]
@@ -274,11 +274,9 @@ def q_statistic(
 
 def _field_row(a, grid):
     if isinstance(a, LocalTimeField):
-        if a.n_times != 1:
-            raise ValueError("distance needs single-time fields")
         if grid is not None and a.grid != grid:
             raise ValueError("fields live on different level grids")
-        return a.data[0], a.grid
+        return a.data, a.grid
     return np.asarray(a, np.float64), grid
 
 
@@ -418,9 +416,10 @@ def _worker_count(n_jobs: int) -> int:
     return max(1, min(n_jobs, limit))
 
 
-def _ladder_fields(config: ExperimentConfig, path, grid):
+def _ladder_fields(config: ExperimentConfig, path, grid, jf):
     """One estimator field per ladder level for a single path, built lazily
-    so that each level's build time can be charged to that level."""
+    so that each level's build time can be charged to that level.  ``jf``
+    is the path's J field for a K_pi ladder."""
     t = config.t
     if config.estimator == "K_pi":
         scheme = PartitionScheme.dyadic(
@@ -428,7 +427,6 @@ def _ladder_fields(config: ExperimentConfig, path, grid):
             config.ladder,
             include_jumps=path if config.include_jumps else None,
         )
-        jf = j_pi(path, t=t, grid=grid, mode=config.field_mode)
         for k in range(len(config.ladder)):
             kf = k_pi(path, scheme, k, t=t, grid=grid, mode=config.field_mode)
             yield split_Kc_Kd(kf, jf)[1]
@@ -443,18 +441,17 @@ def _ladder_fields(config: ExperimentConfig, path, grid):
             yield field
 
 
-def _classical_reference(config: ExperimentConfig, path, grid) -> LocalTimeField:
+def _classical_reference(config: ExperimentConfig, path, grid, jf):
     """Reference field matched to the estimator's representation.
 
     Point-mode estimators compare against the pointwise Tanaka route. A
     cell-mode K_pi ladder compares against the exact per-cell average of the
     same Tanaka field, computed in closed form through the full-grid identity
-    raw local time = 2 (K - J).
+    raw local time = 2 (K - J), with the ladder's own J field ``jf``.
     """
     if config.estimator == "K_pi" and config.field_mode == "cell":
         scheme = PartitionScheme.full(path.n_samples)
         kf = k_pi(path, scheme, 0, t=config.t, grid=grid, mode="cell")
-        jf = j_pi(path, t=config.t, grid=grid, mode="cell")
         lt = split_Kc_Kd(kf, jf)[1]
         return lt.replace_data(lt.data, kind="L_classical")
     return classical_local_time(path, t=config.t, grid=grid).field
@@ -480,11 +477,14 @@ def run_convergence_experiment(config: ExperimentConfig) -> ExperimentReport:
         rng = np.random.default_rng(children[i])
         path = generate(config.generator, rng)
         grid = LevelGrid.for_path(path, config.grid_du, margin)
-        ref = _classical_reference(config, path, grid)
+        jf = None
+        if config.estimator == "K_pi":
+            jf = j_pi(path, t=config.t, grid=grid, mode=config.field_mode)
+        ref = _classical_reference(config, path, grid, jf)
         local_clock = np.zeros(n_levels)
         row = np.empty(n_levels)
         tick = time.perf_counter()
-        for k, fld in enumerate(_ladder_fields(config, path, grid)):
+        for k, fld in enumerate(_ladder_fields(config, path, grid, jf)):
             row[k] = lp_distance(
                 fld,
                 ref,
@@ -521,16 +521,27 @@ def run_convergence_experiment(config: ExperimentConfig) -> ExperimentReport:
 # JSON descriptors
 # ---------------------------------------------------------------------------
 
+def _refuse_unknown(obj, known, what="config keys"):
+    """Raise :class:`ConfigError` naming the keys of ``obj`` not in ``known``."""
+    unknown = set(obj) - set(known)
+    if unknown:
+        raise ConfigError(f"unknown {what}: {sorted(unknown)}")
+
+
+def _json_int(obj, key):
+    value = obj[key]
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"config {key!r} must be an integer, got {value!r}")
+    return int(value)
+
+
 def generator_spec_from_json(obj) -> GeneratorSpec:
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ConfigError("generator descriptor must be a mapping with a 'kind'")
-    known = {
+    _refuse_unknown(obj, (
         "kind", "T", "steps_per_unit", "seed", "sigma", "mu", "jump_rate",
         "jump_low", "jump_high", "x0", "pattern", "amplitude", "n_jumps",
-    }
-    extra = set(obj) - known
-    if extra:
-        raise ConfigError(f"unknown generator fields: {sorted(extra)}")
+    ), "generator fields")
     try:
         return GeneratorSpec(**obj)
     except (TypeError, ValueError) as exc:
@@ -544,29 +555,40 @@ def experiment_config_from_json(obj) -> ExperimentConfig:
     missing = required - set(obj)
     if missing:
         raise ConfigError(f"experiment config missing fields: {sorted(missing)}")
+    _refuse_unknown(obj, (
+        *required, "grid_du", "grid_margin", "t", "distance", "field_mode",
+        "include_jumps",
+    ))
     gen = generator_spec_from_json(obj["generator"])
     weight = None
     dist = obj.get("distance", {})
     if dist:
         if not isinstance(dist, dict):
             raise ConfigError("distance must be a mapping")
+        _refuse_unknown(dist, ("p", "weight"), "distance keys")
         wdesc = dist.get("weight")
         if wdesc is not None:
             weight = dc_function_from_descriptor(wdesc).second_derivative
+    include_jumps = obj.get("include_jumps", False)
+    if not isinstance(include_jumps, bool):
+        raise ConfigError(
+            f"config 'include_jumps' must be true or false, got {include_jumps!r}"
+        )
+    n_paths, seed = _json_int(obj, "paths"), _json_int(obj, "seed")
     try:
         return ExperimentConfig(
             generator=gen,
             estimator=obj["estimator"],
             ladder=tuple(obj["ladder"]),
-            n_paths=int(obj["paths"]),
-            seed=int(obj["seed"]),
+            n_paths=n_paths,
+            seed=seed,
             grid_du=float(obj.get("grid_du", 0.02)),
             grid_margin=float(obj.get("grid_margin", 1.0)),
             t=None if obj.get("t") is None else float(obj["t"]),
             distance_p=float(dist.get("p", 1.0)) if dist else 1.0,
             distance_weight=weight,
             field_mode=obj.get("field_mode", "point"),
-            include_jumps=bool(obj.get("include_jumps", False)),
+            include_jumps=include_jumps,
         )
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad experiment config: {exc}") from exc

@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from . import _kernels
-from .crossing import LocalTimeField, _eval_times, j_pi
+from .crossing import LocalTimeField, _eval_time
 from .dcfuncs import DCFunction
 from .paths import LevelGrid, SampledCadlagPath, _positive
 
@@ -235,16 +235,13 @@ def interval_crossing_local_time(
         raise ValueError("need at least one positive width")
     if any(b >= a for a, b in zip(widths[:-1], widths[1:])):
         raise ValueError("widths must be strictly decreasing")
-    ts = _eval_times(path, t)
     fields = []
     for c in widths:
         counts = crossing_count_field(path, grid, c, t=t, strict=strict)
-        fields.append(
-            LocalTimeField(
-                grid, ts, c * counts[None, :].astype(np.float64),
-                "L_interval", width=c,
-            )
-        )
+        fields.append(LocalTimeField(
+            grid, _eval_time(path, t), c * counts.astype(np.float64),
+            "L_interval", width=c,
+        ))
     return fields
 
 
@@ -321,19 +318,3 @@ def stieltjes_integral_band(
         - solution.half_width * np.abs(dfp).sum()
     )
 
-
-def j_of_regularized(
-    path: SampledCadlagPath,
-    solution: SkorokhodSolution,
-    t=None,
-    grid: LevelGrid = None,
-    mode: str = "cell",
-) -> LocalTimeField:
-    """Jump field J of the regularized path at the marked instants of x.
-
-    The clamp can shrink or swallow a jump, so this field is dominated by
-    J(x, .) in mass; it feeds the eps -> 0 comparison tests.
-    """
-    if grid is None:
-        raise ValueError("j_of_regularized needs a level grid")
-    return j_pi(solution.regularized, t=t, grid=grid, mode=mode)

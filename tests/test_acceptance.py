@@ -106,7 +106,7 @@ def test_2_mass_identities(capsys):
         idx = path.jump_indices
         sizes = path.values[idx] - path.values[idx - 1]
         worst_jump = max(
-            worst_jump, abs(jf.masses()[0] - 0.5 * float((sizes**2).sum()))
+            worst_jump, abs(jf.mass - 0.5 * float((sizes**2).sum()))
         )
         kf = k_pi(
             path, PartitionScheme.full(path.n_samples), 0, grid=grid, mode="cell"
@@ -114,7 +114,7 @@ def test_2_mass_identities(capsys):
         _, lt = split_Kc_Kd(kf, jf)
         inc = np.diff(path.values)
         qv_c = float((inc[~path.jump_mask[1:]] ** 2).sum())
-        gap = abs(lt.masses()[0] - qv_c)
+        gap = abs(lt.mass - qv_c)
         bound = 2.0 * grid.du * total_variation(path)
         worst_cont = max(worst_cont, gap / bound)
     elapsed = time.perf_counter() - tick
@@ -236,7 +236,7 @@ def test_5_brownian_local_time_level(capsys):
     end = np.empty(n_paths)
     for i, child in enumerate(np.random.SeedSequence(555).spawn(n_paths)):
         path = generate(spec, np.random.default_rng(child))
-        ell[i] = classical_local_time(path, grid=grid).field.data[0, 0]
+        ell[i] = classical_local_time(path, grid=grid).field.data[0]
         end[i] = abs(path.values[-1])
     mean = float(ell.mean())
     diff = abs(mean - float(end.mean()))

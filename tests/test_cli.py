@@ -220,7 +220,7 @@ class TestLocaltimeOcc:
         assert {r[3] for r in body} == {"L_occupation"}
         assert {r[4] for r in body} == {fmt(0.2)}
         field = occupation_local_time(sample_path, bandwidth=0.2, grid=grid)
-        for r, u, v in zip(body, grid.levels, field.data[0]):
+        for r, u, v in zip(body, grid.levels, field.data):
             assert r[1] == fmt(u) and r[2] == fmt(v)
 
     def test_width_ladder_stacks_rows(self, tmp_path, path_csv):
@@ -431,14 +431,16 @@ class TestParser:
 class TestArtifactText:
     def test_field_table_rows(self):
         grid = LevelGrid(0.1, 0.1, 3)
-        data = [[0.0, 1.0 / 3.0, 2.0], [1.0, 2.5, 0.0]]
-        occ = LocalTimeField(grid, [0.5, 1.0], data, "L_occupation", width=0.2)
-        k = LocalTimeField(grid, [1.0], data[1], "K")
+        early = LocalTimeField(
+            grid, 0.5, [0.0, 1.0 / 3.0, 2.0], "L_occupation", width=0.2
+        )
+        late = LocalTimeField(grid, 1.0, [1.0, 2.5, 0.0], "L_occupation", width=0.2)
+        k = LocalTimeField(grid, 1.0, [1.0, 2.5, 0.0], "K")
         buf = io.StringIO()
-        _write_table(buf, _FIELD_HEADER, _field_columns([occ, k]))
+        _write_table(buf, _FIELD_HEADER, _field_columns([early, late, k]))
         lines = buf.getvalue().split("\r\n")
         assert lines[0] == "t,u,value,kind,width"
-        # times repeat per level, levels tile per time
+        # one row per level of each field in turn, its time on every row
         assert lines[2] == (
             "0.5,0.20000000000000001,0.33333333333333331,L_occupation,"
             "0.20000000000000001"
@@ -535,6 +537,53 @@ class TestBadInput:
         ])
         assert rc == 1
         assert last == f"error: unknown config keys: {sorted(config)}"
+        assert [p.name for p in tmp_path.glob("*.csv")] == ["input.csv"]
+
+    @pytest.mark.parametrize(
+        "command,config,message",
+        [
+            (["generate"], {"generator": GEN, "levels": [1]},
+             "unknown config keys: ['levels']"),
+            (["generate"], {"generator": GEN, "seed": 5},
+             "unknown config keys: ['seed']"),
+            (["experiment"], dict(TestExperiment.CONFIG, grid_dx=0.5),
+             "unknown config keys: ['grid_dx']"),
+            (["experiment"], dict(TestExperiment.CONFIG, distance={"q": 2}),
+             "unknown distance keys: ['q']"),
+            (["experiment"], dict(TestExperiment.CONFIG, include_jumps="false"),
+             "config 'include_jumps' must be true or false, got 'false'"),
+            (["experiment"], dict(TestExperiment.CONFIG, paths=2.5),
+             "config 'paths' must be an integer, got 2.5"),
+        ],
+    )
+    def test_generate_and_experiment_refuse_keys_they_do_not_read(
+        self, tmp_path, capsys, command, config, message
+    ):
+        cfg = write_config(tmp_path, config)
+        out = tmp_path / "out"
+        rc, last = self.run(capsys, command + ["--config", cfg, "--out", str(out)])
+        assert rc == 1
+        assert last == "error: " + message
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command,flag",
+        [
+            (["qv"], "--grid-du"),
+            (["qv"], "--widths"),
+            (["localtime", "occ"], "--levels"),
+            (["localtime", "crossing"], "--widths"),
+            (["localtime", "crossing"], "--levels"),
+            (["localtime", "skorokhod"], "--levels"),
+            (["tanaka-check"], "--grid-du"),
+            (["tanaka-check"], "--widths"),
+            (["q-stat"], "--levels"),
+        ],
+    )
+    def test_unread_flag_exits_1(self, tmp_path, path_csv, capsys, command, flag):
+        rc = main(command + ["--path", path_csv, flag, "3", "--out", str(tmp_path)])
+        assert rc == 1
+        assert f"unrecognized arguments: {flag} 3" in capsys.readouterr().err
         assert [p.name for p in tmp_path.glob("*.csv")] == ["input.csv"]
 
     def test_out_of_memory_grid_exits_1(self, tmp_path, path_csv):

@@ -159,8 +159,8 @@ class TestClassicalLocalTime:
         ref = classical_local_time(p, grid=grid)
         K = k_pi(p, PartitionScheme.full(p.n_samples), 0, grid=grid, mode="point")
         J = j_pi(p, grid=grid, mode="point")
-        identity = np.maximum(2.0 * (K.data[0] - J.data[0]), 0.0)
-        np.testing.assert_allclose(ref.field.data[0], identity, atol=1e-10)
+        identity = np.maximum(2.0 * (K.data - J.data), 0.0)
+        np.testing.assert_allclose(ref.field.data, identity, atol=1e-10)
 
     def test_ramp_and_pure_jump_have_no_local_time(self):
         ramp = generate(
@@ -169,7 +169,7 @@ class TestClassicalLocalTime:
         grid = LevelGrid.for_path(ramp, 0.02, margin=0.1)
         ref = classical_local_time(ramp, grid=grid)
         # a monotone staircase straddles each level once: mass du * inc each
-        assert ref.field.masses()[0] <= 2.0 / 1024
+        assert ref.field.mass <= 2.0 / 1024
         ladder = generate(
             GeneratorSpec(
                 kind="deterministic_test", pattern="jump_ladder", n_jumps=6
@@ -186,7 +186,7 @@ class TestClassicalLocalTime:
         ref = classical_local_time(p, grid=grid)
         # the raw Tanaka sum is 2 (K_full - J) >= 0 in exact arithmetic, so
         # flooring removes rounding only
-        mass = ref.field.masses()[0]
+        mass = ref.field.mass
         assert ref.neg_min <= 0.0
         assert -ref.neg_min <= 1e-12 * (1 + mass)
         assert ref.neg_l1 <= 1e-12 * (1 + mass)
@@ -249,8 +249,8 @@ class TestLpDistance:
 
     def test_constant_gap_times_grid_length(self):
         grid = LevelGrid(0.0, 0.1, 11)
-        a = LocalTimeField(grid, [1.0], np.full(11, 2.0), "K")
-        b = LocalTimeField(grid, [1.0], np.full(11, 1.5), "K")
+        a = LocalTimeField(grid, 1.0, np.full(11, 2.0), "K")
+        b = LocalTimeField(grid, 1.0, np.full(11, 1.5), "K")
         assert lp_distance(a, b) == pytest.approx(0.5 * 1.1, abs=1e-12)
         assert lp_distance(a, b, p=2.0) == pytest.approx(
             np.sqrt(0.25 * 1.1), abs=1e-12
@@ -258,21 +258,21 @@ class TestLpDistance:
 
     def test_atom_weight_samples_nearest_left_cell(self):
         grid = LevelGrid(0.0, 0.1, 11)
-        a = LocalTimeField(grid, [1.0], np.arange(11.0), "K")
-        b = LocalTimeField(grid, [1.0], np.zeros(11), "K")
+        a = LocalTimeField(grid, 1.0, np.arange(11.0), "K")
+        b = LocalTimeField(grid, 1.0, np.zeros(11), "K")
         w = make_abs(0.52, 0.5).second_derivative  # atom weight 1 at 0.52
         assert lp_distance(a, b, weight=w) == pytest.approx(5.0, abs=1e-12)
 
     def test_density_weight_uses_cell_masses(self):
         grid = LevelGrid(0.0, 0.1, 11)
-        a = LocalTimeField(grid, [1.0], np.full(11, 3.0), "K")
-        b = LocalTimeField(grid, [1.0], np.zeros(11), "K")
+        a = LocalTimeField(grid, 1.0, np.full(11, 3.0), "K")
+        b = LocalTimeField(grid, 1.0, np.zeros(11), "K")
         w = make_square().second_derivative
         assert lp_distance(a, b, weight=w) == pytest.approx(3.0 * 1.1, abs=1e-12)
 
     def test_atom_outside_grid_rejected(self):
         grid = LevelGrid(0.0, 0.1, 11)
-        a = LocalTimeField(grid, [1.0], np.ones(11), "K")
+        a = LocalTimeField(grid, 1.0, np.ones(11), "K")
         w = make_abs(55.0).second_derivative
         with pytest.raises(ValueError, match="outside"):
             lp_distance(a, a, weight=w)
@@ -296,15 +296,6 @@ class TestLpDistance:
         grid = LevelGrid(0.0, 0.5, 4)
         with pytest.raises(ValueError, match="at least 1"):
             lp_distance(np.ones(4), np.zeros(4), p=0.5, grid=grid)
-
-    def test_multi_time_fields_rejected(self, step_path):
-        p = step_path(123)
-        grid = LevelGrid.for_path(p, 0.05, margin=0.2)
-        f = k_pi(
-            p, PartitionScheme.full(p.n_samples), 0, t=[0.5, 1.0], grid=grid
-        )
-        with pytest.raises(ValueError, match="single-time"):
-            lp_distance(f, f)
 
 
 class TestExperiments:
@@ -560,3 +551,33 @@ def test_experiment_config_rejects_non_finite_values(field, value):
     )
     with pytest.raises(ValueError, match="finite"):
         ExperimentConfig(**dict(base, **{field: value}))
+
+
+# every estimator of a local-time field, called on (path, grid, t)
+FIELD_ESTIMATORS = {
+    "k_pi": lambda p, g, t: k_pi(
+        p, PartitionScheme.full(p.n_samples), 0, t=t, grid=g
+    ),
+    "j_pi": lambda p, g, t: j_pi(p, t=t, grid=g),
+    "occupation": lambda p, g, t: occupation_local_time(
+        p, t=t, bandwidth=0.1, grid=g
+    ),
+    "interval crossing": lambda p, g, t: interval_crossing_local_time(
+        p, t=t, widths=[0.1], grid=g
+    ),
+    "classical": lambda p, g, t: classical_local_time(p, t=t, grid=g),
+}
+
+
+@pytest.mark.parametrize("t", [[0.5, 1.0], (0.5,)])
+@pytest.mark.parametrize("estimator", sorted(FIELD_ESTIMATORS))
+def test_sequence_time_refused(estimator, t, step_path):
+    # a field is one evaluation time; a sequence is refused as the path's
+    # own stop rule refuses it
+    p = step_path(123)
+    grid = LevelGrid.for_path(p, 0.05, margin=0.2)
+    with pytest.raises(TypeError) as stop:
+        p.index_at(t)
+    with pytest.raises(TypeError) as refused:
+        FIELD_ESTIMATORS[estimator](p, grid, t)
+    assert str(refused.value) == str(stop.value)

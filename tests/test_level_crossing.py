@@ -35,7 +35,7 @@ class TestKField:
         expected = np.where(
             (levels >= 0.2) & (levels < 0.8), np.abs(0.8 - levels), 0.0
         )
-        np.testing.assert_allclose(field.level_values(), expected, atol=1e-12)
+        np.testing.assert_allclose(field.data, expected, atol=1e-12)
 
     def test_zigzag_point_field_sums_upcrossing_distances(self):
         # increments 0->1, 1->0, 0->1: levels u in [0, 1) are straddled by
@@ -44,7 +44,7 @@ class TestKField:
         grid = LevelGrid(0.0, 0.25, 4)
         field = k_pi(p, PartitionScheme.full(4), 0, grid=grid, mode="point")
         np.testing.assert_allclose(
-            field.level_values(), 2.0 - grid.levels, atol=1e-12
+            field.data, 2.0 - grid.levels, atol=1e-12
         )
 
     def test_cell_mode_mass_identity(self, step_path):
@@ -58,18 +58,16 @@ class TestKField:
             idx = scheme[n]
             inc = np.diff(p.values[idx])
             np.testing.assert_allclose(
-                field.masses()[0], 0.5 * np.sum(inc**2), rtol=1e-12
+                field.mass, 0.5 * np.sum(inc**2), rtol=1e-12
             )
 
     def test_multi_time_rows_are_monotone(self, step_path):
         p = step_path(22)
         grid = LevelGrid.for_path(p, 0.05, margin=0.1)
-        times = [0.25, 0.5, 1.0]
-        field = k_pi(
-            p, PartitionScheme.full(p.n_samples), 0, t=times, grid=grid
-        )
-        assert field.n_times == 3
-        diffs = np.diff(field.data, axis=0)
+        scheme = PartitionScheme.full(p.n_samples)
+        fields = [k_pi(p, scheme, 0, t=t, grid=grid) for t in (0.25, 0.5, 1.0)]
+        assert [f.time for f in fields] == [0.25, 0.5, 1.0]
+        diffs = np.diff([f.data for f in fields], axis=0)
         assert diffs.min() >= -1e-12
 
     def test_needs_grid(self, step_path):
@@ -94,14 +92,14 @@ class TestJField:
         field = j_pi(p, grid=grid, mode="cell")
         sizes = p.values[p.jump_indices] - p.pre_jump_values()
         np.testing.assert_allclose(
-            field.masses()[0], 0.5 * np.sum(sizes**2), rtol=1e-12
+            field.mass, 0.5 * np.sum(sizes**2), rtol=1e-12
         )
 
     def test_no_jumps_gives_zero_field(self, step_path):
         p = step_path(24, jump_rate=0.0)
         grid = LevelGrid.for_path(p, 0.05, margin=0.1)
         field = j_pi(p, grid=grid)
-        assert field.level_values().sum() == 0.0
+        assert field.data.sum() == 0.0
 
     def test_time_clipping_drops_later_jumps(self):
         times = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
@@ -109,8 +107,8 @@ class TestJField:
         mask = np.array([False, True, False, True, False])
         p = SampledCadlagPath(times, values, mask)
         grid = LevelGrid(-0.5, 0.05, 61)
-        early = j_pi(p, t=0.3, grid=grid, mode="cell").masses()[0]
-        late = j_pi(p, t=1.0, grid=grid, mode="cell").masses()[0]
+        early = j_pi(p, t=0.3, grid=grid, mode="cell").mass
+        late = j_pi(p, t=1.0, grid=grid, mode="cell").mass
         assert early == pytest.approx(0.5, rel=1e-12)
         assert late == pytest.approx(1.0, rel=1e-12)
 
@@ -179,7 +177,7 @@ class TestSplit:
             J = j_pi(p, grid=grid, mode=mode)
             kc, ell = split_Kc_Kd(K, J)
             assert kc.data.max() == 0.0
-            assert ell.masses()[0] == 0.0
+            assert ell.mass == 0.0
 
     def test_mismatched_grids_rejected(self, step_path):
         p = step_path(42)
@@ -189,6 +187,8 @@ class TestSplit:
         J = j_pi(p, grid=g2)
         with pytest.raises(ValueError, match="grid"):
             split_Kc_Kd(K, J)
+        with pytest.raises(ValueError, match="evaluation time"):
+            split_Kc_Kd(K, j_pi(p, t=0.5, grid=g1))
 
 
 class TestOccupation:
@@ -208,7 +208,7 @@ class TestOccupation:
         direct = grid.du / (2 * eps) * np.sum(
             [wi * np.sum(np.abs(li - grid.levels) <= eps) for li, wi in zip(left, w)]
         )
-        assert field.masses()[0] == pytest.approx(direct, rel=1e-10)
+        assert field.mass == pytest.approx(direct, rel=1e-10)
         assert count.max() > 0
 
     def test_bandwidth_validation(self, step_path):
@@ -228,7 +228,7 @@ class TestOccupation:
         p = SampledCadlagPath(times, values, mask)
         grid = LevelGrid(0.0, 0.5, 11)
         field = occupation_local_time(p, bandwidth=0.5, grid=grid)
-        assert field.level_values().sum() == 0.0
+        assert field.data.sum() == 0.0
 
     def test_width_recorded(self, step_path):
         p = step_path(53)
@@ -242,34 +242,30 @@ class TestLocalTimeField:
     def test_kind_validation(self):
         grid = LevelGrid(0.0, 0.1, 3)
         with pytest.raises(ValueError, match="kind"):
-            LocalTimeField(grid, [1.0], np.zeros(3), "M")
+            LocalTimeField(grid, 1.0, np.zeros(3), "M")
 
     def test_shape_validation(self):
         grid = LevelGrid(0.0, 0.1, 3)
-        with pytest.raises(ValueError, match="n_times"):
-            LocalTimeField(grid, [1.0, 2.0], np.zeros((1, 3)), "K")
-
-    def test_times_must_be_nondecreasing(self):
-        grid = LevelGrid(0.0, 0.1, 3)
-        with pytest.raises(ValueError, match="nondecreasing"):
-            LocalTimeField(grid, [2.0, 1.0], np.zeros((2, 3)), "K")
+        for data in (np.zeros(2), np.zeros((1, 3))):
+            with pytest.raises(ValueError, match="one value per level"):
+                LocalTimeField(grid, 1.0, data, "K")
 
     def test_negative_data_rejected_but_noise_clipped(self):
         grid = LevelGrid(0.0, 0.1, 3)
         with pytest.raises(ValueError, match="below zero"):
-            LocalTimeField(grid, [1.0], np.array([0.0, -1.0, 0.0]), "K")
-        field = LocalTimeField(grid, [1.0], np.array([0.0, -1e-12, 0.5]), "K")
+            LocalTimeField(grid, 1.0, np.array([0.0, -1.0, 0.0]), "K")
+        field = LocalTimeField(grid, 1.0, np.array([0.0, -1e-12, 0.5]), "K")
         assert field.data.min() == 0.0
 
     def test_data_read_only(self):
         grid = LevelGrid(0.0, 0.1, 3)
-        field = LocalTimeField(grid, [1.0], np.ones(3), "K")
+        field = LocalTimeField(grid, 1.0, np.ones(3), "K")
         with pytest.raises(ValueError):
-            field.data[0, 0] = 2.0
+            field.data[0] = 2.0
 
     def test_replace_data_keeps_geometry(self):
         grid = LevelGrid(0.0, 0.1, 3)
-        field = LocalTimeField(grid, [1.0], np.ones(3), "K")
+        field = LocalTimeField(grid, 1.0, np.ones(3), "K")
         other = field.replace_data(2.0 * field.data, kind="Kc")
         assert other.kind == "Kc"
         assert other.grid == grid

@@ -14,7 +14,6 @@ from leveltime import (
     count_crossings,
     crossing_count_field,
     interval_crossing_local_time,
-    j_of_regularized,
     j_pi,
     make_abs,
     make_mix,
@@ -263,7 +262,7 @@ class TestIntervalCrossingLocalTime:
         for f, c in zip(fields, (0.4, 0.2)):
             assert f.kind == "L_interval"
             counts = crossing_count_field(p, grid, c)
-            np.testing.assert_allclose(f.level_values(), c * counts, atol=0.0)
+            np.testing.assert_allclose(f.data, c * counts, atol=0.0)
 
     def test_width_ladder_validation(self, step_path):
         p = step_path(82)
@@ -334,11 +333,11 @@ class TestJOfRegularized:
             J_x = j_pi(p, grid=grid, mode="cell")
             for eps in (0.5, 0.1):
                 sol = skorokhod_map(p, eps)
-                J_reg = j_of_regularized(p, sol, grid=grid, mode="cell")
-                assert J_reg.masses()[0] <= J_x.masses()[0] + 1e-9
+                J_reg = j_pi(sol.regularized, grid=grid, mode="cell")
+                assert J_reg.mass <= J_x.mass + 1e-9
 
     def test_needs_grid(self, step_path):
         p = step_path(93)
         sol = skorokhod_map(p, 0.2)
         with pytest.raises(ValueError, match="grid"):
-            j_of_regularized(p, sol)
+            j_pi(sol.regularized)
