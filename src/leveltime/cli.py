@@ -34,6 +34,7 @@ from .lab import (
 from .paths import (
     LevelGrid,
     PartitionScheme,
+    _exponent,
     _fmt,
     _positive,
     _write_table,
@@ -68,14 +69,19 @@ def _cfg_float(cfg, key, default):
 
 
 def _cfg_list(cfg, key, convert, scalar_ok=False):
-    """Config list ``key`` with ``convert`` applied to every entry; None when
-    the key is absent or null.  ``scalar_ok`` also takes one bare value."""
+    """Config list ``key`` with ``convert`` (``float`` or ``int``) applied to
+    every entry; None when the key is absent or null.  ``scalar_ok`` also
+    takes one bare value.  An ``int`` entry must be a whole number, as
+    ``PartitionScheme.dyadic`` requires; it is never truncated."""
     value = cfg.get(key)
     if value is None:
         return None
+    exact = _exponent if convert is int else convert
     try:
-        if scalar_ok or isinstance(value, list):
-            return [convert(v) for v in np.atleast_1d(value).tolist()]
+        if isinstance(value, list):
+            return [exact(v) for v in value]
+        if scalar_ok:
+            return [exact(value)]
     except (TypeError, ValueError, OverflowError):
         pass
     raise ConfigError(
@@ -240,8 +246,11 @@ def cmd_localtime_crossing(args) -> int:
 def cmd_localtime_skorokhod(args) -> int:
     cfg, path = _path_input(args)
     widths = _widths(args, cfg, [0.4, 0.2, 0.1, 0.05])
+    if any(b >= a for a, b in zip(widths[:-1], widths[1:])):
+        raise ConfigError("widths must be strictly decreasing")
     grid = _resolve_grid(args, cfg, path, extra_margin=max(widths))
-    fields = interval_crossing_local_time(path, widths=widths, grid=grid)
+    fields = [interval_crossing_local_time(path, width=c, grid=grid)
+              for c in widths]
     for c, fld in zip(widths, fields):
         name = "localtime_skorokhod_" + repr(c).replace(".", "p") + ".csv"
         _emit(args, name, _FIELD_HEADER, _field_columns([fld]))
@@ -261,7 +270,9 @@ def cmd_tanaka_check(args) -> int:
     T = path.duration
     times = _times(cfg, path, [T / 3.0, 2.0 * T / 3.0, T])
     tv = total_variation(path)
-    tol = _cfg_float(cfg, "tolerance", 1e-9 * (1.0 + tv))
+    tol = _positive(
+        "tolerance", _cfg_float(cfg, "tolerance", 1e-9 * (1.0 + tv)), zero=True
+    )
     cells = [(f, k, t) for f in builtin_suite()
              for k in range(len(exponents)) for t in times]
     residuals = [abs(float(discrete_tanaka_residual(path, f, scheme, k, t=t)))

@@ -5,6 +5,12 @@ Fields are sampled on a :class:`~leveltime.paths.LevelGrid` in one of two
 modes: ``point`` evaluates the defining sum at the grid levels themselves,
 ``cell`` stores exact per-cell averages so that ``du * sum(field)``
 reproduces the underlying mass identities to rounding error.
+
+Every local-time estimator (``k_pi``, ``j_pi``, ``occupation_local_time``
+here, ``skorokhod.interval_crossing_local_time`` and
+``lab.classical_local_time``) takes the path, ``t=None``, its one
+resolution and a keyword-only ``grid``, and returns one
+:class:`LocalTimeField`.
 """
 
 from __future__ import annotations
@@ -89,14 +95,13 @@ def k_pi(
     scheme: PartitionScheme,
     n: int,
     t=None,
-    grid: LevelGrid = None,
+    *,
+    grid: LevelGrid,
     mode: str = "cell",
 ) -> LocalTimeField:
     """Level-crossing field K: per-interval ``|endpoint - u|`` over straddles,
     on the path stopped at ``t`` (the whole horizon when None)."""
     _check_mode(mode)
-    if grid is None:
-        raise ValueError("k_pi needs a level grid")
     x = path.values[scheme.clipped(path, n, t)]
     data = _field_kernel(mode)(x[:-1], x[1:], grid.u0, grid.du, grid.n_levels)
     return LocalTimeField(grid, _eval_time(path, t), data, "K")
@@ -105,13 +110,12 @@ def k_pi(
 def j_pi(
     path: SampledCadlagPath,
     t=None,
-    grid: LevelGrid = None,
+    *,
+    grid: LevelGrid,
     mode: str = "cell",
 ) -> LocalTimeField:
     """Jump field J: the K-sum restricted to marked jumps (pre -> post)."""
     _check_mode(mode)
-    if grid is None:
-        raise ValueError("j_pi needs a level grid")
     pre, post = path.jump_brackets(t)
     data = _field_kernel(mode)(pre, post, grid.u0, grid.du, grid.n_levels)
     return LocalTimeField(grid, _eval_time(path, t), data, "J")
@@ -147,7 +151,7 @@ def split_Kc_Kd(K: LocalTimeField, J: LocalTimeField):
     estimate 2*Kc (the occupation local time at this resolution)."""
     if K.grid != J.grid:
         raise ValueError("K and J live on different level grids")
-    if K.data.shape != J.data.shape or K.time != J.time:
+    if K.time != J.time:
         raise ValueError("K and J must share the evaluation time")
     kc = np.maximum(K.data - J.data, 0.0)
     kc_field = LocalTimeField(K.grid, K.time, kc, "Kc")
@@ -158,8 +162,9 @@ def split_Kc_Kd(K: LocalTimeField, J: LocalTimeField):
 def occupation_local_time(
     path: SampledCadlagPath,
     t=None,
-    bandwidth: float = None,
-    grid: LevelGrid = None,
+    *,
+    bandwidth: float,
+    grid: LevelGrid,
 ) -> LocalTimeField:
     """Occupation-density estimate of the local time.
 
@@ -167,8 +172,6 @@ def occupation_local_time(
     increments whose left sample value lies in the closed band
     [u - eps, u + eps].
     """
-    if grid is None:
-        raise ValueError("occupation_local_time needs a level grid")
     eps = _positive("bandwidth", bandwidth)
     if eps < grid.du:
         raise ValueError(

@@ -27,7 +27,13 @@ from .crossing import (
 )
 from .dcfuncs import SecondDerivativeMeasure, dc_function_from_descriptor
 from .errors import ConfigError, InvariantViolation
-from .paths import LevelGrid, PartitionScheme, SampledCadlagPath, _positive
+from .paths import (
+    LevelGrid,
+    PartitionScheme,
+    SampledCadlagPath,
+    _exponent,
+    _positive,
+)
 from .skorokhod import crossing_count_field, interval_crossing_local_time
 
 GENERATOR_KINDS = (
@@ -74,6 +80,10 @@ class GeneratorSpec:
             raise ValueError("jump size bounds out of order")
         if self.pattern not in _PATTERNS:
             raise ValueError(f"unknown deterministic pattern {self.pattern!r}")
+        for name in ("seed", "n_jumps"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.n_jumps < 0:
             raise ValueError("n_jumps must be nonnegative")
 
@@ -167,29 +177,17 @@ def generate_many(spec: GeneratorSpec, n_paths: int, seed=None):
 # classical local time (Tanaka route on the full grid)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ClassicalLocalTime:
-    """Floored Tanaka estimate with its flooring diagnostics.
-
-    ``neg_l1`` is the du-weighted mass removed by flooring and ``neg_min``
-    the most negative raw value.  In exact arithmetic the raw Tanaka sum is
-    ``2 (K_full - J) >= 0`` at every level, so both measure float rounding
-    (about 1e-14 on 2^14-step paths), not discretization error.
-    """
-
-    field: LocalTimeField
-    neg_l1: float
-    neg_min: float
-
-
 def classical_local_time(
-    path: SampledCadlagPath, t=None, grid: LevelGrid = None
-) -> ClassicalLocalTime:
+    path: SampledCadlagPath, t=None, *, grid: LevelGrid
+) -> LocalTimeField:
     """Tanaka local time on the full sample grid, per level:
     |x_t - u| - |x_0 - u| - sum sign(x_j - u) (clipped increment) - 2 J(u),
-    with the left-continuous sign(0) = -1, floored at zero."""
-    if grid is None:
-        raise ValueError("classical_local_time needs a level grid")
+    with the left-continuous sign(0) = -1, floored at zero.
+
+    In exact arithmetic the raw sum is ``2 (K_full - J) >= 0`` at every
+    level; the floor removes float rounding only, which on large-amplitude
+    paths can exceed the field's own tolerance for negative values.
+    """
     levels = grid.levels
     vals = path.values[: path.index_at(t) + 1]
     if vals.size > 1:
@@ -205,19 +203,12 @@ def classical_local_time(
         - signed
         - 2.0 * jf.data
     )
-    neg = np.minimum(raw, 0.0)
-    fld = LocalTimeField(grid, jf.time, np.maximum(raw, 0.0), "L_classical")
-    return ClassicalLocalTime(
-        field=fld,
-        neg_l1=float(-grid.du * neg.sum()),
-        neg_min=float(neg.min()) if neg.size else 0.0,
-    )
+    return LocalTimeField(grid, jf.time, np.maximum(raw, 0.0), "L_classical")
 
 
 def mass_consistency(path: SampledCadlagPath, grid: LevelGrid, t=None):
     """(local-time mass, unmarked squared-increment sum, relative gap)."""
-    ref = classical_local_time(path, t=t, grid=grid)
-    mass = ref.field.mass
+    mass = classical_local_time(path, t=t, grid=grid).mass
     qv_c = float((path.continuous_steps(t)[1] ** 2).sum())
     gap = abs(mass - qv_c) / qv_c if qv_c > 0 else abs(mass)
     return mass, qv_c, gap
@@ -230,18 +221,19 @@ def mass_consistency(path: SampledCadlagPath, grid: LevelGrid, t=None):
 def q_statistic(
     path: SampledCadlagPath,
     t=None,
-    grid: LevelGrid = None,
-    d: float = None,
-    classical: Optional[ClassicalLocalTime] = None,
+    *,
+    grid: LevelGrid,
+    d: float,
+    classical: Optional[LocalTimeField] = None,
 ) -> float:
     """Integrated crossing-versus-occupation defect ``int |Q^{z,d}| dz``.
 
     Q^{z,d} = d n^{z,d} - (1/d) int_{z-d/2}^{z+d/2} local time du, with the
     inner integral trapezoidal over grid levels inside the window and the
     outer integral restricted to levels whose window fits inside the grid.
+    ``classical`` is the path's classical local time on ``grid``, built
+    when None.
     """
-    if grid is None:
-        raise ValueError("q_statistic needs a level grid")
     d = _positive("d", d)
     if d < 2.0 * grid.du:
         raise ValueError(
@@ -249,7 +241,7 @@ def q_statistic(
         )
     if classical is None:
         classical = classical_local_time(path, t=t, grid=grid)
-    ell = classical.field.data
+    ell = classical.data
     du = grid.du
     prefix = np.concatenate(
         [[0.0], np.cumsum(0.5 * (ell[:-1] + ell[1:]) * du)]
@@ -336,7 +328,7 @@ class ExperimentConfig:
         if len(self.ladder) == 0:
             raise ValueError("ladder must be nonempty")
         if self.estimator == "K_pi":
-            ladder = tuple(int(v) for v in self.ladder)
+            ladder = tuple(_exponent(v) for v in self.ladder)
             if any(v < 1 for v in ladder):
                 raise ValueError("dyadic exponents must be >= 1")
             if any(b <= a for a, b in zip(ladder[:-1], ladder[1:])):
@@ -435,10 +427,7 @@ def _ladder_fields(config: ExperimentConfig, path, grid, jf):
             yield occupation_local_time(path, t=t, bandwidth=eps, grid=grid)
     else:
         for c in config.ladder:
-            (field,) = interval_crossing_local_time(
-                path, t=t, widths=(c,), grid=grid
-            )
-            yield field
+            yield interval_crossing_local_time(path, t=t, width=c, grid=grid)
 
 
 def _classical_reference(config: ExperimentConfig, path, grid, jf):
@@ -454,7 +443,7 @@ def _classical_reference(config: ExperimentConfig, path, grid, jf):
         kf = k_pi(path, scheme, 0, t=config.t, grid=grid, mode="cell")
         lt = split_Kc_Kd(kf, jf)[1]
         return lt.replace_data(lt.data, kind="L_classical")
-    return classical_local_time(path, t=config.t, grid=grid).field
+    return classical_local_time(path, t=config.t, grid=grid)
 
 
 def run_convergence_experiment(config: ExperimentConfig) -> ExperimentReport:

@@ -32,6 +32,14 @@ def _positive(name, value, zero=False) -> float:
     return v
 
 
+def _exponent(value) -> int:
+    """A dyadic exponent as an int; ``ValueError`` naming ``value`` unless it
+    is a whole number (a boolean is not), so that 2.5 is never truncated."""
+    if isinstance(value, (bool, np.bool_)) or not float(value).is_integer():
+        raise ValueError(f"dyadic exponents must be whole numbers, got {value!r}")
+    return int(value)
+
+
 def _readonly(arr):
     arr = np.array(arr, copy=True)
     arr.setflags(write=False)
@@ -245,7 +253,7 @@ class PartitionScheme:
         exponents refine each other exactly.  ``include_jumps`` is as in
         :meth:`uniform`.
         """
-        exponents = [int(j) for j in exponents]
+        exponents = [_exponent(j) for j in exponents]
         if not exponents:
             raise ValueError("need at least one level")
         if min(exponents) < 0:
@@ -400,13 +408,6 @@ class LevelGrid:
         if not 0 <= k < self.n_levels:
             raise ValueError(f"atom at {u} outside the level grid")
         return k
-
-    def integrate(self, field_values) -> float:
-        """Riemann sum ``du * sum(field)`` of a field sampled on the grid."""
-        field_values = np.asarray(field_values, np.float64)
-        if field_values.shape[-1] != self.n_levels:
-            raise ValueError("field length must match the grid")
-        return float(self.du * field_values.sum(axis=-1))
 
     @classmethod
     def for_path(cls, path: SampledCadlagPath, du: float, margin: float = 0.0):

@@ -108,20 +108,13 @@ def count_crossings(
     z: float,
     eps: float,
     t=None,
-    strict: Optional[bool] = None,
 ) -> CrossingTally:
     """Greedy two-threshold crossing counts of the band around level ``z``.
 
-    ``strict`` selects the variant a caller relies on; passing strict=False
-    with eps=0 raises, because the zero-width non-strict count is only
-    defined through the piecewise-monotone (indicatrix) route.
+    At eps = 0 only the strict counts are defined; the zero-width
+    non-strict count goes through the Banach indicatrix instead.
     """
     eps = _positive("eps", eps, zero=True)
-    if eps == 0 and strict is False:
-        raise ValueError(
-            "non-strict crossing counts need eps > 0; "
-            "use the Banach indicatrix for the zero-width limit"
-        )
     values = path.values[: path.index_at(t) + 1]
     s_up, s_down = _kernels.crossing_counts(
         values, float(z), 1.0, 1, eps, True
@@ -223,26 +216,17 @@ def banach_indicatrix_integral(solution: SkorokhodSolution, t=None) -> float:
 def interval_crossing_local_time(
     path: SampledCadlagPath,
     t=None,
-    widths=(),
-    grid: LevelGrid = None,
-    strict: bool = False,
-):
-    """Fields c * n^{z,c} for a decreasing ladder of band widths ``c``."""
-    if grid is None:
-        raise ValueError("interval_crossing_local_time needs a level grid")
-    widths = [_positive("widths", c) for c in widths]
-    if not widths:
-        raise ValueError("need at least one positive width")
-    if any(b >= a for a, b in zip(widths[:-1], widths[1:])):
-        raise ValueError("widths must be strictly decreasing")
-    fields = []
-    for c in widths:
-        counts = crossing_count_field(path, grid, c, t=t, strict=strict)
-        fields.append(LocalTimeField(
-            grid, _eval_time(path, t), c * counts.astype(np.float64),
-            "L_interval", width=c,
-        ))
-    return fields
+    *,
+    width: float,
+    grid: LevelGrid,
+) -> LocalTimeField:
+    """Field c * n^{z,c} of band-crossing counts at band width ``c``."""
+    c = _positive("width", width)
+    counts = crossing_count_field(path, grid, c, t=t)
+    return LocalTimeField(
+        grid, _eval_time(path, t), c * counts.astype(np.float64),
+        "L_interval", width=c,
+    )
 
 
 def exceptional_levels(solution: SkorokhodSolution) -> np.ndarray:

@@ -236,7 +236,7 @@ def test_5_brownian_local_time_level(capsys):
     end = np.empty(n_paths)
     for i, child in enumerate(np.random.SeedSequence(555).spawn(n_paths)):
         path = generate(spec, np.random.default_rng(child))
-        ell[i] = classical_local_time(path, grid=grid).field.data[0]
+        ell[i] = classical_local_time(path, grid=grid).data[0]
         end[i] = abs(path.values[-1])
     mean = float(ell.mean())
     diff = abs(mean - float(end.mean()))
@@ -379,7 +379,7 @@ def test_8_degenerate_paths_stay_flat(capsys):
     grid = LevelGrid.for_path(ramp, 0.02, 0.3)
     peaks = {}
     peaks["ramp classical"] = (
-        float(classical_local_time(ramp, grid=grid).field.data.max()),
+        float(classical_local_time(ramp, grid=grid).data.max()),
         2.0 * mesh + 1e-12,
     )
     kf = k_pi(ramp, PartitionScheme.full(ramp.n_samples), 0, grid=grid, mode="cell")
@@ -394,9 +394,8 @@ def test_8_degenerate_paths_stay_flat(capsys):
         2.0 * mesh,
     )
     wide = LevelGrid.for_path(ramp, 0.02, 0.55)
-    for c, fld in zip(
-        (0.2, 0.1), interval_crossing_local_time(ramp, widths=[0.2, 0.1], grid=wide)
-    ):
+    for c in (0.2, 0.1):
+        fld = interval_crossing_local_time(ramp, width=c, grid=wide)
         # a monotone path traverses each band at most once
         peaks[f"ramp interval {c}"] = (float(fld.data.max()), c + 1e-12)
 
@@ -429,7 +428,7 @@ def test_8_degenerate_paths_stay_flat(capsys):
         grid = LevelGrid.for_path(path, 0.02, 0.3)
         # telescoped route leaves only float cancellation on pure-jump paths
         peaks[f"{label} classical"] = (
-            float(classical_local_time(path, grid=grid).field.data.max()), 1e-11
+            float(classical_local_time(path, grid=grid).data.max()), 1e-11
         )
         kf = k_pi(
             path, PartitionScheme.full(path.n_samples), 0, grid=grid, mode="cell"
@@ -446,10 +445,8 @@ def test_8_degenerate_paths_stay_flat(capsys):
         )
         n_jumps = int(path.jump_indices.size)
         wide = LevelGrid.for_path(path, 0.02, 0.55)
-        for c, fld in zip(
-            (0.2, 0.1),
-            interval_crossing_local_time(path, widths=[0.2, 0.1], grid=wide),
-        ):
+        for c in (0.2, 0.1):
+            fld = interval_crossing_local_time(path, width=c, grid=wide)
             # each band traversal of a pure-jump path consumes a jump
             peaks[f"{label} interval {c}"] = (
                 float(fld.data.max()), c * n_jumps + 1e-12

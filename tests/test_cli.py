@@ -274,14 +274,23 @@ class TestLocaltimeSkorokhod:
         assert len(cauchy) == 3
         assert [r[0] for r in cauchy[1:]] == [fmt(0.4), fmt(0.2)]
         grid = LevelGrid.for_path(sample_path, 0.1, 0.5 + 0.4)
-        fields = interval_crossing_local_time(
-            sample_path, widths=[0.4, 0.2, 0.1], grid=grid
-        )
+        fields = [
+            interval_crossing_local_time(sample_path, width=c, grid=grid)
+            for c in (0.4, 0.2, 0.1)
+        ]
         expected = lp_distance(fields[0], fields[1], p=1.0)
         assert cauchy[1][2] == fmt(expected)
         body = read_rows(out / "localtime_skorokhod_0p4.csv")[1:]
         assert {r[3] for r in body} == {"L_interval"}
         assert {r[4] for r in body} == {fmt(0.4)}
+
+    def test_increasing_widths_exit_1(self, tmp_path, path_csv, capsys):
+        rc = main(["localtime", "skorokhod", "--path", path_csv,
+                   "--widths", "0.1,0.4", "--out", str(tmp_path)])
+        assert rc == 1
+        last = capsys.readouterr().out.splitlines()[-1]
+        assert last == "error: widths must be strictly decreasing"
+        assert [p.name for p in tmp_path.glob("*.csv")] == ["input.csv"]
 
 
 class TestTanakaCheck:
@@ -309,6 +318,22 @@ class TestTanakaCheck:
         assert rc == 2
         body = read_rows(tmp_path / "tanaka_check.csv")[1:]
         assert "FAIL" in {r[5] for r in body}
+
+    @pytest.mark.parametrize(
+        "tolerance,shown", [(float("nan"), "nan"), (-1, "-1.0"),
+                            (float("inf"), "inf")]
+    )
+    def test_bad_tolerance_exits_1(self, tmp_path, path_csv, capsys,
+                                   tolerance, shown):
+        cfg = write_config(tmp_path, {"tolerance": tolerance})
+        rc = main(["tanaka-check", "--path", path_csv, "--config", cfg,
+                   "--levels", "2", "--out", str(tmp_path)])
+        assert rc == 1
+        last = capsys.readouterr().out.splitlines()[-1]
+        assert last == (
+            f"error: tolerance must be nonnegative and finite, got {shown}"
+        )
+        assert not (tmp_path / "tanaka_check.csv").exists()
 
     def test_corrupt_input_csv_exits_1(self, tmp_path):
         bad = tmp_path / "bad.csv"
@@ -507,6 +532,12 @@ class TestBadInput:
             (["q-stat"], {"grid_margin": None},
              "'grid_margin' must be a number, got None"),
             (["qv"], {"times": "x"}, "'times' must be a list of floats, got 'x'"),
+            (["qv"], {"levels": [2.5, 3.7]},
+             "'levels' must be a list of ints, got [2.5, 3.7]"),
+            (["tanaka-check"], {"levels": [2.5, 3.7]},
+             "'levels' must be a list of ints, got [2.5, 3.7]"),
+            (["qv"], {"levels": [True, 3]},
+             "'levels' must be a list of ints, got [True, 3]"),
         ],
     )
     def test_malformed_config_value_exits_1(self, tmp_path, path_csv, capsys,
@@ -554,6 +585,15 @@ class TestBadInput:
              "config 'include_jumps' must be true or false, got 'false'"),
             (["experiment"], dict(TestExperiment.CONFIG, paths=2.5),
              "config 'paths' must be an integer, got 2.5"),
+            (["experiment"], dict(TestExperiment.CONFIG, ladder=[2.5, 4.9]),
+             "bad experiment config: dyadic exponents must be whole numbers, "
+             "got 2.5"),
+            (["generate"], {"generator": dict(GEN, seed=1.5)},
+             "bad generator descriptor: seed must be an integer, got 1.5"),
+            (["generate"], {"generator": {
+                "kind": "deterministic_test", "pattern": "jump_ladder",
+                "n_jumps": 2.5}},
+             "bad generator descriptor: n_jumps must be an integer, got 2.5"),
         ],
     )
     def test_generate_and_experiment_refuse_keys_they_do_not_read(

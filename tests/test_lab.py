@@ -7,7 +7,7 @@ import time
 import numpy as np
 import pytest
 
-from leveltime import lab
+from leveltime import _kernels, lab
 from leveltime import (
     ConfigError,
     ExperimentConfig,
@@ -140,6 +140,12 @@ class TestGenerators:
             GeneratorSpec(kind="compound_poisson", jump_low=1.0, jump_high=-1.0)
         with pytest.raises(ValueError, match="pattern"):
             GeneratorSpec(kind="deterministic_test", pattern="spiral")
+        with pytest.raises(ValueError, match="seed must be an integer, got 1.5"):
+            GeneratorSpec(kind="brownian", seed=1.5)
+        with pytest.raises(ValueError, match="n_jumps must be an integer"):
+            GeneratorSpec(kind="deterministic_test", n_jumps=2.5)
+        with pytest.raises(ValueError, match="seed must be an integer, got True"):
+            GeneratorSpec(kind="brownian", seed=True)
 
     def test_effective_parameters(self):
         assert GeneratorSpec(
@@ -160,7 +166,7 @@ class TestClassicalLocalTime:
         K = k_pi(p, PartitionScheme.full(p.n_samples), 0, grid=grid, mode="point")
         J = j_pi(p, grid=grid, mode="point")
         identity = np.maximum(2.0 * (K.data - J.data), 0.0)
-        np.testing.assert_allclose(ref.field.data, identity, atol=1e-10)
+        np.testing.assert_allclose(ref.data, identity, atol=1e-10)
 
     def test_ramp_and_pure_jump_have_no_local_time(self):
         ramp = generate(
@@ -169,7 +175,7 @@ class TestClassicalLocalTime:
         grid = LevelGrid.for_path(ramp, 0.02, margin=0.1)
         ref = classical_local_time(ramp, grid=grid)
         # a monotone staircase straddles each level once: mass du * inc each
-        assert ref.field.mass <= 2.0 / 1024
+        assert ref.mass <= 2.0 / 1024
         ladder = generate(
             GeneratorSpec(
                 kind="deterministic_test", pattern="jump_ladder", n_jumps=6
@@ -177,8 +183,7 @@ class TestClassicalLocalTime:
         )
         grid = LevelGrid.for_path(ladder, 0.05, margin=0.2)
         ref = classical_local_time(ladder, grid=grid)
-        assert ref.field.data.max() <= 1e-12
-        assert ref.neg_l1 <= 1e-12
+        assert ref.data.max() <= 1e-12
 
     def test_flooring_diagnostics_are_small(self, step_path):
         p = step_path(102, n_samples=2049)
@@ -186,13 +191,20 @@ class TestClassicalLocalTime:
         ref = classical_local_time(p, grid=grid)
         # the raw Tanaka sum is 2 (K_full - J) >= 0 in exact arithmetic, so
         # flooring removes rounding only
-        mass = ref.field.mass
-        assert ref.neg_min <= 0.0
-        assert -ref.neg_min <= 1e-12 * (1 + mass)
-        assert ref.neg_l1 <= 1e-12 * (1 + mass)
+        x, u = p.values, grid.levels
+        signed = _kernels.signed_increment_sum(
+            x[:-1], np.diff(x), grid.u0, grid.du, grid.n_levels
+        )
+        jf = j_pi(p, grid=grid, mode="point")
+        raw = np.abs(x[-1] - u) - np.abs(x[0] - u) - signed - 2.0 * jf.data
+        np.testing.assert_array_equal(ref.data, np.maximum(raw, 0.0))
+        neg = np.minimum(raw, 0.0)
+        mass = ref.mass
+        assert -neg.min() <= 1e-12 * (1 + mass)
+        assert -grid.du * neg.sum() <= 1e-12 * (1 + mass)
 
     def test_needs_grid(self, step_path):
-        with pytest.raises(ValueError, match="grid"):
+        with pytest.raises(TypeError, match="grid"):
             classical_local_time(step_path(103))
 
     def test_mass_consistency_within_ten_percent(self):
@@ -219,7 +231,7 @@ class TestQStatistic:
             q_statistic(p, grid=grid, d=0.0)
         with pytest.raises(ValueError, match="twice the grid spacing"):
             q_statistic(p, grid=grid, d=0.05)
-        with pytest.raises(ValueError, match="grid"):
+        with pytest.raises(TypeError, match="grid"):
             q_statistic(p, d=0.2)
 
     def test_ramp_bounded_by_window_scale(self):
@@ -244,7 +256,7 @@ class TestLpDistance:
     def test_zero_for_identical_fields(self, step_path):
         p = step_path(121)
         grid = LevelGrid.for_path(p, 0.05, margin=0.2)
-        f = classical_local_time(p, grid=grid).field
+        f = classical_local_time(p, grid=grid)
         assert lp_distance(f, f) == 0.0
 
     def test_constant_gap_times_grid_length(self):
@@ -281,8 +293,8 @@ class TestLpDistance:
         p = step_path(122)
         g1 = LevelGrid.for_path(p, 0.05, margin=0.2)
         g2 = LevelGrid.for_path(p, 0.04, margin=0.2)
-        f1 = classical_local_time(p, grid=g1).field
-        f2 = classical_local_time(p, grid=g2).field
+        f1 = classical_local_time(p, grid=g1)
+        f2 = classical_local_time(p, grid=g2)
         with pytest.raises(ValueError, match="different level grids"):
             lp_distance(f1, f2)
 
@@ -433,6 +445,10 @@ class TestExperiments:
             self.brownian_config(n_paths=0)
         with pytest.raises(ValueError, match="field_mode"):
             self.brownian_config(field_mode="dual")
+        with pytest.raises(ValueError, match="whole numbers, got 2.5"):
+            self.brownian_config(ladder=(2.5, 4.9))
+        with pytest.raises(ValueError, match="whole numbers, got True"):
+            self.brownian_config(ladder=(True, 3))
 
     def test_worker_count_honors_thread_cap(self, monkeypatch):
         monkeypatch.setenv("LOCALTIME_THREADS", "2")
@@ -461,6 +477,13 @@ class TestJsonDescriptors:
             generator_spec_from_json({"kind": "brownian", "volatility": 2.0})
         with pytest.raises(ConfigError, match="bad generator"):
             generator_spec_from_json({"kind": "brownian", "sigma": -1.0})
+        with pytest.raises(ConfigError, match="seed must be an integer"):
+            generator_spec_from_json({"kind": "brownian", "seed": 1.5})
+        with pytest.raises(ConfigError, match="n_jumps must be an integer"):
+            generator_spec_from_json({
+                "kind": "deterministic_test", "pattern": "jump_ladder",
+                "n_jumps": 2.5,
+            })
 
     def test_experiment_round_trip(self):
         cfg = experiment_config_from_json(
@@ -514,7 +537,7 @@ WIDTH_ARGUMENTS = {
         p, bandwidth=v, grid=g
     ),
     "interval width": lambda p, g, v: interval_crossing_local_time(
-        p, widths=[v], grid=g
+        p, width=v, grid=g
     ),
     "crossing eps": lambda p, g, v: crossing_count_field(p, g, v),
     "strict crossing eps": lambda p, g, v: crossing_count_field(
@@ -563,10 +586,63 @@ FIELD_ESTIMATORS = {
         p, t=t, bandwidth=0.1, grid=g
     ),
     "interval crossing": lambda p, g, t: interval_crossing_local_time(
-        p, t=t, widths=[0.1], grid=g
+        p, t=t, width=0.1, grid=g
     ),
     "classical": lambda p, g, t: classical_local_time(p, t=t, grid=g),
 }
+
+
+@pytest.mark.parametrize("t", [None, 0.5])
+@pytest.mark.parametrize(
+    "estimator,kind,width",
+    [
+        ("k_pi", "K", None),
+        ("j_pi", "J", None),
+        ("occupation", "L_occupation", 0.1),
+        ("interval crossing", "L_interval", 0.1),
+        ("classical", "L_classical", None),
+    ],
+)
+def test_estimator_returns_one_field(estimator, kind, width, t, step_path):
+    p = step_path(124)
+    grid = LevelGrid.for_path(p, 0.05, margin=0.2)
+    field = FIELD_ESTIMATORS[estimator](p, grid, t)
+    assert isinstance(field, LocalTimeField)
+    assert field.grid == grid and field.data.shape == (grid.n_levels,)
+    assert (field.kind, field.width) == (kind, width)
+    assert field.time == (p.duration if t is None else t)
+
+
+# each estimator called without one required argument, and that argument
+MISSING_ARGUMENT = {
+    "k_pi scheme": (lambda p, g: k_pi(p, grid=g), "scheme"),
+    "k_pi grid": (
+        lambda p, g: k_pi(p, PartitionScheme.full(p.n_samples), 0), "grid"
+    ),
+    "j_pi grid": (lambda p, g: j_pi(p), "grid"),
+    "occupation bandwidth": (
+        lambda p, g: occupation_local_time(p, grid=g), "bandwidth"
+    ),
+    "occupation grid": (
+        lambda p, g: occupation_local_time(p, bandwidth=0.1), "grid"
+    ),
+    "interval crossing width": (
+        lambda p, g: interval_crossing_local_time(p, grid=g), "width"
+    ),
+    "interval crossing grid": (
+        lambda p, g: interval_crossing_local_time(p, width=0.1), "grid"
+    ),
+    "classical grid": (lambda p, g: classical_local_time(p), "grid"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MISSING_ARGUMENT))
+def test_missing_argument_is_named(case, step_path):
+    p = step_path(125)
+    grid = LevelGrid.for_path(p, 0.05, margin=0.2)
+    call, name = MISSING_ARGUMENT[case]
+    with pytest.raises(TypeError, match=f"missing .*'{name}'"):
+        call(p, grid)
 
 
 @pytest.mark.parametrize("t", [[0.5, 1.0], (0.5,)])

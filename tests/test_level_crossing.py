@@ -72,7 +72,7 @@ class TestKField:
 
     def test_needs_grid(self, step_path):
         p = step_path(1)
-        with pytest.raises(ValueError, match="grid"):
+        with pytest.raises(TypeError, match="grid"):
             k_pi(p, PartitionScheme.full(p.n_samples), 0)
         with pytest.raises(ValueError, match="mode"):
             k_pi(
@@ -218,7 +218,7 @@ class TestOccupation:
             occupation_local_time(p, bandwidth=0.0, grid=grid)
         with pytest.raises(ValueError, match="under the grid spacing"):
             occupation_local_time(p, bandwidth=0.01, grid=grid)
-        with pytest.raises(ValueError, match="grid"):
+        with pytest.raises(TypeError, match="grid"):
             occupation_local_time(p, bandwidth=0.1)
 
     def test_jump_increments_excluded(self):

@@ -213,6 +213,13 @@ class TestPartitionScheme:
         with pytest.raises(ValueError, match="at least one level"):
             PartitionScheme.dyadic(65, [])
 
+    @pytest.mark.parametrize("bad", [2.5, True, np.bool_(True), float("nan")])
+    def test_dyadic_refuses_fractional_or_boolean_exponents(self, bad):
+        with pytest.raises(ValueError, match=f"whole numbers, got {bad!r}"):
+            PartitionScheme.dyadic(65, [2, bad])
+        # an integral float is a whole number
+        assert PartitionScheme.dyadic(65, [2.0])[0].size == 5
+
     def test_dyadic_include_jumps_unions_marks(self):
         p = make_step_path()
         scheme = PartitionScheme.dyadic(p.n_samples, range(1, 3), include_jumps=p)
@@ -336,12 +343,6 @@ class TestLevelGrid:
         assert g.left_index(2.0) == 4
         assert g.left_index(2.5) == 5
         np.testing.assert_array_equal(g.left_index([0.0, 0.99, 1.0]), [0, 1, 2])
-
-    def test_integrate_riemann_sum(self):
-        g = LevelGrid(0.0, 0.25, 4)
-        assert g.integrate([1.0, 2.0, 3.0, 4.0]) == pytest.approx(2.5)
-        with pytest.raises(ValueError, match="match the grid"):
-            g.integrate([1.0, 2.0])
 
     def test_for_path_covers_range_with_margin(self):
         p = make_step_path()

@@ -167,8 +167,6 @@ class TestCrossingCounts:
 
     def test_zero_width_needs_strict(self):
         p = zigzag4()
-        with pytest.raises(ValueError, match="non-strict"):
-            count_crossings(p, 0.5, 0.0, strict=False)
         tally = count_crossings(p, 0.5, 0.0)
         assert tally.up is None and tally.down is None and tally.total is None
         assert tally.strict_total == 3
@@ -243,7 +241,7 @@ class TestBanachIndicatrix:
                 for z in zs:
                     if np.min(np.abs(exc - z)) < 1e-9:
                         continue
-                    n = count_crossings(p, z, eps, strict=True).strict_total
+                    n = count_crossings(p, z, eps).strict_total
                     assert abs(n - banach_indicatrix(sol, z)) <= 2
 
     def test_exceptional_levels_cover_shifted_samples(self):
@@ -257,7 +255,10 @@ class TestIntervalCrossingLocalTime:
     def test_fields_scale_counts_by_width(self, step_path):
         p = step_path(81)
         grid = LevelGrid.for_path(p, 0.05, margin=0.5)
-        fields = interval_crossing_local_time(p, widths=(0.4, 0.2), grid=grid)
+        fields = [
+            interval_crossing_local_time(p, width=c, grid=grid)
+            for c in (0.4, 0.2)
+        ]
         assert [f.width for f in fields] == [0.4, 0.2]
         for f, c in zip(fields, (0.4, 0.2)):
             assert f.kind == "L_interval"
@@ -268,11 +269,9 @@ class TestIntervalCrossingLocalTime:
         p = step_path(82)
         grid = LevelGrid.for_path(p, 0.05, margin=0.1)
         with pytest.raises(ValueError, match="positive"):
-            interval_crossing_local_time(p, widths=(), grid=grid)
-        with pytest.raises(ValueError, match="decreasing"):
-            interval_crossing_local_time(p, widths=(0.2, 0.4), grid=grid)
-        with pytest.raises(ValueError, match="grid"):
-            interval_crossing_local_time(p, widths=(0.2,))
+            interval_crossing_local_time(p, width=0.0, grid=grid)
+        with pytest.raises(TypeError, match="grid"):
+            interval_crossing_local_time(p, width=0.2)
 
 
 class TestStieltjesRoutes:
@@ -339,5 +338,5 @@ class TestJOfRegularized:
     def test_needs_grid(self, step_path):
         p = step_path(93)
         sol = skorokhod_map(p, 0.2)
-        with pytest.raises(ValueError, match="grid"):
+        with pytest.raises(TypeError, match="grid"):
             j_pi(sol.regularized)
