@@ -34,9 +34,9 @@ from .lab import (
 from .paths import (
     LevelGrid,
     PartitionScheme,
-    _exponent,
     _fmt,
     _positive,
+    _whole,
     _write_table,
     read_path_csv,
     total_variation,
@@ -76,7 +76,7 @@ def _cfg_list(cfg, key, convert, scalar_ok=False):
     value = cfg.get(key)
     if value is None:
         return None
-    exact = _exponent if convert is int else convert
+    exact = (lambda v: _whole(v, key)) if convert is int else convert
     try:
         if isinstance(value, list):
             return [exact(v) for v in value]
@@ -166,7 +166,7 @@ def _times(cfg, path, default):
     ts = _cfg_list(cfg, "times", float, scalar_ok=True)
     if ts is None:
         return default
-    if any(v < 0 or v > path.duration for v in ts):
+    if not all(0 <= v <= path.duration for v in ts):
         raise ConfigError("evaluation times must lie inside the horizon")
     return ts
 

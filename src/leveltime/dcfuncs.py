@@ -229,27 +229,6 @@ def jf_increment(f: DCFunction, a: float, b: float) -> float:
     return float(f.eval_f(a) - f.eval_f(b) - f.eval_fprime(b) * (a - b))
 
 
-def jf_measure_side(f: DCFunction, a: float, b: float) -> float:
-    """Curvature-side value of the same remainder.
-
-    Equals ``int over [a^b, a v b) of |a - u| f''(du)``; the weight measures
-    distance from the first argument.  (Writing the weight from the second
-    argument breaks the identity whenever f'' has an atom strictly between
-    a and b, as a one-atom example shows.)
-    """
-    a = float(a)
-    b = float(b)
-    if a == b:
-        return 0.0
-    lo = min(a, b)
-    hi = max(a, b)
-    return float(
-        f.second_derivative.bracket_weight_integrals(
-            np.array([a]), np.array([lo]), np.array([hi])
-        )[0]
-    )
-
-
 def integrate_against_f2(
     g,
     f: DCFunction,

@@ -31,8 +31,8 @@ from .paths import (
     LevelGrid,
     PartitionScheme,
     SampledCadlagPath,
-    _exponent,
     _positive,
+    _whole,
 )
 from .skorokhod import crossing_count_field, interval_crossing_local_time
 
@@ -68,14 +68,17 @@ class GeneratorSpec:
     def __post_init__(self):
         if self.kind not in GENERATOR_KINDS:
             raise ValueError(f"unknown generator kind {self.kind!r}")
-        if self.T <= 0:
-            raise ValueError("T must be positive")
+        object.__setattr__(self, "T", _positive("T", self.T))
         if round(self.T * self.steps_per_unit) < 2:
             raise ValueError("need at least 2 steps over the horizon")
-        if self.sigma < 0:
-            raise ValueError("sigma must be nonnegative")
-        if self.jump_rate < 0:
-            raise ValueError("jump rate must be nonnegative")
+        for name in ("sigma", "jump_rate"):
+            value = _positive(name, getattr(self, name), zero=True)
+            object.__setattr__(self, name, value)
+        for name in ("mu", "jump_low", "jump_high", "x0", "amplitude"):
+            value = float(getattr(self, name))
+            if not np.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+            object.__setattr__(self, name, value)
         if self.jump_low > self.jump_high:
             raise ValueError("jump size bounds out of order")
         if self.pattern not in _PATTERNS:
@@ -249,7 +252,7 @@ def q_statistic(
     levels = grid.levels
     hw = 0.5 * d
     tiny = 1e-9 * du
-    counts = crossing_count_field(path, grid, d, t=t, strict=False)
+    counts = crossing_count_field(path, grid, d, t=t)
     lo_idx = np.searchsorted(levels, levels - hw - tiny, side="left")
     hi_idx = np.searchsorted(levels, levels + hw + tiny, side="right") - 1
     valid = (levels - hw >= grid.u0 - tiny) & (levels + hw <= grid.u_max + tiny)
@@ -328,7 +331,7 @@ class ExperimentConfig:
         if len(self.ladder) == 0:
             raise ValueError("ladder must be nonempty")
         if self.estimator == "K_pi":
-            ladder = tuple(_exponent(v) for v in self.ladder)
+            ladder = tuple(_whole(v, "dyadic exponents") for v in self.ladder)
             if any(v < 1 for v in ladder):
                 raise ValueError("dyadic exponents must be >= 1")
             if any(b <= a for a, b in zip(ladder[:-1], ladder[1:])):
@@ -533,7 +536,7 @@ def generator_spec_from_json(obj) -> GeneratorSpec:
     ), "generator fields")
     try:
         return GeneratorSpec(**obj)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad generator descriptor: {exc}") from exc
 
 

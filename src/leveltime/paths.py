@@ -19,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import _rank
-from .errors import ConfigError
 
 
 def _positive(name, value, zero=False) -> float:
@@ -32,11 +31,12 @@ def _positive(name, value, zero=False) -> float:
     return v
 
 
-def _exponent(value) -> int:
-    """A dyadic exponent as an int; ``ValueError`` naming ``value`` unless it
-    is a whole number (a boolean is not), so that 2.5 is never truncated."""
+def _whole(value, what) -> int:
+    """``value`` as an int; ``ValueError`` naming ``what`` and ``value``
+    unless it is a whole number (a boolean is not), so that 2.5 is never
+    truncated."""
     if isinstance(value, (bool, np.bool_)) or not float(value).is_integer():
-        raise ValueError(f"dyadic exponents must be whole numbers, got {value!r}")
+        raise ValueError(f"{what} must be whole numbers, got {value!r}")
     return int(value)
 
 
@@ -150,14 +150,6 @@ def value_at(path: SampledCadlagPath, t: float) -> float:
     return float(path.values[path.index_at(t)])
 
 
-def restrict(path: SampledCadlagPath, t: float) -> SampledCadlagPath:
-    """The path stopped at ``t``: samples with times at most ``t``."""
-    i = path.index_at(t)
-    return SampledCadlagPath(
-        path.times[: i + 1], path.values[: i + 1], path.jump_mask[: i + 1]
-    )
-
-
 def jump_sizes(path: SampledCadlagPath) -> np.ndarray:
     """Signed sizes of the marked jumps, in time order."""
     pre, post = path.jump_brackets()
@@ -253,14 +245,17 @@ class PartitionScheme:
         exponents refine each other exactly.  ``include_jumps`` is as in
         :meth:`uniform`.
         """
-        exponents = [_exponent(j) for j in exponents]
+        exponents = [_whole(j, "dyadic exponents") for j in exponents]
         if not exponents:
             raise ValueError("need at least one level")
         if min(exponents) < 0:
             raise ValueError("dyadic exponents must be >= 0")
         if n_samples < 2:
             raise ValueError("need at least two samples to partition")
-        return cls.uniform(n_samples, [2**j + 1 for j in exponents], include_jumps)
+        # counts of n_samples and more all build every index; the cap keeps
+        # 2**j a count that uniform can check as a float
+        counts = [2 ** min(j, 62) + 1 for j in exponents]
+        return cls.uniform(n_samples, counts, include_jumps)
 
     @classmethod
     def uniform(cls, n_samples: int, counts, include_jumps=None):
@@ -277,7 +272,7 @@ class PartitionScheme:
         extra = extra[(extra > 0) & (extra <= top)]
         parts = []
         for c in counts:
-            c = int(c)
+            c = _whole(c, "counts")
             if c < 2:
                 raise ValueError("each level needs at least two points")
             pts = np.rint(np.linspace(0, top, min(c, n_samples))).astype(np.int64)
@@ -297,40 +292,6 @@ class PartitionScheme:
     @classmethod
     def explicit(cls, arrays):
         return cls(tuple(arrays))
-
-    @classmethod
-    def from_descriptor(cls, obj, n_samples: int, path=None):
-        """Build a scheme from a JSON-style mapping.
-
-        Recognised kinds: ``dyadic`` (fields ``levels``, meaning exponents
-        ``1..levels``, optional ``include_jumps``), ``uniform`` (``counts``,
-        optional ``include_jumps``), ``explicit`` (``indices``), ``full``.
-        """
-        if not isinstance(obj, dict) or "kind" not in obj:
-            raise ConfigError("partition descriptor must be a mapping with a 'kind'")
-        kind = obj["kind"]
-        jumps = None
-        if obj.get("include_jumps"):
-            if path is None:
-                raise ConfigError(
-                    "include_jumps requires the path the scheme is built for"
-                )
-            jumps = path
-        try:
-            if kind == "dyadic":
-                levels = int(obj["levels"])
-                return cls.dyadic(n_samples, range(1, levels + 1), jumps)
-            if kind == "uniform":
-                return cls.uniform(n_samples, list(obj["counts"]), jumps)
-            if kind == "explicit":
-                return cls.explicit([np.asarray(a, np.int64) for a in obj["indices"]])
-            if kind == "full":
-                return cls.full(n_samples)
-        except KeyError as exc:
-            raise ConfigError(f"partition descriptor missing field {exc}") from exc
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad partition descriptor: {exc}") from exc
-        raise ConfigError(f"unknown partition kind {kind!r}")
 
 
 def _jump_index_array(include_jumps):

@@ -10,7 +10,6 @@ c * n^{z,c} local-time estimator all live here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -75,67 +74,6 @@ def skorokhod_map(path: SampledCadlagPath, eps: float) -> SkorokhodSolution:
     )
 
 
-@dataclass(frozen=True)
-class CrossingTally:
-    """Completed band crossings at one level.
-
-    Non-strict counters arm at samples <= z - eps/2 and fire at samples
-    >= z + eps/2 (mirrored for downcrossings); the strict variants arm with
-    strict inequalities.  At eps = 0 only the strict counters are defined
-    and the non-strict fields are None.
-    """
-
-    z: float
-    width: float
-    up: Optional[int]
-    down: Optional[int]
-    strict_up: int
-    strict_down: int
-
-    @property
-    def total(self) -> Optional[int]:
-        if self.up is None:
-            return None
-        return self.up + self.down
-
-    @property
-    def strict_total(self) -> int:
-        return self.strict_up + self.strict_down
-
-
-def count_crossings(
-    path: SampledCadlagPath,
-    z: float,
-    eps: float,
-    t=None,
-) -> CrossingTally:
-    """Greedy two-threshold crossing counts of the band around level ``z``.
-
-    At eps = 0 only the strict counts are defined; the zero-width
-    non-strict count goes through the Banach indicatrix instead.
-    """
-    eps = _positive("eps", eps, zero=True)
-    values = path.values[: path.index_at(t) + 1]
-    s_up, s_down = _kernels.crossing_counts(
-        values, float(z), 1.0, 1, eps, True
-    )
-    if eps > 0:
-        u, d = _kernels.crossing_counts(
-            values, float(z), 1.0, 1, eps, False
-        )
-        up, down = int(u[0]), int(d[0])
-    else:
-        up = down = None
-    return CrossingTally(
-        z=float(z),
-        width=eps,
-        up=up,
-        down=down,
-        strict_up=int(s_up[0]),
-        strict_down=int(s_down[0]),
-    )
-
-
 def crossing_count_field(
     path: SampledCadlagPath,
     grid: LevelGrid,
@@ -143,7 +81,17 @@ def crossing_count_field(
     t=None,
     strict: bool = False,
 ):
-    """Vector of total band-crossing counts n^{z,eps} over all grid levels."""
+    """Vector of total band-crossing counts n^{z,eps} over all grid levels.
+
+    An upcrossing of level ``z`` is armed by a sample at or below
+    ``z - eps/2`` and completed by a later sample at or above
+    ``z + eps/2``; downcrossings mirror it, and a sample that arms never
+    also completes.  ``strict`` arms only strictly outside the band (below
+    ``z - eps/2``, above ``z + eps/2``).  At eps = 0 a sample on the level
+    would arm both directions and complete neither, so only the strict
+    counts are defined there; the zero-width non-strict count goes through
+    the Banach indicatrix instead.
+    """
     eps = _positive("eps", eps, zero=True)
     if eps == 0 and not strict:
         raise ValueError("non-strict counts need eps > 0")

@@ -594,6 +594,19 @@ class TestBadInput:
                 "kind": "deterministic_test", "pattern": "jump_ladder",
                 "n_jumps": 2.5}},
              "bad generator descriptor: n_jumps must be an integer, got 2.5"),
+            (["generate"], {"generator": dict(GEN, sigma=float("nan"))},
+             "bad generator descriptor: sigma must be nonnegative and finite, "
+             "got nan"),
+            (["generate"], {"generator": dict(GEN, jump_rate=float("nan"))},
+             "bad generator descriptor: jump_rate must be nonnegative and "
+             "finite, got nan"),
+            (["generate"], {"generator": dict(GEN, T=float("inf"))},
+             "bad generator descriptor: T must be positive and finite, got inf"),
+            (["generate"], {"generator": dict(GEN, mu=float("-inf"))},
+             "bad generator descriptor: mu must be finite, got -inf"),
+            (["generate"], {"generator": dict(GEN, steps_per_unit=float("inf"))},
+             "bad generator descriptor: cannot convert float infinity to "
+             "integer"),
         ],
     )
     def test_generate_and_experiment_refuse_keys_they_do_not_read(
@@ -605,6 +618,19 @@ class TestBadInput:
         assert rc == 1
         assert last == "error: " + message
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", [["qv"], ["tanaka-check"]])
+    @pytest.mark.parametrize("time", [float("nan"), -0.5, 1.5])
+    def test_evaluation_time_outside_the_horizon_exits_1(
+        self, tmp_path, path_csv, capsys, command, time
+    ):
+        cfg = write_config(tmp_path, {"times": [time]})
+        rc, last = self.run(capsys, command + [
+            "--path", path_csv, "--config", cfg, "--out", str(tmp_path)
+        ])
+        assert rc == 1
+        assert last.startswith("error:") and "horizon" in last
+        assert [p.name for p in tmp_path.glob("*.csv")] == ["input.csv"]
 
     @pytest.mark.parametrize(
         "command,flag",

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from leveltime import (
     ConfigError,
+    DCFunction,
     LevelGrid,
     Mollifier,
     builtin_suite,
@@ -24,10 +25,31 @@ from leveltime import (
     make_square,
     mollify,
 )
-from leveltime.dcfuncs import jf_measure_side, left_sign
+from leveltime.dcfuncs import left_sign
 from leveltime.lab import lp_distance
 
 SUITE = builtin_suite()
+
+
+def jf_measure_side(f: DCFunction, a: float, b: float) -> float:
+    """Curvature-side value of the Taylor remainder J^f(a, b).
+
+    Equals ``int over [a^b, a v b) of |a - u| f''(du)``; the weight measures
+    distance from the first argument.  (Writing the weight from the second
+    argument breaks the identity whenever f'' has an atom strictly between
+    a and b, as a one-atom example shows.)
+    """
+    a = float(a)
+    b = float(b)
+    if a == b:
+        return 0.0
+    lo = min(a, b)
+    hi = max(a, b)
+    return float(
+        f.second_derivative.bracket_weight_integrals(
+            np.array([a]), np.array([lo]), np.array([hi])
+        )[0]
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from leveltime import paths
 from leveltime import (
-    ConfigError,
     LevelGrid,
     PartitionScheme,
     SampledCadlagPath,
@@ -20,7 +19,6 @@ from leveltime import (
     path_from_csv_text,
     path_to_csv_text,
     read_path_csv,
-    restrict,
     total_variation,
     value_at,
     write_path_csv,
@@ -139,13 +137,6 @@ class TestAccessors:
         assert value_at(p, 0.6) == 1.0
         assert value_at(p, 0.75) == -0.5
 
-    def test_restrict_keeps_prefix(self):
-        p = make_step_path()
-        q = restrict(p, 0.8)
-        assert q.n_samples == 4
-        assert q.final_value == -0.5
-        assert list(q.jump_indices) == [3]
-
     def test_total_variation_hand_value(self):
         p = make_step_path()
         assert total_variation(p) == pytest.approx(1.0 + 0.0 + 1.5 + 0.75)
@@ -203,9 +194,10 @@ class TestPartitionScheme:
         # 2**20 + 1 points cap at the 1025 samples: every index
         np.testing.assert_array_equal(scheme[2], np.arange(1025))
         assert scheme.refining
-        np.testing.assert_array_equal(
-            PartitionScheme.dyadic(65, [40])[0], np.arange(65)
-        )
+        for j in (40, 2000):
+            np.testing.assert_array_equal(
+                PartitionScheme.dyadic(65, [j])[0], np.arange(65)
+            )
 
     def test_dyadic_rejects_negative_or_missing_exponents(self):
         with pytest.raises(ValueError, match=">= 0"):
@@ -219,6 +211,18 @@ class TestPartitionScheme:
             PartitionScheme.dyadic(65, [2, bad])
         # an integral float is a whole number
         assert PartitionScheme.dyadic(65, [2.0])[0].size == 5
+
+    @pytest.mark.parametrize("bad", [3.7, True, np.bool_(True), float("nan")])
+    def test_uniform_refuses_fractional_or_boolean_counts(self, bad):
+        message = f"counts must be whole numbers, got {bad!r}"
+        with pytest.raises(ValueError, match=message):
+            PartitionScheme.uniform(65, [bad, 9])
+        # an integral float is a whole number
+        assert PartitionScheme.uniform(65, [3.0, 9])[0].size == 3
+
+    def test_uniform_needs_two_points_per_level(self):
+        with pytest.raises(ValueError, match="at least two points"):
+            PartitionScheme.uniform(65, [1])
 
     def test_dyadic_include_jumps_unions_marks(self):
         p = make_step_path()
@@ -260,41 +264,6 @@ class TestPartitionScheme:
         scheme = PartitionScheme.full(9)
         with pytest.raises(ValueError, match="samples"):
             scheme.mesh(p, 0)
-
-    def test_from_descriptor_kinds(self):
-        p = make_step_path()
-        s = PartitionScheme.from_descriptor({"kind": "dyadic", "levels": 2}, 5)
-        assert s.n_levels == 2
-        s = PartitionScheme.from_descriptor(
-            {"kind": "uniform", "counts": [3, 5]}, 5
-        )
-        assert s.n_levels == 2
-        s = PartitionScheme.from_descriptor(
-            {"kind": "explicit", "indices": [[0, 2, 4]]}, 5
-        )
-        assert s[0].size == 3
-        s = PartitionScheme.from_descriptor({"kind": "full"}, 5)
-        assert s[0].size == 5
-        s = PartitionScheme.from_descriptor(
-            {"kind": "dyadic", "levels": 2, "include_jumps": True}, 5, path=p
-        )
-        assert 3 in s[0]
-
-    def test_from_descriptor_errors(self):
-        with pytest.raises(ConfigError, match="kind"):
-            PartitionScheme.from_descriptor({"levels": 2}, 5)
-        with pytest.raises(ConfigError, match="unknown partition kind"):
-            PartitionScheme.from_descriptor({"kind": "fibonacci"}, 5)
-        with pytest.raises(ConfigError, match="missing field"):
-            PartitionScheme.from_descriptor({"kind": "dyadic"}, 5)
-        with pytest.raises(ConfigError, match="include_jumps requires"):
-            PartitionScheme.from_descriptor(
-                {"kind": "dyadic", "levels": 2, "include_jumps": True}, 5
-            )
-        with pytest.raises(ConfigError, match="bad partition"):
-            PartitionScheme.from_descriptor(
-                {"kind": "uniform", "counts": [1]}, 5
-            )
 
 
 class TestLevelGrid:

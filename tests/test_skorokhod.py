@@ -11,7 +11,6 @@ from leveltime import (
     SampledCadlagPath,
     banach_indicatrix,
     banach_indicatrix_integral,
-    count_crossings,
     crossing_count_field,
     interval_crossing_local_time,
     j_pi,
@@ -26,6 +25,7 @@ from leveltime import (
     total_variation,
 )
 from leveltime.skorokhod import exceptional_levels
+from test_kernels import ref_crossings
 
 
 def tent_path():
@@ -158,36 +158,44 @@ class TestMonotoneSegments:
 
 
 class TestCrossingCounts:
+    # one level at 0.5, the zigzag's midpoint
+    ONE_LEVEL = LevelGrid(0.5, 1.0, 1)
+
     def test_zigzag_band_counts_by_hand(self):
+        # two upcrossings and one downcrossing, with either arming rule
         p = zigzag4()
-        tally = count_crossings(p, 0.5, 0.4)
-        assert (tally.up, tally.down) == (2, 1)
-        assert tally.total == 3
-        assert (tally.strict_up, tally.strict_down) == (2, 1)
+        assert crossing_count_field(p, self.ONE_LEVEL, 0.4).tolist() == [3]
+        assert crossing_count_field(
+            p, self.ONE_LEVEL, 0.4, strict=True
+        ).tolist() == [3]
 
     def test_zero_width_needs_strict(self):
         p = zigzag4()
-        tally = count_crossings(p, 0.5, 0.0)
-        assert tally.up is None and tally.down is None and tally.total is None
-        assert tally.strict_total == 3
+        assert crossing_count_field(
+            p, self.ONE_LEVEL, 0.0, strict=True
+        ).tolist() == [3]
 
     def test_negative_width_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
-            count_crossings(zigzag4(), 0.5, -0.1)
+            crossing_count_field(zigzag4(), self.ONE_LEVEL, -0.1)
 
     def test_time_clipping(self):
-        p = zigzag4()
-        early = count_crossings(p, 0.5, 0.4, t=1.0)
-        assert (early.up, early.down) == (1, 0)
+        early = crossing_count_field(zigzag4(), self.ONE_LEVEL, 0.4, t=1.0)
+        assert early.tolist() == [1]
 
     def test_field_matches_scalar_counts(self, step_path):
+        # every level against the reference loop of test_kernels
         p = step_path(71)
         grid = LevelGrid.for_path(p, 0.05, margin=0.2)
-        eps = 0.2
-        field = crossing_count_field(p, grid, eps)
-        for k in range(0, grid.n_levels, 5):
-            tally = count_crossings(p, float(grid.levels[k]), eps)
-            assert field[k] == tally.total
+        for t in (None, 0.63):
+            values = p.values[: p.index_at(t) + 1]
+            for eps, strict in ((0.2, False), (0.2, True), (0.0, True)):
+                field = crossing_count_field(p, grid, eps, t=t, strict=strict)
+                expected = [
+                    sum(ref_crossings(values, z, eps, strict))
+                    for z in grid.levels
+                ]
+                assert field.tolist() == expected
 
     def test_field_rejects_zero_width_non_strict(self, step_path):
         p = step_path(72)
@@ -234,14 +242,15 @@ class TestBanachIndicatrix:
         # within 2 at every level clear of the exceptional set
         for seed in (76, 77, 78):
             p = step_path(seed)
+            lo, hi = p.values.min() - 0.1, p.values.max() + 0.1
+            grid = LevelGrid(lo, (hi - lo) / 60, 61)
             for eps in (0.4, 0.15):
                 sol = skorokhod_map(p, eps)
                 exc = exceptional_levels(sol)
-                zs = np.linspace(p.values.min() - 0.1, p.values.max() + 0.1, 61)
-                for z in zs:
+                strict = crossing_count_field(p, grid, eps, strict=True)
+                for z, n in zip(grid.levels, strict.tolist()):
                     if np.min(np.abs(exc - z)) < 1e-9:
                         continue
-                    n = count_crossings(p, z, eps).strict_total
                     assert abs(n - banach_indicatrix(sol, z)) <= 2
 
     def test_exceptional_levels_cover_shifted_samples(self):
