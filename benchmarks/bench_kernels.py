@@ -4,14 +4,15 @@ Each kernel is bound at import to one implementation: with numba, the
 compiled loop (the signed increment sum has one form, a sorted prefix sum);
 without numba, the array form where it beats the uncompiled loop.  This
 script first checks every kernel's bound implementation against its
-uncompiled loop (the signed increment sum against a dense numpy oracle) on
-two small inputs of 2,049 samples by 101 levels, small enough for the
-uncompiled loops: a seeded path, and values snapped to levels and cell
-edges with a band of one grid step, so that a variant split on ties fails
-the script.  It then prints which implementation each kernel is bound to
-and reports best-of-``--repeat`` wall times of the bound kernels.  With
-numba it also times the implementation each kernel binds without numba,
-and the compiled loop's speedup over it.
+uncompiled loop (the play operator bit for bit, the others within 1e-9; the
+signed increment sum against a dense numpy oracle) on two small inputs of
+2,049 samples by 101 levels, small enough for the uncompiled loops: a
+seeded path, and values snapped to levels and cell edges with a band of one
+grid step, so that a variant split on ties fails the script.  It then
+prints which implementation each kernel is bound to and reports
+best-of-``--repeat`` wall times of the bound kernels.  With numba it also
+times the implementation each kernel binds without numba, and the compiled
+loop's speedup over it.
 
 Usage::
 
@@ -40,7 +41,7 @@ VARIANTS = {
     "play_operator": (
         _kernels._play_operator,
         _kernels._play_operator_loop,
-        _kernels._play_operator_loop,
+        _kernels._play_operator_np,
     ),
     "crossing_counts": (
         _kernels._crossing_clamp,
@@ -116,9 +117,15 @@ def build_cases(values, u0, du, m, eps):
 
 
 def check_agreement(case, name):
+    """The bound kernel against its loop: the play operator bit for bit,
+    the others within 1e-9."""
     bound, loop, _ = VARIANTS[name]
     for x, y in zip(np.atleast_1d(case(bound)), np.atleast_1d(case(loop))):
-        if not np.allclose(x, y, rtol=1e-9, atol=1e-9):
+        if name == "play_operator":
+            agree = np.array_equal(x.view(np.int64), y.view(np.int64))
+        else:
+            agree = np.allclose(x, y, rtol=1e-9, atol=1e-9)
+        if not agree:
             raise AssertionError(f"{name}: the bound kernel disagrees with its loop")
 
 

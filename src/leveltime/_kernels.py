@@ -6,7 +6,9 @@ increment sum runs its loop.
 Without numba a kernel runs its loop uncompiled only where no array form
 beats it:
 
-- the play operator is one sequential loop, compiled or not;
+- the play operator runs its loop compiled or, without numba, a scan of
+  clamp maps that is checked step by step against the loop's own test and
+  falls back to the loop where a step differs (:func:`_play_operator_np`);
 - the crossing counts run one clamp loop, compiled over int64 arrays or,
   uncompiled, over lists;
 - the three field kernels (point and cell interval fields, occupation
@@ -83,6 +85,68 @@ def _play_operator_loop(values, eps):
             reg[i] = prev
             dev[i] = d
         prev = reg[i]
+    return reg, dev
+
+
+def _step_inside(x, v, half, toward):
+    """Step each ``v`` by ulps ``toward`` (``+inf`` or ``-inf``) while it
+    is more than ``half`` beyond ``x``, as the loop's ``while`` does, in
+    place; ``-(x - v)`` rounds exactly as ``v - x``."""
+    sign = 1.0 if toward > 0 else -1.0
+    out = np.flatnonzero(sign * (x - v) > half)
+    while out.size:
+        v[out] = np.nextafter(v[out], toward)
+        out = out[sign * (x[out] - v[out]) > half]
+    return v
+
+
+def _play_operator_np(values, eps):
+    """The loop's ``(reg, dev)`` from a scan of clamp maps, checked step by
+    step against the loop's own test, else from the loop itself.
+
+    Sample ``i`` acts on the previous value as the clamp
+    ``p -> min(max(p, up_i), down_i)``, where ``up_i`` (``down_i``) is the
+    loop's moved value: the first float at or above ``x_i - half`` (at or
+    below ``x_i + half``) within ``half`` of ``x_i``.  The loop's
+    ``v <= prev`` nudge never changes it, since every float at or below a
+    failing ``prev`` fails too.  Clamps compose into clamps through min and
+    max alone, so a Hillis-Steele scan of ``log2 n`` passes gives every
+    prefix exactly.  The clamp and the loop differ only where the loop
+    stalls although ``prev`` is below ``up_i`` (``x_i - prev`` rounds onto
+    ``half``) or on a signed zero; the check then finds a step whose value
+    is not the loop's, and the loop runs instead.
+    """
+    half = 0.5 * eps
+    x = values[1:]
+    up = _step_inside(x, x - half, half, np.inf)
+    down = _step_inside(x, x + half, half, -np.inf)
+    # map 0 is the constant p -> values[0]; after the scan map i is the
+    # composition of maps 0..i, a constant too, so lo == hi == reg
+    lo = np.concatenate([values[:1], up])
+    hi = np.concatenate([values[:1], down])
+    k = 1
+    while k < lo.size:
+        # map i after map i - k: clamp i - k's ends into [lo_i, hi_i]
+        new_lo = np.maximum(lo[:-k], lo[k:])
+        np.minimum(new_lo, hi[k:], out=new_lo)
+        new_hi = np.maximum(hi[:-k], lo[k:])
+        np.minimum(new_hi, hi[k:], out=new_hi)
+        lo[k:] = new_lo
+        hi[k:] = new_hi
+        k *= 2
+    reg = lo
+    # the loop's step from each scanned value, compared bit for bit
+    dev = np.empty(values.size, np.float64)
+    dev[0] = 0.0
+    d = np.subtract(x, reg[:-1], out=dev[1:])
+    moved_up = d > half
+    moved_down = d < -half
+    step = np.where(moved_down, down, reg[:-1])
+    np.copyto(step, up, where=moved_up)
+    if not np.array_equal(step.view(np.int64), reg[1:].view(np.int64)):
+        return _play_operator_loop(values, eps)
+    d[moved_up] = half
+    d[moved_down] = -half
     return reg, dev
 
 
@@ -340,7 +404,7 @@ if HAS_NUMBA:
     _cell_sums = _compile(_cell_sums_loop)
     _band_sums = _compile(_band_sums_loop)
 else:
-    _play_operator = _play_operator_loop
+    _play_operator = _play_operator_np
     _crossing_clamp = _crossing_clamp_np
     _point_sums = _point_sums_np
     _cell_sums = _cell_sums_np

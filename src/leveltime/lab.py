@@ -172,7 +172,7 @@ def generate_many(spec: GeneratorSpec, n_paths: int, seed=None):
     root = np.random.SeedSequence(spec.seed if seed is None else seed)
     return [
         generate(spec, np.random.default_rng(child))
-        for child in root.spawn(int(n_paths))
+        for child in root.spawn(_whole(n_paths, "n_paths"))
     ]
 
 

@@ -326,11 +326,12 @@ class LevelGrid:
     def __post_init__(self):
         if not np.isfinite(self.u0):
             raise ValueError("u0 must be finite")
-        if self.n_levels < 1:
+        n_levels = _whole(self.n_levels, "n_levels")
+        if n_levels < 1:
             raise ValueError("need at least one level")
         object.__setattr__(self, "u0", float(self.u0))
         object.__setattr__(self, "du", _positive("du", self.du))
-        object.__setattr__(self, "n_levels", int(self.n_levels))
+        object.__setattr__(self, "n_levels", n_levels)
 
     @property
     def levels(self) -> np.ndarray:

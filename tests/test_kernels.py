@@ -127,12 +127,33 @@ def assert_variants_agree(run, impls, expected, tol):
 # variant-vs-variant and variant-vs-reference
 # ---------------------------------------------------------------------------
 
+PLAYS = variants(
+    _kernels._play_operator_loop, _kernels._play_operator_np, _kernels._play_operator
+)
+
+
+def assert_bitwise(got, want):
+    assert got.dtype == want.dtype == np.float64
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def assert_plays_agree(values, eps):
+    """Every play-operator variant gives the loop's ``reg`` and ``dev``,
+    bit for bit."""
+    reg, dev = _kernels._play_operator_loop(values, eps)
+    for kernel in PLAYS[1:]:
+        r, d = kernel(values, eps)
+        assert_bitwise(r, reg)
+        assert_bitwise(d, dev)
+    return reg, dev
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 @pytest.mark.parametrize("eps", [1.0, 0.25, 0.01])
 def test_play_operator_backends_bitwise_equal(seed, eps):
     values = _sample_values(seed)
     reg, dev = _kernels.play_operator(values, eps)
-    for kernel in variants(_kernels._play_operator_loop, None, _kernels._play_operator):
+    for kernel in PLAYS:
         r, d = kernel(values, eps)
         assert np.array_equal(r, reg)
         assert np.array_equal(d, dev)
@@ -149,11 +170,61 @@ def test_play_operator_ulp_nudges():
     up = np.nextafter(1.0, 2.0)
     values = np.array([1.0, up, 1.0])
     eps = 2.4e-16
-    for kernel in variants(_kernels._play_operator_loop, None, _kernels._play_operator):
+    for kernel in PLAYS:
         reg, dev = kernel(values, eps)
         assert np.all(np.abs(values - reg) <= 0.5 * eps)
         assert list(reg) == [1.0, up, 1.0]
         assert list(dev) == [0.0, 0.5 * eps, -0.5 * eps]
+
+
+def test_play_operator_scan_falls_back_where_the_loop_stalls(monkeypatch):
+    # x1 - 5e-18 rounds onto half = 0.05, so the loop stalls at 5e-18; the
+    # clamp would move to the first float within half of x1, 6.9e-18
+    values = np.array([5e-18, np.nextafter(0.05, 1.0), 0.02])
+    reg, dev = assert_plays_agree(values, 0.1)
+    assert list(reg) == [5e-18] * 3
+    calls = []
+    loop = _kernels._play_operator_loop
+
+    def counted(values, eps):
+        calls.append(values.size)
+        return loop(values, eps)
+
+    monkeypatch.setattr(_kernels, "_play_operator_loop", counted)
+    r, d = _kernels._play_operator_np(values, 0.1)
+    assert calls == [3]
+    assert_bitwise(r, reg)
+    assert_bitwise(d, dev)
+    # a walk the scan gets right never runs the loop
+    _kernels._play_operator_np(_sample_values(0), 0.25)
+    assert calls == [3]
+
+
+@given(
+    st.sampled_from([0.0, 1.0, 1e3]),
+    st.lists(st.integers(-4, 4), min_size=1, max_size=60),
+    st.integers(0, 6),
+)
+@settings(max_examples=300, deadline=None)
+def test_play_operator_variants_agree_on_ulp_walks(centre, steps, width):
+    # walks of a few ulps around the centre against bands a few ulps wide,
+    # so moves, ulp nudges, stalls and (around 0) signed zeros all occur
+    values = np.empty(len(steps))
+    v = centre
+    for i, k in enumerate(steps):
+        for _ in range(abs(k)):
+            v = np.nextafter(v, np.inf if k > 0 else -np.inf)
+        values[i] = v
+    assert_plays_agree(values, width * np.spacing(centre))
+
+
+@pytest.mark.parametrize("eps", [0.4, 0.2, 0.1, 0.05, 0.03, 0.02, 0.01])
+def test_play_operator_variants_agree_on_lab_size_brownian_paths(eps):
+    # the band_map workload's path length and eps ladder
+    rng = np.random.default_rng(51)
+    for _ in range(2):
+        values = np.concatenate([[0.0], np.cumsum(rng.normal(0.0, 2**-7, 2**14))])
+        assert_plays_agree(values, eps)
 
 
 @pytest.mark.parametrize("eps", [1.0, 0.3])

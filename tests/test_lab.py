@@ -129,6 +129,15 @@ class TestGenerators:
             np.testing.assert_array_equal(a.values, b.values)
         assert not np.array_equal(batch1[0].values, batch1[1].values)
 
+    @pytest.mark.parametrize("bad", [2.5, True, np.bool_(True), float("nan")])
+    def test_generate_many_refuses_fractional_or_boolean_counts(self, bad):
+        spec = GeneratorSpec(kind="brownian", steps_per_unit=64, seed=5)
+        message = f"n_paths must be whole numbers, got {bad!r}"
+        with pytest.raises(ValueError, match=message):
+            generate_many(spec, bad)
+        # an integral float is a whole number
+        assert len(generate_many(spec, 3.0)) == 3
+
     def test_spec_validation(self):
         with pytest.raises(ValueError, match="kind"):
             GeneratorSpec(kind="levy_flight")

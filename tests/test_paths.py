@@ -282,6 +282,16 @@ class TestLevelGrid:
         with pytest.raises(ValueError, match="finite"):
             LevelGrid(np.nan, 0.1, 3)
 
+    @pytest.mark.parametrize("bad", [2.5, True, np.bool_(True), float("nan")])
+    def test_refuses_fractional_or_boolean_level_counts(self, bad):
+        message = f"n_levels must be whole numbers, got {bad!r}"
+        with pytest.raises(ValueError, match=message):
+            LevelGrid(0.0, 1.0, bad)
+        # an integral float is a whole number
+        g = LevelGrid(0.0, 1.0, 3.0)
+        assert g.n_levels == 3 and type(g.n_levels) is int
+        assert g.levels.size == 3
+
     def test_cell_index_nearest_level(self):
         g = LevelGrid(0.0, 0.5, 5)
         assert g.cell_index(0.2) == 0

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from leveltime import (
     LevelGrid,
     SampledCadlagPath,
+    SkorokhodSolution,
     banach_indicatrix,
     banach_indicatrix_integral,
     crossing_count_field,
@@ -114,6 +115,41 @@ def ref_monotone_segments(values):
             direction = s
     segs.append((start, n - 1, direction))
     return tuple(segs)
+
+
+def ref_indicatrix_integral(solution, t=None):
+    """Slicing-loop reference for banach_indicatrix_integral: every slice
+    between neighbouring endpoint values counts the segments covering its
+    midpoint, O(S^2) in the number S of segments."""
+    reg = solution.regularized
+    values = reg.values[: reg.index_at(t) + 1]
+    intervals = []
+    for start, end, _ in ref_monotone_segments(values):
+        a = float(values[start])
+        b = float(values[end])
+        if a != b:
+            intervals.append((min(a, b), max(a, b)))
+    if not intervals:
+        return 0.0
+    cuts = np.unique(np.array([p for iv in intervals for p in iv]))
+    total = 0.0
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        mid = 0.5 * (lo + hi)
+        cover = sum(1 for a, b in intervals if a < mid < b)
+        total += cover * (hi - lo)
+    return total
+
+
+def solution_of(values):
+    """A band solution whose regularized path has exactly ``values``."""
+    p = SampledCadlagPath(np.arange(len(values), dtype=float), values)
+    return SkorokhodSolution(
+        path=p,
+        regularized=p,
+        deviation=np.zeros(len(values)),
+        eps=1e-300,
+        monotone_segments=monotone_segments(values),
+    )
 
 
 class TestMonotoneSegments:
@@ -229,6 +265,40 @@ class TestBanachIndicatrix:
         assert len(sol.monotone_segments) > 2000
         tv = total_variation(sol.regularized)
         assert abs(banach_indicatrix_integral(sol) - tv) <= 1e-9 * (1.0 + tv)
+
+    @pytest.mark.parametrize("eps", [0.4, 0.2, 0.1, 0.05, 0.03, 0.02, 0.01])
+    def test_integral_matches_the_slicing_loop_bitwise(self, step_path, eps):
+        # band_map's eps ladder on a Brownian path with thousands of
+        # segments at the smallest eps
+        p = step_path(79, n_samples=2**13 + 1, kind="brownian")
+        sol = skorokhod_map(p, eps)
+        for t in (None, 0.0, 0.37, 0.5, p.times[-1]):
+            got = banach_indicatrix_integral(sol, t)
+            assert type(got) is float
+            assert np.float64(got).tobytes() == np.float64(
+                ref_indicatrix_integral(sol, t)
+            ).tobytes()
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [2.0, 2.0, 2.0],  # all flat
+            [1.0],  # one sample
+            [0.0, 0.5, 0.5, 2.0],  # a single segment
+            [0.0, 1.0, 0.0, 1.0, 0.0, 1.0, 0.5, 1.0],  # repeated endpoints
+            # adjacent floats: the midpoint of [1, 1 + ulp] rounds onto 1,
+            # and the midpoint of [1 - ulp/2, 1] rounds onto 1
+            [0.0, np.nextafter(1.0, 2.0), 1.0, 3.0],
+            [2.0, np.nextafter(1.0, 0.0), 1.0, -1.0, 1.0],
+            [1.0, np.nextafter(1.0, 2.0), 1.0, np.nextafter(1.0, 2.0)],
+        ],
+    )
+    def test_integral_edge_inputs_match_the_slicing_loop(self, values):
+        sol = solution_of(np.asarray(values, np.float64))
+        got = banach_indicatrix_integral(sol)
+        want = ref_indicatrix_integral(sol)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+        assert got <= total_variation(sol.regularized)
 
     def test_time_restricted_integral(self, step_path):
         p = step_path(75)
