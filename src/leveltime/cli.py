@@ -19,10 +19,9 @@ import numpy as np
 from ._kernels import ACTIVE_BACKEND, HAS_NUMBA
 from .crossing import j_pi, k_pi, occupation_local_time, split_Kc_Kd
 from .dcfuncs import builtin_suite
-from .errors import ConfigError, InvariantViolation
+from .errors import ConfigError, InvariantViolation, _refuse_unknown
 from .follmer import quadratic_variation
 from .lab import (
-    _refuse_unknown,
     classical_local_time,
     experiment_config_from_json,
     generate,

@@ -2,10 +2,10 @@
 
 Each :class:`DCFunction` bundles pointwise handles for ``f`` and its left
 derivative ``f'`` with a :class:`SecondDerivativeMeasure` describing the
-distributional ``f''`` as atoms plus an absolutely continuous density.  The
-built-in suite keeps closed-form antiderivatives of the density (``cdf`` and
-``first_moment``), which lets Taylor-remainder integrals and Tanaka sums be
-evaluated exactly instead of through grid quadrature.
+distributional ``f''`` as atoms plus an absolutely continuous density.  A
+density always comes with its closed-form antiderivatives ``cdf`` and
+``first_moment``, so Taylor-remainder integrals, Tanaka sums and per-cell
+masses are evaluated exactly, never by quadrature.
 
 Sign convention: ``sign(0) = -1`` throughout (the left-continuous sign), so
 derivative handles are left-continuous at atoms of ``f''``.
@@ -18,42 +18,13 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ConfigError
-
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+from .errors import ConfigError, _refuse_unknown
+from .paths import _positive
 
 
 def left_sign(x):
     """Left-continuous sign: +1 for x > 0, -1 for x <= 0."""
     return np.where(np.asarray(x, np.float64) > 0, 1.0, -1.0)
-
-
-def gauss_integrate(func, lo, hi, breaks=(), panels=1):
-    """Composite 16-point Gauss-Legendre integral of ``func`` on [lo, hi].
-
-    ``breaks`` lists interior points where the integrand may lose smoothness;
-    each smooth piece is split into ``panels`` equal panels.  Exact for
-    piecewise polynomials of degree up to 31.
-    """
-    lo = float(lo)
-    hi = float(hi)
-    if hi <= lo:
-        return 0.0
-    cuts = [lo, hi]
-    for b in breaks:
-        b = float(b)
-        if lo < b < hi:
-            cuts.append(b)
-    cuts = np.unique(np.array(cuts, np.float64))
-    total = 0.0
-    for left, right in zip(cuts[:-1], cuts[1:]):
-        edges = np.linspace(left, right, panels + 1)
-        mids = 0.5 * (edges[:-1] + edges[1:])
-        halfs = 0.5 * np.diff(edges)
-        pts = mids[:, None] + halfs[:, None] * _GL_NODES[None, :]
-        vals = np.asarray(func(pts.ravel()), np.float64).reshape(pts.shape)
-        total += float((halfs[:, None] * _GL_WEIGHTS[None, :] * vals).sum())
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -65,19 +36,22 @@ class SecondDerivativeMeasure:
     """Signed measure ``f''(du) = density(u) du + sum of weighted atoms``.
 
     ``cdf`` and ``first_moment`` are antiderivatives of the density and of
-    ``u * density(u)`` (any fixed constant of integration); when present they
-    make interval integrals of piecewise-linear weights exact.
-    ``breakpoints`` are density kink locations used to split quadrature.
+    ``u * density(u)`` (any fixed constant of integration).  The three are
+    given together or not at all, so interval integrals of piecewise-linear
+    weights are always exact.
     """
 
     density: Optional[Callable] = None
     atoms: tuple = ()
-    support: tuple = (-np.inf, np.inf)
     cdf: Optional[Callable] = None
     first_moment: Optional[Callable] = None
-    breakpoints: tuple = ()
 
     def __post_init__(self):
+        absent = [h is None for h in (self.density, self.cdf, self.first_moment)]
+        if any(absent) and not all(absent):
+            raise ValueError(
+                "density, cdf and first_moment must be given together"
+            )
         pairs = {}
         for loc, w in self.atoms:
             loc = float(loc)
@@ -89,70 +63,17 @@ class SecondDerivativeMeasure:
             (loc, w) for loc, w in sorted(pairs.items()) if w != 0.0
         )
         object.__setattr__(self, "atoms", merged)
-        lo, hi = self.support
-        if not lo < hi:
-            raise ValueError("support must be a nonempty interval")
-        object.__setattr__(self, "support", (float(lo), float(hi)))
-        object.__setattr__(
-            self, "breakpoints", tuple(float(b) for b in self.breakpoints)
-        )
 
     @property
     def is_absolutely_continuous(self) -> bool:
         return len(self.atoms) == 0
 
-    def _density_breaks(self):
-        lo, hi = self.support
-        breaks = list(self.breakpoints)
-        if np.isfinite(lo):
-            breaks.append(lo)
-        if np.isfinite(hi):
-            breaks.append(hi)
-        return breaks
-
-    def density_mass(self, lo: float, hi: float) -> float:
-        """Density mass of [lo, hi] (atoms excluded)."""
-        if hi <= lo:
-            return 0.0
-        if self.cdf is not None:
-            return float(self.cdf(hi) - self.cdf(lo))
-        if self.density is None:
-            return 0.0
-        slo, shi = self.support
-        lo = max(lo, slo)
-        hi = min(hi, shi)
-        if not np.isfinite(lo) or not np.isfinite(hi):
-            raise ValueError(
-                "cannot integrate an unbounded density without a cdf"
-            )
-        return gauss_integrate(self.density, lo, hi, self._density_breaks(), 4)
-
-    def mass(self, lo: float, hi: float) -> float:
-        """Total measure of the half-open window [lo, hi)."""
-        out = self.density_mass(lo, hi)
-        for loc, w in self.atoms:
-            if lo <= loc < hi:
-                out += w
-        return out
-
     def cell_masses(self, grid) -> np.ndarray:
         """Density mass per grid cell (atoms handled separately by callers)."""
-        edges = grid.edges
-        if self.cdf is not None:
-            vals = np.asarray(self.cdf(edges), np.float64)
-            return np.diff(vals)
-        if self.density is None:
+        if self.cdf is None:
             return np.zeros(grid.n_levels)
-        out = np.zeros(grid.n_levels)
-        slo, shi = self.support
-        for k in range(grid.n_levels):
-            lo = max(float(edges[k]), slo)
-            hi = min(float(edges[k + 1]), shi)
-            if lo < hi:
-                out[k] = gauss_integrate(
-                    self.density, lo, hi, self._density_breaks(), 1
-                )
-        return out
+        vals = np.asarray(self.cdf(grid.edges), np.float64)
+        return np.diff(vals)
 
     def bracket_weight_integrals(self, ref, lo, hi) -> np.ndarray:
         """Vectorised ``int_{[lo_i, hi_i)} |ref_i - u| f''(du)``.
@@ -170,28 +91,12 @@ class SecondDerivativeMeasure:
             if np.any(mask):
                 out[mask] += w * np.abs(ref[mask] - loc)
         if self.density is not None:
-            if self.cdf is not None and self.first_moment is not None:
-                m0 = np.asarray(self.cdf(hi) - self.cdf(lo), np.float64)
-                m1 = np.asarray(
-                    self.first_moment(hi) - self.first_moment(lo), np.float64
-                )
-                sgn = np.where(ref >= hi, 1.0, -1.0)
-                out += np.where(hi > lo, sgn * (ref * m0 - m1), 0.0)
-            else:
-                breaks = self._density_breaks()
-                slo, shi = self.support
-                for i in range(ref.size):
-                    a = max(float(lo[i]), slo)
-                    b = min(float(hi[i]), shi)
-                    if a < b:
-                        r = float(ref[i])
-                        out[i] += gauss_integrate(
-                            lambda u: np.abs(r - u) * self.density(u),
-                            a,
-                            b,
-                            breaks,
-                            4,
-                        )
+            m0 = np.asarray(self.cdf(hi) - self.cdf(lo), np.float64)
+            m1 = np.asarray(
+                self.first_moment(hi) - self.first_moment(lo), np.float64
+            )
+            sgn = np.where(ref >= hi, 1.0, -1.0)
+            out += np.where(hi > lo, sgn * (ref * m0 - m1), 0.0)
         return out
 
 
@@ -211,10 +116,6 @@ class DCFunction:
     def __call__(self, u):
         return self.eval_f(u)
 
-    def derivative(self, u):
-        """Left derivative of f (left-continuous at curvature atoms)."""
-        return self.eval_fprime(u)
-
     @property
     def is_smooth(self) -> bool:
         return self.second_derivative.is_absolutely_continuous
@@ -227,84 +128,6 @@ def jf_increment(f: DCFunction, a: float, b: float) -> float:
     if a == b:
         return 0.0
     return float(f.eval_f(a) - f.eval_f(b) - f.eval_fprime(b) * (a - b))
-
-
-def integrate_against_f2(
-    g,
-    f: DCFunction,
-    window,
-    grid=None,
-    atom_policy: str = "error",
-    g_breaks=(),
-) -> float:
-    """Integral of ``g`` against the curvature measure on [window[0], window[1]).
-
-    ``g`` is either a callable or an array sampled on ``grid`` levels (cell
-    convention).  Atom terms for grid-sampled ``g`` use the nearest level to
-    the left (:meth:`LevelGrid.atom_index`); ``atom_policy`` says what to do
-    when an atom has none on the grid: ``"error"`` raises, ``"extend"``
-    clamps to the edge level, ``"skip"`` drops the atom.
-    """
-    lo, hi = float(window[0]), float(window[1])
-    if hi <= lo:
-        return 0.0
-    f2 = f.second_derivative
-    if atom_policy not in ("error", "extend", "skip"):
-        raise ValueError(f"unknown atom_policy {atom_policy!r}")
-
-    if callable(g):
-        total = 0.0
-        for loc, w in f2.atoms:
-            if lo <= loc < hi:
-                total += w * float(np.asarray(g(np.array([loc])))[0])
-        if f2.density is not None:
-            slo, shi = f2.support
-            a = max(lo, slo)
-            b = min(hi, shi)
-            if a < b:
-                if not (np.isfinite(a) and np.isfinite(b)):
-                    raise ValueError(
-                        "unbounded window over an unbounded density"
-                    )
-                breaks = list(f2._density_breaks()) + list(g_breaks)
-                total += gauss_integrate(
-                    lambda u: np.asarray(g(u), np.float64) * f2.density(u),
-                    a,
-                    b,
-                    breaks,
-                    4,
-                )
-        return float(total)
-
-    g = np.asarray(g, np.float64)
-    if grid is None:
-        raise ValueError("grid-sampled g requires the grid")
-    if g.shape != (grid.n_levels,):
-        raise ValueError("g must have one value per grid level")
-    total = 0.0
-    for loc, w in f2.atoms:
-        if not lo <= loc < hi:
-            continue
-        try:
-            k = grid.atom_index(loc)
-        except ValueError:
-            if atom_policy == "error":
-                raise
-            if atom_policy == "skip":
-                continue
-            k = 0 if loc < grid.u0 else grid.n_levels - 1
-        total += w * g[k]
-    if f2.density is not None:
-        masses = f2.cell_masses(grid)
-        edges = grid.edges
-        inside = (edges[1:] > lo) & (edges[:-1] < hi)
-        full = inside & (edges[:-1] >= lo) & (edges[1:] <= hi)
-        total += float((g[full] * masses[full]).sum())
-        for k in np.flatnonzero(inside & ~full):
-            a = max(float(edges[k]), lo)
-            b = min(float(edges[k + 1]), hi)
-            total += g[k] * f2.density_mass(a, b)
-    return float(total)
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +176,6 @@ def make_square() -> DCFunction:
 
     f2 = SecondDerivativeMeasure(
         density=lambda u: np.ones_like(np.asarray(u, np.float64)),
-        support=(-np.inf, np.inf),
         cdf=lambda u: np.asarray(u, np.float64) + 0.0,
         first_moment=lambda u: 0.5 * np.asarray(u, np.float64) ** 2,
     )
@@ -394,9 +216,9 @@ def _quartic_ramp(v):
 def make_bump(center: float = 0.0, width: float = 1.0) -> DCFunction:
     """C^2 ramp whose curvature is the quartic bump on [center-width, center+width]."""
     c = float(center)
-    w = float(width)
-    if w <= 0:
-        raise ValueError("width must be positive")
+    w = _positive("width", width)
+    if not np.isfinite(c):
+        raise ValueError(f"center must be finite, got {center}")
 
     def f(x):
         return w * _quartic_ramp((np.asarray(x, np.float64) - c) / w)
@@ -406,7 +228,6 @@ def make_bump(center: float = 0.0, width: float = 1.0) -> DCFunction:
 
     f2 = SecondDerivativeMeasure(
         density=lambda u: _quartic_density((np.asarray(u, np.float64) - c) / w) / w,
-        support=(c - w, c + w),
         cdf=lambda u: _quartic_cdf((np.asarray(u, np.float64) - c) / w),
         first_moment=lambda u: c * _quartic_cdf((np.asarray(u, np.float64) - c) / w)
         + w * _quartic_first_moment((np.asarray(u, np.float64) - c) / w),
@@ -445,6 +266,10 @@ def make_mix(
     atoms = tuple((float(loc), float(w)) for loc, w in atoms)
     cu = float(uniform_weight)
     cb = float(bump_weight)
+    if not (np.isfinite(cu) and np.isfinite(cb)):
+        raise ValueError(
+            f"mix weights must be finite, got {uniform_weight}, {bump_weight}"
+        )
 
     def f(x):
         x = np.asarray(x, np.float64)
@@ -465,7 +290,6 @@ def make_mix(
         * ((np.abs(np.asarray(u, np.float64)) <= 1.0) * 1.0)
         + cb * _quartic_density(u),
         atoms=atoms,
-        support=(-1.0, 1.0),
         cdf=lambda u: cu * _uniform_cdf(u) + cb * _quartic_cdf(u),
         first_moment=lambda u: cu * _uniform_first_moment(u)
         + cb * _quartic_first_moment(u),
@@ -485,162 +309,29 @@ def builtin_suite():
     ]
 
 
+_DESCRIPTOR_KINDS = {
+    "abs": (make_abs, ("center", "scale")),
+    "relu": (make_relu, ("center",)),
+    "square": (make_square, ()),
+    "bump": (make_bump, ("center", "width")),
+    "mix": (make_mix, ("atoms", "uniform_weight", "bump_weight")),
+}
+
+
 def dc_function_from_descriptor(obj) -> DCFunction:
-    """Build a DCFunction from a JSON-style mapping ({"kind": ..., params})."""
+    """Build a DCFunction from a JSON-style mapping ({"kind": ..., params}).
+
+    Each kind takes the keyword arguments of its ``make_*`` builder and
+    refuses any other field.
+    """
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ConfigError("function descriptor must be a mapping with a 'kind'")
     kind = obj["kind"]
+    if not isinstance(kind, str) or kind not in _DESCRIPTOR_KINDS:
+        raise ConfigError(f"unknown function kind {kind!r}")
+    build, fields = _DESCRIPTOR_KINDS[kind]
+    _refuse_unknown(obj, ("kind", *fields), "function fields")
     try:
-        if kind == "abs":
-            return make_abs(obj.get("center", 0.0), obj.get("scale", 1.0))
-        if kind == "relu":
-            return make_relu(obj.get("center", 0.0))
-        if kind == "square":
-            return make_square()
-        if kind == "bump":
-            return make_bump(obj.get("center", 0.0), obj.get("width", 1.0))
-        if kind == "mix":
-            return make_mix(
-                obj.get("atoms", _MIX_ATOMS),
-                obj.get("uniform_weight", _MIX_UNIFORM),
-                obj.get("bump_weight", _MIX_BUMP),
-            )
-    except (TypeError, ValueError) as exc:
+        return build(**{k: obj[k] for k in fields if k in obj})
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad function descriptor: {exc}") from exc
-    raise ConfigError(f"unknown function kind {kind!r}")
-
-
-# ---------------------------------------------------------------------------
-# mollifiers
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Mollifier:
-    """Nonnegative smooth bump with unit integral on a compact support."""
-
-    profile: Callable
-    support: tuple
-    one_sided: bool = False
-    name: str = "mollifier"
-
-    def __post_init__(self):
-        lo, hi = self.support
-        if not lo < hi:
-            raise ValueError("mollifier support must be a nonempty interval")
-        object.__setattr__(self, "support", (float(lo), float(hi)))
-        if self.one_sided and self.support[0] < 0:
-            raise ValueError("one-sided mollifier must have support in [0, inf)")
-        probe = np.linspace(self.support[0], self.support[1], 513)
-        vals = np.asarray(self.profile(probe), np.float64)
-        if np.any(vals < -1e-15):
-            raise ValueError("mollifier profile must be nonnegative")
-        total = gauss_integrate(self.profile, *self.support, panels=12)
-        if abs(total - 1.0) > 1e-10:
-            raise ValueError(f"mollifier integral is {total}, not 1")
-
-    @classmethod
-    def standard_bump(cls) -> "Mollifier":
-        """The classic symmetric bump exp(-1/(1-u^2)) on [-1, 1], normalised."""
-
-        def raw(u):
-            u = np.asarray(u, np.float64)
-            out = np.zeros_like(u)
-            m = np.abs(u) < 1.0
-            um = u[m]
-            out[m] = np.exp(-1.0 / (1.0 - um * um))
-            return out
-
-        z = gauss_integrate(raw, -1.0, 1.0, panels=12)
-        return cls(lambda u: raw(u) / z, (-1.0, 1.0), False, "bump")
-
-    @classmethod
-    def one_sided_bump(cls) -> "Mollifier":
-        """A smooth bump supported on [0, 1], for right-limit approximations."""
-
-        def raw(u):
-            u = np.asarray(u, np.float64)
-            out = np.zeros_like(u)
-            m = (u > 0.0) & (u < 1.0)
-            um = u[m]
-            out[m] = np.exp(-1.0 / (um * (1.0 - um)))
-            return out
-
-        z = gauss_integrate(raw, 0.0, 1.0, panels=12)
-        return cls(lambda u: raw(u) / z, (0.0, 1.0), True, "one_sided")
-
-
-def _kink_set(f: DCFunction):
-    """Sorted atom locations, density breakpoints and finite support ends."""
-    f2 = f.second_derivative
-    return sorted({loc for loc, _ in f2.atoms}.union(f2._density_breaks()))
-
-
-def mollify(f: DCFunction, n: int, rho: Optional[Mollifier] = None) -> DCFunction:
-    """Convolve ``f`` with the scaled mollifier ``rho_n(u) = n rho(n u)``.
-
-    Returns a smooth DCFunction whose curvature is purely a density (the
-    convolution of ``rho_n`` with ``f''``), evaluated by quadrature.
-    """
-    n = int(n)
-    if n < 1:
-        raise ValueError("mollification level must be at least 1")
-    if rho is None:
-        rho = Mollifier.standard_bump()
-    wlo, whi = rho.support
-    kinks = _kink_set(f)
-    f2 = f.second_derivative
-
-    def _conv(handle, u):
-        u = np.atleast_1d(np.asarray(u, np.float64))
-        out = np.empty(u.shape, np.float64)
-        for i, ui in enumerate(u):
-            breaks = [n * (ui - k) for k in kinks]
-            out[i] = gauss_integrate(
-                lambda w: np.asarray(handle(ui - w / n), np.float64)
-                * rho.profile(w),
-                wlo,
-                whi,
-                breaks,
-                8,
-            )
-        return out if out.size > 1 else float(out[0])
-
-    def fn(u):
-        return _conv(f.eval_f, u)
-
-    def fpn(u):
-        return _conv(f.eval_fprime, u)
-
-    def density_n(u):
-        u = np.atleast_1d(np.asarray(u, np.float64))
-        out = np.zeros(u.shape, np.float64)
-        for loc, w in f2.atoms:
-            out += w * n * rho.profile(n * (u - loc))
-        if f2.density is not None:
-            dens_breaks = f2._density_breaks()
-            for i, ui in enumerate(u):
-                breaks = [n * (ui - b) for b in dens_breaks]
-                out[i] += gauss_integrate(
-                    lambda w: np.asarray(f2.density(ui - w / n), np.float64)
-                    * rho.profile(w),
-                    wlo,
-                    whi,
-                    breaks,
-                    8,
-                )
-        return out
-
-    slo, shi = f2.support
-    locs = [loc for loc, _ in f2.atoms]
-    if f2.density is None:
-        base_lo = min(locs) if locs else 0.0
-        base_hi = max(locs) if locs else 0.0
-    else:
-        base_lo = min([slo] + locs)
-        base_hi = max([shi] + locs)
-    if np.isfinite(base_lo) and np.isfinite(base_hi):
-        support_n = (base_lo + wlo / n, base_hi + whi / n)
-    else:
-        support_n = (-np.inf, np.inf)
-    f2n = SecondDerivativeMeasure(density=density_n, support=support_n)
-    return DCFunction(f"{f.name}~n{n}", fn, fpn, f2n)

@@ -12,3 +12,10 @@ class InvariantViolation(RuntimeError):
 
 class ConfigError(ValueError):
     """A configuration file or descriptor could not be interpreted."""
+
+
+def _refuse_unknown(obj, known, what="config keys"):
+    """Raise :class:`ConfigError` naming the keys of ``obj`` not in ``known``."""
+    unknown = set(obj) - set(known)
+    if unknown:
+        raise ConfigError(f"unknown {what}: {sorted(unknown)}")

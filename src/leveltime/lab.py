@@ -26,7 +26,7 @@ from .crossing import (
     split_Kc_Kd,
 )
 from .dcfuncs import SecondDerivativeMeasure, dc_function_from_descriptor
-from .errors import ConfigError, InvariantViolation
+from .errors import ConfigError, InvariantViolation, _refuse_unknown
 from .paths import (
     LevelGrid,
     PartitionScheme,
@@ -512,13 +512,6 @@ def run_convergence_experiment(config: ExperimentConfig) -> ExperimentReport:
 # ---------------------------------------------------------------------------
 # JSON descriptors
 # ---------------------------------------------------------------------------
-
-def _refuse_unknown(obj, known, what="config keys"):
-    """Raise :class:`ConfigError` naming the keys of ``obj`` not in ``known``."""
-    unknown = set(obj) - set(known)
-    if unknown:
-        raise ConfigError(f"unknown {what}: {sorted(unknown)}")
-
 
 def _json_int(obj, key):
     value = obj[key]

@@ -607,6 +607,25 @@ class TestBadInput:
             (["generate"], {"generator": dict(GEN, steps_per_unit=float("inf"))},
              "bad generator descriptor: cannot convert float infinity to "
              "integer"),
+            (["experiment"], dict(TestExperiment.CONFIG, distance={
+                "p": 2, "weight": {"kind": "abs", "centre": 0.3}}),
+             "unknown function fields: ['centre']"),
+            (["experiment"], dict(TestExperiment.CONFIG, distance={
+                "p": 2, "weight": {"kind": "square", "center": 1.0}}),
+             "unknown function fields: ['center']"),
+            (["experiment"], dict(TestExperiment.CONFIG, distance={
+                "p": 2, "weight": {"kind": "mix", "uniform_weight": float("nan")}}),
+             "bad function descriptor: mix weights must be finite, got nan, 0.5"),
+            (["experiment"], dict(TestExperiment.CONFIG, distance={
+                "p": 2, "weight": {"kind": "mix", "bump_weight": float("inf")}}),
+             "bad function descriptor: mix weights must be finite, got 0.3, inf"),
+            (["experiment"], dict(TestExperiment.CONFIG, distance={
+                "weight": {"kind": "bump", "width": float("inf")}}),
+             "bad function descriptor: width must be positive and finite, "
+             "got inf"),
+            (["experiment"], dict(TestExperiment.CONFIG, distance={
+                "weight": {"kind": "bump", "center": float("nan")}}),
+             "bad function descriptor: center must be finite, got nan"),
         ],
     )
     def test_generate_and_experiment_refuse_keys_they_do_not_read(

@@ -1,5 +1,5 @@
-"""Difference-of-convex functions: Taylor remainders, curvature measures,
-quadrature, mollification, and descriptor parsing."""
+"""Difference-of-convex functions: Taylor remainders, curvature measures
+checked against a Gauss-Legendre oracle, and descriptor parsing."""
 
 import dataclasses
 
@@ -12,21 +12,16 @@ from leveltime import (
     ConfigError,
     DCFunction,
     LevelGrid,
-    Mollifier,
     builtin_suite,
     dc_function_from_descriptor,
-    gauss_integrate,
-    integrate_against_f2,
     jf_increment,
     make_abs,
     make_bump,
     make_mix,
     make_relu,
     make_square,
-    mollify,
 )
 from leveltime.dcfuncs import left_sign
-from leveltime.lab import lp_distance
 
 SUITE = builtin_suite()
 
@@ -50,6 +45,41 @@ def jf_measure_side(f: DCFunction, a: float, b: float) -> float:
             np.array([a]), np.array([lo]), np.array([hi])
         )[0]
     )
+
+
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+
+
+def gl_integrate(func, lo, hi, breaks=(), panels=4):
+    """Composite 16-point Gauss-Legendre integral of ``func`` on [lo, hi].
+
+    The interval is cut at each of ``breaks`` inside it and every piece into
+    ``panels`` equal panels, so piecewise polynomials of degree up to 31 with
+    kinks only at ``breaks`` integrate to rounding.  This is the reference
+    the closed-form antiderivatives are checked against.
+    """
+    cuts = np.unique([lo, hi, *(b for b in breaks if lo < b < hi)])
+    total = 0.0
+    for left, right in zip(cuts[:-1], cuts[1:]):
+        edges = np.linspace(left, right, panels + 1)
+        mids = 0.5 * (edges[:-1] + edges[1:])
+        halfs = 0.5 * np.diff(edges)
+        pts = mids[:, None] + halfs[:, None] * _GL_NODES[None, :]
+        vals = np.asarray(func(pts.ravel()), np.float64).reshape(pts.shape)
+        total += float((halfs[:, None] * _GL_WEIGHTS[None, :] * vals).sum())
+    return total
+
+
+def curvature_integral(g, m, lo, hi, breaks=(-1.0, 1.0)):
+    """Oracle for ``int_{[lo, hi)} g(u) m(du)``: atoms by half-open window
+    membership, the density by quadrature cut at the atoms and ``breaks``
+    (the suite's densities lose smoothness only at -1 and 1)."""
+    total = sum(w * float(g(np.array([loc]))[0])
+                for loc, w in m.atoms if lo <= loc < hi)
+    if m.density is not None:
+        kinks = [loc for loc, _ in m.atoms] + list(breaks)
+        total += gl_integrate(lambda u: g(u) * m.density(u), lo, hi, kinks)
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -106,39 +136,14 @@ def test_remainder_nonnegative_for_convex_members(a, b):
 def test_fundamental_theorem_against_left_derivative(f):
     # the left derivative disagrees with any other derivative choice only on
     # a null set, so integrating it still recovers increments of f
-    m = f.second_derivative
-    kinks = [loc for loc, _ in m.atoms]
-    kinks.extend(b for b in m.breakpoints)
-    kinks.extend(s for s in m.support if np.isfinite(s))
+    kinks = [loc for loc, _ in f.second_derivative.atoms] + [-1.0, 1.0]
     for a, b in [(-1.7, 1.9), (0.0, 0.25), (-0.5, 1.0)]:
-        integral = gauss_integrate(f.eval_fprime, a, b, breaks=kinks, panels=4)
+        integral = gl_integrate(f.eval_fprime, a, b, kinks)
         assert integral == pytest.approx(float(f(b) - f(a)), abs=1e-9)
 
 
 def test_left_sign_convention():
     np.testing.assert_array_equal(left_sign([-1.0, 0.0, 1e-300]), [-1.0, -1.0, 1.0])
-
-
-# ---------------------------------------------------------------------------
-# gauss_integrate
-# ---------------------------------------------------------------------------
-
-def test_gauss_integrate_polynomial_exactness():
-    # 16-node Gauss-Legendre is exact through degree 31
-    val = gauss_integrate(lambda u: u**31 + u**5 - 3.0, 0.0, 1.0)
-    assert val == pytest.approx(1.0 / 32.0 + 1.0 / 6.0 - 3.0, abs=1e-14)
-
-
-def test_gauss_integrate_breaks_isolate_kinks():
-    val = gauss_integrate(np.abs, -1.0, 1.0, breaks=[0.0])
-    assert val == pytest.approx(1.0, abs=1e-15)
-    coarse = gauss_integrate(np.abs, -1.0, 1.0)
-    assert abs(coarse - 1.0) > 1e-15
-
-
-def test_gauss_integrate_empty_interval():
-    assert gauss_integrate(np.exp, 1.0, 1.0) == 0.0
-    assert gauss_integrate(np.exp, 2.0, 1.0) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -154,224 +159,81 @@ class TestSecondDerivativeMeasure:
         assert m.atoms == ((0.5, 3.0),)
 
     def test_mass_is_half_open(self):
+        # an atom counts in the window [lo, hi) iff lo <= loc < hi
         m = make_relu(0.25).second_derivative
-        assert m.mass(0.25, 0.5) == 1.0
-        assert m.mass(0.0, 0.25) == 0.0
-        assert m.mass(0.3, 0.1) == 0.0
+        ref = np.array([0.5, 0.0, 0.5])
+        lo = np.array([0.25, 0.0, 0.3])
+        hi = np.array([0.5, 0.25, 0.3])
+        np.testing.assert_array_equal(
+            m.bracket_weight_integrals(ref, lo, hi), [0.25, 0.0, 0.0]
+        )
+        grid = LevelGrid(0.0, 0.25, 4)
+        np.testing.assert_array_equal(m.cell_masses(grid), np.zeros(4))
 
     def test_square_masses_are_lengths(self):
         m = make_square().second_derivative
-        assert m.mass(-0.5, 2.0) == pytest.approx(2.5, abs=1e-15)
+        assert m.cdf(2.0) - m.cdf(-0.5) == pytest.approx(2.5, abs=1e-15)
         grid = LevelGrid(0.0, 0.25, 4)
         np.testing.assert_allclose(m.cell_masses(grid), [0.25] * 4, atol=1e-15)
 
     def test_bump_total_mass_is_one(self):
         m = make_bump(0.3, 0.7).second_derivative
-        assert m.mass(-1.0, 2.0) == pytest.approx(1.0, abs=1e-12)
-        assert m.mass(0.3 - 0.7, 0.3) == pytest.approx(0.5, abs=1e-12)
+        assert m.cdf(2.0) - m.cdf(-1.0) == pytest.approx(1.0, abs=1e-15)
+        assert m.cdf(0.3) - m.cdf(0.3 - 0.7) == pytest.approx(0.5, abs=1e-15)
+        total = curvature_integral(np.ones_like, m, -1.0, 2.0, (-0.4, 1.0))
+        assert total == pytest.approx(1.0, abs=1e-13)
 
     def test_unbounded_density_needs_cdf(self):
-        m = dataclasses.replace(
-            make_square().second_derivative, cdf=None, first_moment=None
-        )
-        with pytest.raises(ValueError, match="unbounded"):
-            m.density_mass(-np.inf, 0.0)
+        with pytest.raises(ValueError, match="together"):
+            dataclasses.replace(
+                make_square().second_derivative, cdf=None, first_moment=None
+            )
+
+    def test_density_and_antiderivatives_come_together(self):
+        m = make_bump().second_derivative
+        for missing in ("cdf", "first_moment", "density"):
+            with pytest.raises(ValueError, match="together"):
+                dataclasses.replace(m, **{missing: None})
+        with pytest.raises(ValueError, match="together"):
+            dataclasses.replace(make_abs().second_derivative, cdf=m.cdf)
 
     def test_bracket_weights_closed_form_matches_quadrature(self):
-        f = make_mix()
-        exact = f.second_derivative
-        fallback = dataclasses.replace(exact, cdf=None, first_moment=None)
         rng = np.random.default_rng(3)
         a = rng.uniform(-1.5, 1.5, 40)
         b = rng.uniform(-1.5, 1.5, 40)
         lo = np.minimum(a, b)
         hi = np.maximum(a, b)
-        np.testing.assert_allclose(
-            exact.bracket_weight_integrals(a, lo, hi),
-            fallback.bracket_weight_integrals(a, lo, hi),
-            atol=1e-12,
-        )
+        for f, breaks in ((make_mix(), (-1.0, 1.0)),
+                          (make_bump(0.3, 0.7), (-0.4, 1.0))):
+            m = f.second_derivative
+            oracle = [
+                curvature_integral(lambda u, r=r: np.abs(r - u), m, l, h, breaks)
+                for r, l, h in zip(a, lo, hi)
+            ]
+            np.testing.assert_allclose(
+                m.bracket_weight_integrals(a, lo, hi), oracle, atol=1e-12,
+                err_msg=f.name,
+            )
 
-    def test_invalid_support(self):
-        with pytest.raises(ValueError, match="support"):
-            dataclasses.replace(make_square().second_derivative, support=(1.0, 1.0))
+    def test_cell_masses_closed_form_matches_quadrature(self):
+        grid = LevelGrid(-1.3, 0.1, 27)
+        edges = grid.edges
+        for f, breaks in ((make_mix(), (-1.0, 1.0)),
+                          (make_bump(0.3, 0.7), (-0.4, 1.0))):
+            m = f.second_derivative
+            density_only = dataclasses.replace(m, atoms=())
+            oracle = [
+                curvature_integral(np.ones_like, density_only, l, h, breaks)
+                for l, h in zip(edges[:-1], edges[1:])
+            ]
+            np.testing.assert_allclose(
+                m.cell_masses(grid), oracle, atol=1e-13, err_msg=f.name
+            )
 
     def test_non_finite_atom(self):
         with pytest.raises(ValueError, match="finite"):
             dataclasses.replace(
                 make_relu().second_derivative, atoms=((np.inf, 1.0),)
-            )
-
-
-# ---------------------------------------------------------------------------
-# integrate_against_f2
-# ---------------------------------------------------------------------------
-
-class TestIntegrateAgainstCurvature:
-    def test_pure_atom_picks_up_g_at_kink(self):
-        f = make_abs(0.3, 0.5)
-        val = integrate_against_f2(lambda u: u**2 + 1.0, f, (-1.0, 1.0))
-        assert val == pytest.approx(1.0 * (0.3**2 + 1.0), abs=1e-14)
-        assert integrate_against_f2(lambda u: u, f, (0.4, 1.0)) == 0.0
-
-    def test_lebesgue_curvature_integrates_g(self):
-        f = make_square()
-        val = integrate_against_f2(np.cos, f, (-1.0, 2.0))
-        assert val == pytest.approx(np.sin(2.0) - np.sin(-1.0), abs=1e-12)
-
-    def test_grid_sampled_atom_uses_nearest_left_cell(self):
-        f = make_relu(0.25)
-        grid = LevelGrid(0.0, 0.1, 5)
-        g = np.array([1.0, 10.0, 100.0, 1000.0, 10000.0])
-        val = integrate_against_f2(g, f, (0.0, 1.0), grid=grid)
-        assert val == 100.0
-
-    def test_grid_sampled_atom_policies(self):
-        f = make_relu(0.7)
-        grid = LevelGrid(0.0, 0.1, 5)  # places atoms in [0, 0.5)
-        g = np.ones(5)
-        with pytest.raises(ValueError, match="outside the level grid"):
-            integrate_against_f2(g, f, (0.0, 1.0), grid=grid)
-        val = integrate_against_f2(
-            g * np.arange(5), f, (0.0, 1.0), grid=grid, atom_policy="extend"
-        )
-        assert val == 4.0
-        val = integrate_against_f2(
-            g, f, (0.0, 1.0), grid=grid, atom_policy="skip"
-        )
-        assert val == 0.0
-
-    def test_grid_ends_agree_with_lp_distance(self):
-        # one coverage rule: an atom sits on the grid iff its nearest level
-        # to the left is a grid level, for the integral and the weighted
-        # distance alike
-        grid = LevelGrid(0.0, 1.0, 5)
-        g = np.arange(1.0, 6.0)
-        w = make_abs(4.75).second_derivative  # atom weight 2 at 4.75
-        assert integrate_against_f2(g, make_abs(4.75), (-10.0, 10.0), grid=grid) == 10.0
-        assert lp_distance(g, np.zeros(5), weight=w, grid=grid) == 10.0
-        w = make_abs(-0.25).second_derivative
-        with pytest.raises(ValueError, match="outside the level grid"):
-            integrate_against_f2(g, make_abs(-0.25), (-10.0, 10.0), grid=grid)
-        with pytest.raises(ValueError, match="outside the level grid"):
-            lp_distance(g, np.zeros(5), weight=w, grid=grid)
-
-    def test_grid_sampled_density_full_and_partial_cells(self):
-        f = make_square()
-        grid = LevelGrid(0.0, 0.1, 5)
-        g = np.arange(5.0)
-        # window covering every cell exactly: each cell contributes g[k] * du
-        val = integrate_against_f2(g, f, (-0.05, 0.45), grid=grid)
-        assert val == pytest.approx(0.1 * g.sum(), abs=1e-14)
-        # right-open window cutting cell 2 in half
-        val = integrate_against_f2(g, f, (-0.05, 0.2), grid=grid)
-        assert val == pytest.approx(0.1 * (0.0 + 1.0) + 0.05 * 2.0, abs=1e-14)
-
-    def test_grid_required_for_sampled_g(self):
-        with pytest.raises(ValueError, match="grid"):
-            integrate_against_f2(np.ones(3), make_square(), (0.0, 1.0))
-        grid = LevelGrid(0.0, 0.1, 5)
-        with pytest.raises(ValueError, match="per grid level"):
-            integrate_against_f2(np.ones(3), make_square(), (0.0, 1.0), grid=grid)
-
-    def test_unknown_policy(self):
-        with pytest.raises(ValueError, match="atom_policy"):
-            integrate_against_f2(
-                lambda u: u, make_square(), (0.0, 1.0), atom_policy="clip"
-            )
-
-    def test_empty_window(self):
-        assert integrate_against_f2(lambda u: u, make_square(), (1.0, 1.0)) == 0.0
-
-
-# ---------------------------------------------------------------------------
-# mollifiers
-# ---------------------------------------------------------------------------
-
-class TestMollify:
-    def test_level_must_be_positive(self):
-        with pytest.raises(ValueError, match="at least 1"):
-            mollify(make_abs(), 0)
-
-    def test_mollified_abs_at_kink(self):
-        # (|.| * rho_n)(0) = (1/n) * integral |w| rho(w) dw
-        rho = Mollifier.standard_bump()
-        expected = gauss_integrate(
-            lambda w: np.abs(w) * rho.profile(w), -1.0, 1.0, breaks=[0.0], panels=8
-        )
-        for n in (1, 4):
-            fn = mollify(make_abs(), n, rho)
-            assert fn.eval_f(0.0) == pytest.approx(expected / n, abs=1e-10)
-
-    def test_mollified_atom_density_is_scaled_profile(self):
-        rho = Mollifier.standard_bump()
-        f = make_abs(0.5, 2.0)  # curvature atom of weight 4 at 0.5
-        n = 3
-        fn = mollify(f, n, rho)
-        u = np.array([0.5, 0.4, 0.61])
-        np.testing.assert_allclose(
-            fn.second_derivative.density(u),
-            4.0 * n * rho.profile(n * (u - 0.5)),
-            atol=1e-12,
-        )
-
-    def test_mollified_function_is_smooth_with_shrunk_support(self):
-        fn = mollify(make_abs(), 5)
-        assert fn.is_smooth
-        assert fn.second_derivative.atoms == ()
-        np.testing.assert_allclose(fn.second_derivative.support, (-0.2, 0.2))
-        assert fn.name == "abs@0~n5"
-
-    def test_mollified_function_agrees_with_f_far_from_kinks(self):
-        # tolerance reflects the quadrature of the nearly-flat bump edges,
-        # not the convolution itself, which is exact away from the kink
-        fn = mollify(make_relu(0.0), 4)
-        f = make_relu(0.0)
-        for u in (-2.0, -0.5, 0.5, 2.0):
-            assert fn.eval_f(u) == pytest.approx(float(f(u)), abs=1e-8)
-            assert fn.eval_fprime(u) == pytest.approx(float(f.derivative(u)), abs=1e-8)
-
-    def test_remainder_identity_survives_mollification(self):
-        # exercises the quadrature fallback of bracket_weight_integrals,
-        # since mollified measures carry no closed-form antiderivatives
-        fn = mollify(make_abs(), 2)
-        for a, b in [(0.8, -0.3), (-0.1, 0.45), (0.2, 0.05)]:
-            assert jf_increment(fn, a, b) == pytest.approx(
-                jf_measure_side(fn, a, b), abs=1e-8
-            )
-
-    def test_one_sided_profile_shifts_support(self):
-        fn = mollify(make_abs(), 2, Mollifier.one_sided_bump())
-        np.testing.assert_allclose(fn.second_derivative.support, (0.0, 0.5))
-
-
-class TestMollifierValidation:
-    def test_profiles_normalised(self):
-        assert gauss_integrate(
-            Mollifier.standard_bump().profile, -1.0, 1.0, panels=12
-        ) == pytest.approx(1.0, abs=1e-10)
-        assert gauss_integrate(
-            Mollifier.one_sided_bump().profile, 0.0, 1.0, panels=12
-        ) == pytest.approx(1.0, abs=1e-10)
-
-    def test_unnormalised_profile_rejected(self):
-        with pytest.raises(ValueError, match="integral"):
-            Mollifier(lambda u: np.full_like(np.asarray(u, float), 2.0), (0.0, 1.0))
-
-    def test_negative_profile_rejected(self):
-        with pytest.raises(ValueError, match="nonnegative"):
-            Mollifier(lambda u: np.asarray(u, float) * 2.0, (-1.0, 1.0))
-
-    def test_empty_support_rejected(self):
-        with pytest.raises(ValueError, match="support"):
-            Mollifier(lambda u: np.ones_like(np.asarray(u, float)), (1.0, 1.0))
-
-    def test_one_sided_needs_nonnegative_support(self):
-        with pytest.raises(ValueError, match="one-sided"):
-            Mollifier(
-                lambda u: np.full_like(np.asarray(u, float), 0.5),
-                (-1.0, 1.0),
-                one_sided=True,
             )
 
 
@@ -399,6 +261,38 @@ def test_descriptor_errors():
         dc_function_from_descriptor({"kind": "bump", "width": -1.0})
     with pytest.raises(ConfigError, match="mapping"):
         dc_function_from_descriptor("abs")
+
+
+@pytest.mark.parametrize(
+    "desc,unknown",
+    [
+        ({"kind": "abs", "centre": 0.3}, ["centre"]),
+        ({"kind": "square", "center": 1.0}, ["center"]),
+        ({"kind": "relu", "center": 0.1, "scale": 2.0}, ["scale"]),
+        ({"kind": "bump", "centre": 0.0, "widht": 1.0}, ["centre", "widht"]),
+        ({"kind": "mix", "atoms": [], "uniform": 0.3}, ["uniform"]),
+    ],
+)
+def test_descriptor_refuses_unknown_fields(desc, unknown):
+    with pytest.raises(ConfigError) as err:
+        dc_function_from_descriptor(desc)
+    assert str(err.value) == f"unknown function fields: {unknown}"
+
+
+@pytest.mark.parametrize(
+    "desc",
+    [
+        {"kind": "mix", "uniform_weight": float("nan")},
+        {"kind": "mix", "bump_weight": float("inf")},
+        {"kind": "bump", "width": float("inf")},
+        {"kind": "bump", "width": float("nan")},
+        {"kind": "bump", "center": float("nan")},
+        {"kind": "bump", "center": float("-inf")},
+    ],
+)
+def test_descriptor_refuses_non_finite_numbers(desc):
+    with pytest.raises(ConfigError, match="bad function descriptor: .*finite"):
+        dc_function_from_descriptor(desc)
 
 
 def test_suite_composition():

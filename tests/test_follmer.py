@@ -15,7 +15,6 @@ from leveltime import (
     make_abs,
     make_bump,
     make_square,
-    mollify,
     quadratic_variation,
     riemann_integral,
 )
@@ -198,13 +197,6 @@ class TestFollmerResidual:
         p = ramp_path(8)
         with pytest.raises(ValueError, match="without atoms"):
             follmer_residual(p, make_abs(), PartitionScheme.full(9), 0)
-
-    def test_mollified_kink_passes_smoothness_gate(self):
-        p = ramp_path(64)
-        fn = mollify(make_abs(), 3)
-        scheme = PartitionScheme.full(p.n_samples)
-        res = follmer_residual(p, fn, scheme, 0)
-        assert np.isfinite(res)
 
     def test_clipped_residual_matches_restricted_effort(self, step_path):
         p = step_path(13)

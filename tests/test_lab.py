@@ -298,6 +298,17 @@ class TestLpDistance:
         with pytest.raises(ValueError, match="outside"):
             lp_distance(a, a, weight=w)
 
+    def test_grid_ends_decide_atom_coverage(self):
+        # an atom sits on the grid iff its nearest level to the left is a
+        # grid level: 4.75 lands on the last level, -0.25 has none
+        grid = LevelGrid(0.0, 1.0, 5)
+        g = np.arange(1.0, 6.0)
+        w = make_abs(4.75).second_derivative  # atom weight 2 at 4.75
+        assert lp_distance(g, np.zeros(5), weight=w, grid=grid) == 10.0
+        w = make_abs(-0.25).second_derivative
+        with pytest.raises(ValueError, match="outside the level grid"):
+            lp_distance(g, np.zeros(5), weight=w, grid=grid)
+
     def test_grid_mismatch_rejected(self, step_path):
         p = step_path(122)
         g1 = LevelGrid.for_path(p, 0.05, margin=0.2)

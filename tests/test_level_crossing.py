@@ -13,7 +13,6 @@ from leveltime import (
     discrete_tanaka_residual,
     j_pi,
     k_pi,
-    mollify,
     occupation_local_time,
     split_Kc_Kd,
     total_variation,
@@ -131,14 +130,6 @@ class TestDiscreteTanaka:
         tol = 1e-9 * (1.0 + total_variation(p))
         for t in (0.21, 0.5, 0.83):
             assert abs(discrete_tanaka_residual(p, f, scheme, 2, t=t)) <= tol
-
-    def test_identity_holds_for_mollified_members(self, step_path):
-        # mollified measures route through the quadrature fallback, so the
-        # residual reflects Gauss-Legendre accuracy rather than exactness
-        p = step_path(35, n_samples=60)
-        scheme = PartitionScheme.full(p.n_samples)
-        fn = mollify(builtin_suite()[0], 2)
-        assert abs(discrete_tanaka_residual(p, fn, scheme, 0)) < 1e-7
 
     def test_zigzag_abs_by_hand(self):
         # f = |x - 1/2|: lhs telescopes to 1/2 - (-1/2 + 1/2 - 1/2) = 1
