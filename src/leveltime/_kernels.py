@@ -243,6 +243,15 @@ def _rank(x, u0, du, right=False, off=0.0):
     return r.astype(np.int64)
 
 
+def _range_sums(kf, kl, w, m):
+    """Per level, the sum of ``w_j`` over the ranges ``kf_j..kl_j`` that
+    hold it, through one difference array."""
+    d = np.zeros(m + 1)
+    np.add.at(d, kf, w)
+    np.subtract.at(d[1:], kl, w)
+    return np.cumsum(d)[:m]
+
+
 # ---------------------------------------------------------------------------
 # interval fields of one-sided distances over straddled value brackets
 # ---------------------------------------------------------------------------
@@ -290,15 +299,8 @@ def _point_sums_np(b, lo, hi, kf, kl, u0, du, m, out):
     """The same sums through two difference arrays: over a range the
     distance is ``s_j * (b_j - u_k)`` with one sign ``s_j`` per bracket."""
     s = np.where(b > lo, 1.0, -1.0)
-    sb = s * b
-    d_const = np.zeros(m + 1)
-    d_slope = np.zeros(m + 1)
-    np.add.at(d_const, kf, sb)
-    np.subtract.at(d_const[1:], kl, sb)
-    np.add.at(d_slope, kf, s)
-    np.subtract.at(d_slope[1:], kl, s)
     levels = u0 + du * np.arange(m)
-    out += np.cumsum(d_const)[:m] - np.cumsum(d_slope)[:m] * levels
+    out += _range_sums(kf, kl, s * b, m) - _range_sums(kf, kl, s, m) * levels
     return out
 
 
@@ -385,10 +387,7 @@ def _band_sums_loop(w, kf, kl, m, out):
 
 
 def _band_sums_np(w, kf, kl, m, out):
-    diff = np.zeros(m + 1)
-    np.add.at(diff, kf, w)
-    np.subtract.at(diff[1:], kl, w)
-    out += np.cumsum(diff)[:m]
+    out += _range_sums(kf, kl, w, m)
     return out
 
 

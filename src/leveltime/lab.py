@@ -20,6 +20,7 @@ import numpy as np
 from . import _kernels
 from .crossing import (
     LocalTimeField,
+    _eval_time,
     j_pi,
     k_pi,
     occupation_local_time,
@@ -244,6 +245,10 @@ def q_statistic(
         )
     if classical is None:
         classical = classical_local_time(path, t=t, grid=grid)
+    if classical.grid != grid:
+        raise ValueError("classical lives on a different level grid")
+    if classical.time != _eval_time(path, t):
+        raise ValueError("classical must be evaluated at time t")
     ell = classical.data
     du = grid.du
     prefix = np.concatenate(
@@ -267,30 +272,19 @@ def q_statistic(
 # distances
 # ---------------------------------------------------------------------------
 
-def _field_row(a, grid):
-    if isinstance(a, LocalTimeField):
-        if grid is not None and a.grid != grid:
-            raise ValueError("fields live on different level grids")
-        return a.data, a.grid
-    return np.asarray(a, np.float64), grid
-
-
-def lp_distance(a, b, p: float = 1.0, weight=None, grid: LevelGrid = None):
-    """L^p distance of two level fields, optionally in L^p(|f''|(du)).
+def lp_distance(a, b, p: float = 1.0, weight=None):
+    """L^p distance of two fields on one grid, optionally in L^p(|f''|(du)).
 
     With no weight the measure is du times Lebesgue counting on levels.
     A :class:`SecondDerivativeMeasure` weight contributes exact per-cell
     density masses plus absolute atom weights at their nearest-left cells.
     """
-    row_a, grid = _field_row(a, grid)
-    row_b, grid = _field_row(b, grid)
-    if grid is None:
-        raise ValueError("lp_distance needs a grid for raw arrays")
-    if row_a.shape != row_b.shape or row_a.shape != (grid.n_levels,):
-        raise ValueError("fields must share the grid shape")
+    grid = a.grid
+    if b.grid != grid:
+        raise ValueError("fields live on different level grids")
     if not (np.isfinite(p) and p >= 1):
         raise ValueError(f"p must be finite and at least 1, got {p}")
-    diff = np.abs(row_a - row_b)
+    diff = np.abs(a.data - b.data)
     if weight is None:
         return float((diff**p).sum() * grid.du) ** (1.0 / p)
     if not isinstance(weight, SecondDerivativeMeasure):
@@ -298,6 +292,8 @@ def lp_distance(a, b, p: float = 1.0, weight=None, grid: LevelGrid = None):
     masses = np.abs(weight.cell_masses(grid))
     for loc, w in weight.atoms:
         masses[grid.atom_index(loc)] += abs(w)
+    if not masses.any():
+        raise ValueError("weight has no mass on the level grid")
     return float((diff**p * masses).sum()) ** (1.0 / p)
 
 
@@ -478,11 +474,7 @@ def run_convergence_experiment(config: ExperimentConfig) -> ExperimentReport:
         tick = time.perf_counter()
         for k, fld in enumerate(_ladder_fields(config, path, grid, jf)):
             row[k] = lp_distance(
-                fld,
-                ref,
-                p=config.distance_p,
-                weight=config.distance_weight,
-                grid=grid,
+                fld, ref, p=config.distance_p, weight=config.distance_weight
             )
             now = time.perf_counter()
             local_clock[k] += now - tick

@@ -24,35 +24,39 @@ class SkorokhodSolution:
     """Decomposition x = x^eps + phi from the double Skorokhod problem.
 
     ``deviation`` stores the recursion's own phi values (exactly +-eps/2 at
-    samples where x^eps moves); ``monotone_segments`` lists maximal runs
-    (start_idx, end_idx, direction) of one-signed movement.
+    samples where x^eps moves); ``monotone_segments`` holds the maximal runs
+    of one-signed movement as ``(start_idx, end_idx, direction)`` rows.
     """
 
     path: SampledCadlagPath
     regularized: SampledCadlagPath
     deviation: np.ndarray
     eps: float
-    monotone_segments: tuple
+    monotone_segments: np.ndarray
 
     @property
     def half_width(self) -> float:
         return 0.5 * self.eps
 
 
-def monotone_segments(values) -> tuple:
-    """Maximal runs of one-signed increments (flat steps stay in the run)."""
+def monotone_segments(values) -> np.ndarray:
+    """Maximal runs of one-signed increments (flat steps stay in the run),
+    as ``(S, 3)`` int64 rows ``(start, end, direction)``; direction 0 only
+    for the one row of a path that never moves."""
     values = np.asarray(values, np.float64)
     d = np.diff(np.atleast_1d(values))
     moves = np.flatnonzero(d != 0)
     if moves.size == 0:
-        return ((0, max(values.size - 1, 0), 0),)
+        return np.array([[0, max(values.size - 1, 0), 0]], np.int64)
     up = d[moves] > 0
     # a run turns at the first move against it; the turning sample ends the
     # old run and starts the new one
     turns = np.flatnonzero(up[1:] != up[:-1]) + 1
-    cuts = moves[turns].tolist()
-    dirs = np.where(up[np.r_[0, turns]], 1, -1).tolist()
-    return tuple(zip([0] + cuts, cuts + [values.size - 1], dirs))
+    segs = np.empty((turns.size + 1, 3), np.int64)
+    segs[0, 0], segs[-1, 1] = 0, values.size - 1
+    segs[1:, 0] = segs[:-1, 1] = moves[turns]
+    segs[:, 2] = np.where(up[np.r_[0, turns]], 1, -1)
+    return segs
 
 
 def skorokhod_map(path: SampledCadlagPath, eps: float) -> SkorokhodSolution:
@@ -115,52 +119,55 @@ def _segments_until(solution: SkorokhodSolution, t):
     return values, monotone_segments(values)
 
 
-def banach_indicatrix(solution: SkorokhodSolution, z: float, t=None) -> int:
-    """Number of level-z crossings of the regularized path, per segment.
+def _crossings(values, segs, z):
+    """Indicatrix of the segments ``segs`` of ``values`` at the level(s)
+    ``z``: ``#(a < z) - #(b < z)`` over increasing segments a -> b, as
+    b < z implies a < z, plus ``#(b <= z) - #(a <= z)`` over decreasing
+    ones, as a <= z implies b <= z."""
+    a, b = values[segs[:, 0]], values[segs[:, 1]]
+    up, down = segs[:, 2] > 0, segs[:, 2] < 0
+    return (
+        np.searchsorted(np.sort(a[up]), z, "left")
+        - np.searchsorted(np.sort(b[up]), z, "left")
+        + np.searchsorted(np.sort(b[down]), z, "right")
+        - np.searchsorted(np.sort(a[down]), z, "right")
+    )
+
+
+def banach_indicatrix(solution: SkorokhodSolution, z, t=None):
+    """Number of level-z crossings of the regularized path, per segment,
+    at a level (an ``int``) or an array of levels (an array of counts).
 
     An increasing segment a -> b crosses z when a < z <= b; a decreasing one
     when b <= z < a.  The half-open conventions make the z-integral of the
     count equal to the total variation exactly.
     """
-    values, segs = _segments_until(solution, t)
-    count = 0
-    for start, end, direction in segs:
-        a = values[start]
-        b = values[end]
-        if direction > 0:
-            if a < z <= b:
-                count += 1
-        elif direction < 0:
-            if b <= z < a:
-                count += 1
-    return count
+    count = _crossings(*_segments_until(solution, t), z)
+    return int(count) if np.ndim(count) == 0 else count
 
 
 def banach_indicatrix_integral(solution: SkorokhodSolution, t=None) -> float:
     """Exact z-integral of the indicatrix, via breakpoint-and-midpoint count.
 
     Computed by slicing the level axis at all segment endpoint values and
-    counting covering segments on each slice, so the total-variation identity
-    is verified by an independent route rather than assumed.  The count is a
-    sweep over the sorted endpoints, O(S log S) in the number S of
-    segments: ``#(lo < mid) - #(hi <= mid)`` is exactly ``#(lo < mid < hi)``
-    because ``hi <= mid`` implies ``lo < mid``.  The slices are summed in
-    order, one after the other.
+    counting the segments strictly across each slice's midpoint, so the
+    total-variation identity is verified by an independent route rather
+    than assumed.  The count is the indicatrix at the midpoints, O(S log S)
+    in the number S of segments; the slices are summed in order.
     """
     values, segs = _segments_until(solution, t)
-    ends = np.array(segs, np.int64)
-    a = values[ends[:, 0]]
-    b = values[ends[:, 1]]
-    moved = a != b
-    lo = np.minimum(a, b)[moved]
-    hi = np.maximum(a, b)[moved]
-    if lo.size == 0:
+    if segs[0, 2] == 0:
         return 0.0
-    cuts = np.unique(np.concatenate([lo, hi]))
+    cuts = np.unique(values[segs[:, :2]])
     mid = 0.5 * (cuts[:-1] + cuts[1:])
-    cover = np.searchsorted(np.sort(lo), mid, "left") - np.searchsorted(
-        np.sort(hi), mid, "right"
-    )
+    cover = _crossings(values, segs, mid)
+    # between adjacent floats the midpoint rounds onto a cut, where the
+    # indicatrix also counts the segments that end there
+    on = np.flatnonzero((mid == cuts[:-1]) | (mid == cuts[1:]))
+    if on.size:
+        ends = np.sort(values[segs[:, 1]])
+        upto = np.searchsorted(ends, mid[on], "right")
+        cover[on] -= upto - np.searchsorted(ends, mid[on], "left")
     # np.cumsum adds term by term, as a running total would; np.sum would
     # add pairwise
     return float(np.cumsum(cover * np.diff(cuts))[-1])

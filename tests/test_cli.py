@@ -550,6 +550,22 @@ class TestBadInput:
         assert last == "error: config " + message
 
     @pytest.mark.parametrize(
+        "weight",
+        [
+            {"kind": "abs", "scale": 0},
+            {"kind": "mix", "atoms": [], "uniform_weight": 0, "bump_weight": 0},
+        ],
+    )
+    def test_weight_without_mass_exits_1(self, tmp_path, capsys, weight):
+        cfg = write_config(tmp_path, dict(
+            TestExperiment.CONFIG, distance={"p": 2, "weight": weight}
+        ))
+        rc, last = self.run(capsys, ["experiment", "--config", cfg,
+                                     "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert last == "error: weight has no mass on the level grid"
+
+    @pytest.mark.parametrize(
         "command,config",
         [
             (["qv"], {"widths": [0.1]}),

@@ -260,6 +260,25 @@ class TestQStatistic:
         b = q_statistic(p, grid=grid, d=0.2)
         assert a == b
 
+    def test_classical_must_match_grid_and_time(self, step_path):
+        p = step_path(112)
+        grid = LevelGrid.for_path(p, 0.02, margin=0.5)
+        at_t = classical_local_time(p, t=0.3, grid=grid)
+        assert q_statistic(p, t=0.3, grid=grid, d=0.2, classical=at_t) == (
+            q_statistic(p, t=0.3, grid=grid, d=0.2)
+        )
+        at_end = classical_local_time(p, grid=grid)
+        with pytest.raises(ValueError, match="time t"):
+            q_statistic(p, t=0.3, grid=grid, d=0.2, classical=at_end)
+        with pytest.raises(ValueError, match="time t"):
+            q_statistic(p, grid=grid, d=0.2, classical=at_t)
+        shifted = LevelGrid(grid.u0 + 0.7, grid.du, grid.n_levels)
+        with pytest.raises(ValueError, match="different level grid"):
+            q_statistic(
+                p, grid=grid, d=0.2,
+                classical=classical_local_time(p, grid=shifted),
+            )
+
 
 class TestLpDistance:
     def test_zero_for_identical_fields(self, step_path):
@@ -302,12 +321,13 @@ class TestLpDistance:
         # an atom sits on the grid iff its nearest level to the left is a
         # grid level: 4.75 lands on the last level, -0.25 has none
         grid = LevelGrid(0.0, 1.0, 5)
-        g = np.arange(1.0, 6.0)
+        g = LocalTimeField(grid, 1.0, np.arange(1.0, 6.0), "K")
+        z = LocalTimeField(grid, 1.0, np.zeros(5), "K")
         w = make_abs(4.75).second_derivative  # atom weight 2 at 4.75
-        assert lp_distance(g, np.zeros(5), weight=w, grid=grid) == 10.0
+        assert lp_distance(g, z, weight=w) == 10.0
         w = make_abs(-0.25).second_derivative
         with pytest.raises(ValueError, match="outside the level grid"):
-            lp_distance(g, np.zeros(5), weight=w, grid=grid)
+            lp_distance(g, z, weight=w)
 
     def test_grid_mismatch_rejected(self, step_path):
         p = step_path(122)
@@ -318,16 +338,12 @@ class TestLpDistance:
         with pytest.raises(ValueError, match="different level grids"):
             lp_distance(f1, f2)
 
-    def test_raw_arrays_need_grid(self):
-        with pytest.raises(ValueError, match="grid"):
-            lp_distance(np.ones(4), np.zeros(4))
-        grid = LevelGrid(0.0, 0.5, 4)
-        assert lp_distance(np.ones(4), np.zeros(4), grid=grid) == pytest.approx(2.0)
-
     def test_p_below_one_rejected(self):
         grid = LevelGrid(0.0, 0.5, 4)
+        a = LocalTimeField(grid, 1.0, np.ones(4), "K")
+        b = LocalTimeField(grid, 1.0, np.zeros(4), "K")
         with pytest.raises(ValueError, match="at least 1"):
-            lp_distance(np.ones(4), np.zeros(4), p=0.5, grid=grid)
+            lp_distance(a, b, p=0.5)
 
 
 class TestExperiments:
@@ -568,7 +584,9 @@ WIDTH_ARGUMENTS = {
     "grid du": lambda p, g, v: LevelGrid.for_path(p, v),
     "grid margin": lambda p, g, v: LevelGrid.for_path(p, 0.1, v),
     "distance p": lambda p, g, v: lp_distance(
-        np.zeros(g.n_levels), np.ones(g.n_levels), p=v, grid=g
+        LocalTimeField(g, 1.0, np.zeros(g.n_levels), "K"),
+        LocalTimeField(g, 1.0, np.ones(g.n_levels), "K"),
+        p=v,
     ),
 }
 

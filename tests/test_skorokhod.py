@@ -98,7 +98,7 @@ def ref_monotone_segments(values):
     values = np.asarray(values, np.float64)
     n = values.size
     if n <= 1:
-        return ((0, max(n - 1, 0), 0),)
+        return [[0, max(n - 1, 0), 0]]
     segs = []
     start = 0
     direction = 0
@@ -110,11 +110,26 @@ def ref_monotone_segments(values):
         if direction == 0:
             direction = s
         elif s != direction:
-            segs.append((start, i - 1, direction))
+            segs.append([start, i - 1, direction])
             start = i - 1
             direction = s
-    segs.append((start, n - 1, direction))
-    return tuple(segs)
+    segs.append([start, n - 1, direction])
+    return segs
+
+
+def ref_indicatrix(values, segs, z):
+    """Per-segment loop reference for banach_indicatrix at an array of
+    levels ``z``."""
+    z = np.asarray(z, np.float64)
+    count = np.zeros(z.shape, np.int64)
+    for start, end, direction in segs:
+        a = values[start]
+        b = values[end]
+        if direction > 0:
+            count += (a < z) & (z <= b)
+        elif direction < 0:
+            count += (b <= z) & (z < a)
+    return count
 
 
 def ref_indicatrix_integral(solution, t=None):
@@ -152,6 +167,19 @@ def solution_of(values):
     )
 
 
+EDGE_VALUES = [
+    [2.0, 2.0, 2.0],  # all flat
+    [1.0],  # one sample
+    [0.0, 0.5, 0.5, 2.0],  # a single segment
+    [0.0, 1.0, 0.0, 1.0, 0.0, 1.0, 0.5, 1.0],  # repeated endpoints
+    # adjacent floats: the midpoint of [1, 1 + ulp] rounds onto 1, and the
+    # midpoint of [1 - ulp/2, 1] rounds onto 1
+    [0.0, np.nextafter(1.0, 2.0), 1.0, 3.0],
+    [2.0, np.nextafter(1.0, 0.0), 1.0, -1.0, 1.0],
+    [1.0, np.nextafter(1.0, 2.0), 1.0, np.nextafter(1.0, 2.0)],
+]
+
+
 class TestMonotoneSegments:
     @pytest.mark.parametrize(
         "values",
@@ -165,7 +193,9 @@ class TestMonotoneSegments:
         ],
     )
     def test_edge_inputs_match_the_loop(self, values):
-        assert monotone_segments(values) == ref_monotone_segments(values)
+        assert monotone_segments(values).tolist() == ref_monotone_segments(
+            values
+        )
 
     @given(st.lists(st.integers(-3, 3), max_size=40))
     @settings(max_examples=300, deadline=None)
@@ -173,24 +203,24 @@ class TestMonotoneSegments:
         # small integer steps make flat runs and ties frequent
         values = np.cumsum(np.asarray(steps, np.float64))
         segs = monotone_segments(values)
-        assert segs == ref_monotone_segments(values)
-        assert all(type(v) is int for seg in segs for v in seg)
+        assert segs.tolist() == ref_monotone_segments(values)
+        assert segs.dtype == np.int64 and segs.shape[1:] == (3,)
 
     def test_matches_the_loop_on_band_solutions(self, step_path):
         p = step_path(8, n_samples=4097)
         for eps in (0.4, 0.1, 0.01):
             reg = skorokhod_map(p, eps).regularized.values
-            assert monotone_segments(reg) == ref_monotone_segments(reg)
+            assert monotone_segments(reg).tolist() == ref_monotone_segments(reg)
 
     def test_constant(self):
-        assert monotone_segments([2.0, 2.0, 2.0]) == ((0, 2, 0),)
+        assert monotone_segments([2.0, 2.0, 2.0]).tolist() == [[0, 2, 0]]
 
     def test_single_sample(self):
-        assert monotone_segments([1.0]) == ((0, 0, 0),)
+        assert monotone_segments([1.0]).tolist() == [[0, 0, 0]]
 
     def test_flat_steps_stay_in_run(self):
         segs = monotone_segments([0.0, 1.0, 1.0, 2.0, 0.0])
-        assert segs == ((0, 3, 1), (3, 4, -1))
+        assert segs.tolist() == [[0, 3, 1], [3, 4, -1]]
 
 
 class TestCrossingCounts:
@@ -279,20 +309,38 @@ class TestBanachIndicatrix:
                 ref_indicatrix_integral(sol, t)
             ).tobytes()
 
-    @pytest.mark.parametrize(
-        "values",
-        [
-            [2.0, 2.0, 2.0],  # all flat
-            [1.0],  # one sample
-            [0.0, 0.5, 0.5, 2.0],  # a single segment
-            [0.0, 1.0, 0.0, 1.0, 0.0, 1.0, 0.5, 1.0],  # repeated endpoints
-            # adjacent floats: the midpoint of [1, 1 + ulp] rounds onto 1,
-            # and the midpoint of [1 - ulp/2, 1] rounds onto 1
-            [0.0, np.nextafter(1.0, 2.0), 1.0, 3.0],
-            [2.0, np.nextafter(1.0, 0.0), 1.0, -1.0, 1.0],
-            [1.0, np.nextafter(1.0, 2.0), 1.0, np.nextafter(1.0, 2.0)],
-        ],
-    )
+    @pytest.mark.parametrize("eps", [0.4, 0.2, 0.1, 0.05, 0.03, 0.02, 0.01])
+    def test_matches_the_segment_loop_at_every_level(self, step_path, eps):
+        # band_map's eps ladder on a 2^14-sample Brownian path; the segment
+        # start and end values are the ties of the half-open conventions
+        p = step_path(80, n_samples=2**14 + 1, kind="brownian")
+        sol = skorokhod_map(p, eps)
+        grid = LevelGrid.for_path(p, 0.01, margin=0.1)
+        reg = sol.regularized
+        for t in (None, 0.0, 0.37, 0.5, p.times[-1]):
+            values = reg.values[: reg.index_at(t) + 1]
+            segs = ref_monotone_segments(values)
+            ends = values[np.asarray(segs)[:, :2]].ravel()
+            levels = np.concatenate([grid.levels, ends])
+            got = banach_indicatrix(sol, levels, t)
+            assert got.tolist() == ref_indicatrix(values, segs, levels).tolist()
+            for z in levels[::41]:
+                count = banach_indicatrix(sol, z, t)
+                assert type(count) is int
+                assert count == ref_indicatrix(values, segs, z)
+
+    @pytest.mark.parametrize("values", EDGE_VALUES)
+    def test_edge_inputs_match_the_segment_loop(self, values):
+        values = np.asarray(values, np.float64)
+        sol = solution_of(values)
+        levels = np.concatenate(
+            [values, 0.5 * (values[:-1] + values[1:]), values - 1, values + 1]
+        )
+        want = ref_indicatrix(values, ref_monotone_segments(values), levels)
+        assert banach_indicatrix(sol, levels).tolist() == want.tolist()
+        assert [banach_indicatrix(sol, z) for z in levels] == want.tolist()
+
+    @pytest.mark.parametrize("values", EDGE_VALUES)
     def test_integral_edge_inputs_match_the_slicing_loop(self, values):
         sol = solution_of(np.asarray(values, np.float64))
         got = banach_indicatrix_integral(sol)
