@@ -5,10 +5,11 @@ compiled loop (the signed increment sum has one form, a sorted prefix sum);
 without numba, the array form where it beats the uncompiled loop.  This
 script first checks every kernel's bound implementation against its
 uncompiled loop (the play operator bit for bit, the others within 1e-9; the
-signed increment sum against a dense numpy oracle) on two small inputs of
-2,049 samples by 101 levels, small enough for the uncompiled loops: a
-seeded path, and values snapped to levels and cell edges with a band of one
-grid step, so that a variant split on ties fails the script.  It then
+signed increment sum against a dense numpy oracle, and bit for bit against
+its prefix sum in stable-sort order) on two small inputs of 2,049 samples by
+101 levels, small enough for the uncompiled loops: a seeded path, and values
+snapped to levels and cell edges with a band of one grid step, so that a
+variant split on ties fails the script.  It then
 prints which implementation each kernel is bound to and reports
 best-of-``--repeat`` wall times of the bound kernels.  With numba it also
 times the implementation each kernel binds without numba, and the compiled
@@ -32,6 +33,17 @@ def dense_signed_sum(left, inc, u0, du, m):
     """Oracle for the signed increment sum, which has no loop variant."""
     levels = u0 + du * np.arange(m)
     return np.where(left[None, :] > levels[:, None], inc, -inc).sum(axis=1)
+
+
+def stable_signed_sum(left, inc, u0, du, m):
+    """The signed increment sum as a prefix sum in stable-sort order, the
+    bits the kernel must give whatever sort it runs."""
+    order = np.argsort(left, kind="stable")
+    cs = np.cumsum(inc[order])
+    cnt = np.searchsorted(left[order], u0 + du * np.arange(m), side="right")
+    out = np.zeros(m)
+    out += cs[-1] - 2.0 * np.where(cnt > 0, cs[np.maximum(cnt - 1, 0)], 0.0)
+    return out
 
 
 # per kernel: the implementation it is bound to, its uncompiled loop (an
@@ -164,6 +176,14 @@ def main(argv=None):
         checks = build_cases(values, u0, du, 101, band * du)
         for name, case in checks.items():
             check_agreement(case, name)  # compiles the numba loops, if present
+        signed = checks["signed_increment_sum"]
+        if not np.array_equal(
+            signed(_kernels.signed_increment_sum).view(np.int64),
+            signed(stable_signed_sum).view(np.int64),
+        ):
+            raise AssertionError(
+                "signed_increment_sum: not the stable-sort prefix sum bit for bit"
+            )
         print(
             f"bound kernels agree with their loops on {len(checks)} kernels "
             f"({label}, 2049 samples x 101 levels, eps = {band} du)"

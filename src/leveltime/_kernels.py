@@ -10,14 +10,15 @@ beats it:
   clamp maps that is checked step by step against the loop's own test and
   falls back to the loop where a step differs (:func:`_play_operator_np`);
 - the crossing counts run one clamp loop, compiled over int64 arrays or,
-  uncompiled, over lists;
+  uncompiled, over lists without the samples that repeat a clamp;
 - the three field kernels (point and cell interval fields, occupation
   weights) are each one shared range computation, which finds every
   bracket's first and last covered level or cell with :func:`_rank`, plus
   an accumulator over those ranges: the compiled loop, or difference arrays
-  without numba;
-- the signed increment sum has one form on every machine, a sorted prefix
-  sum.
+  without numba.  They allocate few full-length buffers, since freed heap
+  goes back to the OS and is faulted in again on the next call;
+- the signed increment sum has one form on every machine, a prefix sum in
+  stable-sort order, which the default sort gives unless two keys tie.
 
 The module-level ``if HAS_NUMBA:`` block below makes that choice once;
 ``ACTIVE_BACKEND`` names it.  The loop variants stay importable under their
@@ -124,12 +125,13 @@ def _play_operator_np(values, eps):
     # composition of maps 0..i, a constant too, so lo == hi == reg
     lo = np.concatenate([values[:1], up])
     hi = np.concatenate([values[:1], down])
+    buf_lo, buf_hi = np.empty((2, lo.size - 1))  # one pair for every pass
     k = 1
     while k < lo.size:
         # map i after map i - k: clamp i - k's ends into [lo_i, hi_i]
-        new_lo = np.maximum(lo[:-k], lo[k:])
+        new_lo = np.maximum(lo[:-k], lo[k:], out=buf_lo[k - 1 :])
         np.minimum(new_lo, hi[k:], out=new_lo)
-        new_hi = np.maximum(hi[:-k], lo[k:])
+        new_hi = np.maximum(hi[:-k], lo[k:], out=buf_hi[k - 1 :])
         np.minimum(new_hi, hi[k:], out=new_hi)
         lo[k:] = new_lo
         hi[k:] = new_hi
@@ -176,9 +178,12 @@ def _crossing_clamp_loop(arm, last, a, diff):
 
 
 def _crossing_clamp_np(arm, last, a, diff):
-    # uncompiled, the loop runs two to three times faster over lists than
-    # over int64 arrays
-    return _crossing_clamp_loop(arm.tolist(), last.tolist(), a, diff)
+    # a clamp applied twice in a row acts once, so a sample that repeats the
+    # previous (arm, last) pair is dropped; uncompiled, the loop runs two to
+    # three times faster over lists than over int64 arrays
+    keep = np.ones(arm.size, bool)
+    keep[1:] = (arm[1:] != arm[:-1]) | (last[1:] != last[:-1])
+    return _crossing_clamp_loop(arm[keep].tolist(), last[keep].tolist(), a, diff)
 
 
 def _crossing_counts(clamp, values, u0, du, m, eps, strict):
@@ -233,14 +238,14 @@ def _rank(x, u0, du, right=False, off=0.0):
     else:
         r -= off + 1.0
         np.ceil(r, out=r)
-    g = np.empty_like(r)
+    rank = np.empty(r.shape, np.int64)
+    g = rank.view(np.float64)  # the grid points, until the ranks go there
     for _ in range(2):
         np.add(r, off, out=g)
         g *= du
         g += u0
         r += below(g, x)
-    np.maximum(r, 0.0, out=r)
-    return r.astype(np.int64)
+    return np.maximum(r, 0.0, out=rank, casting="unsafe")
 
 
 def _range_sums(kf, kl, w, m):
@@ -264,8 +269,10 @@ def _level_ranges(lo, hi, u0, du, m):
 def _cell_ranges(lo, hi, u0, du, m):
     """Cells ``kf..kl`` that meet ``[lo, hi)``: the cells holding ``lo``
     and the last point below ``hi``."""
-    kf = np.maximum(_rank(lo, u0, du, True, -0.5) - 1, 0)
-    return kf, np.minimum(_rank(hi, u0, du, False, -0.5), m) - 1
+    kf = _rank(lo, u0, du, True, -0.5)
+    kf -= kf > 0  # max(kf - 1, 0), in place
+    kl = _rank(hi, u0, du, False, -0.5)
+    return kf, np.subtract(np.minimum(kl, m, out=kl), 1, out=kl)
 
 
 def _interval_field(ranges, accumulate, a, b, u0, du, m, out):
@@ -280,8 +287,10 @@ def _interval_field(ranges, accumulate, a, b, u0, du, m, out):
     lo = np.minimum(a, b)
     hi = np.maximum(a, b)
     kf, kl = ranges(lo, hi, u0, du, m)
-    j = np.flatnonzero((kf <= kl) & (a != b))
-    b, lo, hi, kf, kl = b[j], lo[j], hi[j], kf[j], kl[j]
+    keep = (kf <= kl) & (a != b)
+    if not keep.all():
+        j = np.flatnonzero(keep)
+        b, lo, hi, kf, kl = b[j], lo[j], hi[j], kf[j], kl[j]
     return accumulate(b, lo, hi, kf, kl, u0, du, m, out)
 
 
@@ -331,33 +340,43 @@ def _cell_sums_loop(b, lo, hi, kf, kl, u0, du, m, out):
     return out
 
 
-def _cell_sums_np(b, lo, hi, kf, kl, u0, du, m, out):
-    # end cells: the one cell of each short bracket, then the first and the
-    # last cell of each longer one
-    multi = np.flatnonzero(kf < kl)
-    j = np.concatenate([np.flatnonzero(kf == kl), multi, multi])
-    k = np.concatenate([kf[j[: j.size - multi.size]], kl[multi]])
-    # (beta - alpha) * |b - (alpha + beta) / 2| / du with [alpha, beta) the
-    # bracket clipped to the cell, in place: fewer full-size temporaries
-    # mean fewer page faults when the allocator returns freed memory
+def _end_cell_terms(b, lo, hi, k, u0, du):
+    """``(beta - alpha) * |b - (alpha + beta) / 2| / du``, in place, with
+    ``[alpha, beta)`` the bracket clipped to cell ``k``."""
     alpha = k - 0.5
     alpha *= du
     alpha += u0
-    np.maximum(alpha, lo[j], out=alpha)
+    np.maximum(alpha, lo, out=alpha)
     beta = k + 0.5
     beta *= du
     beta += u0
-    np.minimum(beta, hi[j], out=beta)
+    np.minimum(beta, hi, out=beta)
     mid = alpha + beta
     mid *= 0.5
-    np.subtract(b[j], mid, out=mid)
+    np.subtract(b, mid, out=mid)
     np.abs(mid, out=mid)
     beta -= alpha
     beta *= mid
     beta *= 1.0 / du
-    out += np.bincount(k, beta, m)
+    return beta
+
+
+def _cell_sums_np(b, lo, hi, kf, kl, u0, du, m, out):
+    # end cells, added per cell in a fixed order: the one cell of each short
+    # bracket, then the first and the last cell of each longer one; the
+    # bincount adds 0.0, which changes no sum, for the longer ones
+    multi = np.flatnonzero(kf < kl)
+    w = _end_cell_terms(b, lo, hi, kf, u0, du)
+    first = w[multi]
+    w[multi] = 0.0
+    out += np.bincount(kf, w, m)
+    kf, kl, b, lo, hi = kf[multi], kl[multi], b[multi], lo[multi], hi[multi]
+    np.add.at(out, kf, first)
+    np.add.at(out, kl, _end_cell_terms(b, lo, hi, kl, u0, du))
     # interior cells take the point field at their level
     i = np.flatnonzero(kl - kf >= 2)
+    if i.size == 0:
+        return out
     return _point_sums_np(
         b[i], lo[i], hi[i], kf[i] + 1, kl[i] - 1, u0, du, m, out
     )
@@ -372,10 +391,14 @@ def _occupation_weights(accumulate, left, w, u0, du, m, eps, out):
     handed to ``accumulate`` when nonempty."""
     if left.size == 0:
         return out
-    kf = _rank(left - eps, u0, du)
-    kl = np.minimum(_rank(left + eps, u0, du, True), m) - 1
-    j = np.flatnonzero(kf <= kl)
-    w, kf, kl = w[j], kf[j], kl[j]
+    band_end = np.subtract(left, eps)
+    kf = _rank(band_end, u0, du)
+    kl = _rank(np.add(left, eps, out=band_end), u0, du, True)
+    np.subtract(np.minimum(kl, m, out=kl), 1, out=kl)
+    keep = kf <= kl
+    if not keep.all():
+        j = np.flatnonzero(keep)
+        w, kf, kl = w[j], kf[j], kl[j]
     return accumulate(w, kf, kl, m, out)
 
 
@@ -459,11 +482,16 @@ def signed_increment_sum(left, inc, u0, du, m):
     if left.size == 0:
         return out
     # sum_j inc_j - 2 * (sum of inc_j with left_j <= u_k), the second sum a
-    # prefix sum over the samples sorted by left
-    order = np.argsort(left, kind="stable")
-    cs = np.cumsum(inc[order])
+    # prefix sum in the stable sort's order, which every sort gives when no
+    # two keys tie (-0.0 == 0.0 ties)
+    order = np.argsort(left)
+    ranked = left[order]
+    if not (ranked[1:] > ranked[:-1]).all():
+        order = np.argsort(left, kind="stable")
     levels = float(u0) + float(du) * np.arange(int(m))
-    cnt = np.searchsorted(left[order], levels, side="right")
+    cnt = np.searchsorted(ranked, levels, side="right")
+    cs = np.take(inc, order, out=ranked, mode="clip")  # reuses the keys' memory
+    np.cumsum(cs, out=cs)
     prefix = np.where(cnt > 0, cs[np.maximum(cnt - 1, 0)], 0.0)
     out += cs[-1] - 2.0 * prefix
     return out

@@ -179,8 +179,9 @@ def occupation_local_time(
             "the band would miss every level"
         )
     left, inc = path.continuous_steps(t)
+    inc = inc**2  # frees the increments before the kernel's temporaries
     data = _kernels.occupation_weights(
-        left, inc**2, grid.u0, grid.du, grid.n_levels, eps
+        left, inc, grid.u0, grid.du, grid.n_levels, eps
     ) / (2.0 * eps)
     return LocalTimeField(
         grid, _eval_time(path, t), data, "L_occupation", width=eps

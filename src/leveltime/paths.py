@@ -132,11 +132,16 @@ class SampledCadlagPath:
         return int(np.searchsorted(self.times, t, side="right") - 1)
 
     def continuous_steps(self, t=None):
-        """Left values and increments of the unmarked steps up to ``t``."""
+        """Left values and increments of the unmarked steps up to ``t``, both
+        read-only (the left values are a view when no step is marked)."""
         i_t = self.index_at(t)
-        unmarked = ~self.jump_mask[1 : i_t + 1]
-        inc = np.diff(self.values[: i_t + 1])
-        return self.values[:i_t][unmarked], inc[unmarked]
+        left, inc = self.values[:i_t], np.diff(self.values[: i_t + 1])
+        marked = self.jump_mask[1 : i_t + 1]
+        if marked.any():
+            left, inc = left[~marked], inc[~marked]
+        left.setflags(write=False)
+        inc.setflags(write=False)
+        return left, inc
 
     def jump_brackets(self, t=None):
         """Pre- and post-jump values of the marked jumps up to ``t``."""

@@ -380,6 +380,102 @@ def test_signed_increment_sum_left_continuous_sign():
     assert out[0] == -1.0
 
 
+def stable_signed_sum(left, inc, u0, du, m):
+    """The signed increment sum as a prefix sum in stable-sort order."""
+    order = np.argsort(left, kind="stable")
+    cs = np.cumsum(inc[order])
+    cnt = np.searchsorted(left[order], u0 + du * np.arange(m), side="right")
+    out = np.zeros(m)
+    out += cs[-1] - 2.0 * np.where(cnt > 0, cs[np.maximum(cnt - 1, 0)], 0.0)
+    return out
+
+
+@pytest.mark.parametrize("kind", ["walk", "snapped", "repeated", "signed-zeros"])
+def test_signed_increment_sum_is_the_stable_sort_form_bitwise(kind):
+    # 2,000 keys, so that the default sort does reorder equal keys
+    rng = np.random.default_rng(23)
+    u0, du, m = -2.5, 0.04, 150
+    if kind == "walk":
+        left = _sample_values(23, n=2000)
+    elif kind == "snapped":
+        left = _grid_snapped_values(23, u0, du, m, du, n=2000)
+    elif kind == "repeated":
+        left = np.repeat(_sample_values(23, n=400), 5)
+    else:
+        # -0.0 next to 0.0 on a grid with a level at 0
+        u0, du, m = -1.0, 0.25, 9
+        left = rng.choice([-0.0, 0.0, 0.5, -0.75], 2000)
+    inc = rng.standard_normal(left.size)
+    # the walk has no ties and takes the default sort; the others fall back
+    assert (np.unique(left).size < left.size) == (kind != "walk")
+    assert_bitwise(
+        _kernels.signed_increment_sum(left, inc, u0, du, m),
+        stable_signed_sum(left, inc, u0, du, m),
+    )
+
+
+def _hopping_values(seed, u0, du, m, n=400):
+    # a quarter step above a level, hopping one to three levels at a time
+    # inside the grid, so every bracket and every band holds a level
+    rng = np.random.default_rng(seed)
+    k = 2 + np.cumsum(rng.choice([-3, -2, -1, 1, 2, 3], n)) % (m - 5)
+    return u0 + (k + 0.25) * du
+
+
+FIELDS = {
+    "point": (
+        _kernels._level_ranges,
+        variants(_kernels._point_sums_loop, _kernels._point_sums_np, _kernels._point_sums),
+    ),
+    "cell": (
+        _kernels._cell_ranges,
+        variants(_kernels._cell_sums_loop, _kernels._cell_sums_np, _kernels._cell_sums),
+    ),
+}
+
+
+@pytest.mark.parametrize("field", ["point", "cell"])
+@pytest.mark.parametrize("drop", [False, True], ids=["keep-all", "drop-some"])
+def test_interval_fields_match_the_gathered_brackets_bitwise(field, drop):
+    u0, du, m = -1.0, 0.05, 40
+    values = _hopping_values(31, u0, du, m)
+    if drop:
+        # an a == b bracket, then one that leaves the grid and one beyond it
+        tail = u0 + du * np.array([m + 3.0, m + 5.0])
+        values = np.concatenate([values, values[-1:], tail])
+    a, b = values[:-1], values[1:]
+    ranges, impls = FIELDS[field]
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    kf, kl = ranges(lo, hi, u0, du, m)
+    j = np.flatnonzero((kf <= kl) & (a != b))
+    assert (j.size < a.size) == drop
+    for accumulate in impls:
+        got = _kernels._interval_field(ranges, accumulate, a, b, u0, du, m, np.zeros(m))
+        kept = (b[j], lo[j], hi[j], kf[j], kl[j])
+        assert_bitwise(got, accumulate(*kept, u0, du, m, np.zeros(m)))
+
+
+@pytest.mark.parametrize("drop", [False, True], ids=["keep-all", "drop-some"])
+def test_occupation_weights_match_the_gathered_bands_bitwise(drop):
+    u0, du, m, eps = -1.0, 0.05, 40, 0.05
+    left = _hopping_values(32, u0, du, m)
+    if drop:
+        # bands off both ends of the grid
+        left = np.concatenate([left, [u0 - 1.0, u0 + (m + 4) * du]])
+    w = np.random.default_rng(32).random(left.size)
+    kf = _kernels._rank(left - eps, u0, du)
+    kl = np.minimum(_kernels._rank(left + eps, u0, du, True), m) - 1
+    j = np.flatnonzero(kf <= kl)
+    assert (j.size < left.size) == drop
+    impls = variants(_kernels._band_sums_loop, _kernels._band_sums_np, _kernels._band_sums)
+    for accumulate in impls:
+        got = _kernels._occupation_weights(accumulate, left, w, u0, du, m, eps, np.zeros(m))
+        assert_bitwise(got, accumulate(w[j], kf[j], kl[j], m, np.zeros(m)))
+    np.testing.assert_allclose(
+        got, ref_occupation(left, w, u0 + du * np.arange(m), eps), rtol=1e-12, atol=1e-12
+    )
+
+
 # with eps 0.3 and 0.05 these grids put band half-widths of du/6, du/2, du,
 # 3 du and 6 du, so band ends land on levels too
 @pytest.mark.parametrize(

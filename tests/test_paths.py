@@ -132,6 +132,21 @@ class TestAccessors:
         with pytest.raises(ValueError, match="samples"):
             PartitionScheme.full(p.n_samples + 1).clipped(p, 0, t)
 
+    @pytest.mark.parametrize("marked", [False, True], ids=["unmarked", "marked"])
+    @pytest.mark.parametrize("t", [None, 0.5])
+    def test_continuous_steps_match_the_masked_form(self, step_path, marked, t):
+        p = step_path(3, jump_rate=20.0 if marked else 0.0)
+        i_t = p.index_at(t)
+        unmarked = ~p.jump_mask[1 : i_t + 1]
+        assert unmarked.all() != marked
+        left, inc = p.continuous_steps(t)
+        np.testing.assert_array_equal(left, p.values[:i_t][unmarked])
+        np.testing.assert_array_equal(inc, np.diff(p.values[: i_t + 1])[unmarked])
+        for arr in (left, inc):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 9.0
+
     def test_value_at_steps(self):
         p = make_step_path()
         assert value_at(p, 0.6) == 1.0
