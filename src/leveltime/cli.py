@@ -10,6 +10,7 @@ outputs; wall-clock numbers go to a separate timings sidecar.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 from dataclasses import replace
@@ -172,15 +173,17 @@ def _times(cfg, path, default):
 
 def _field_columns(fields):
     """Field-table columns: one row per level of each field in turn."""
-    t, u, value, kind, width = [], [], [], [], []
+    kind, width = [], []
     for f in fields:
-        n = f.data.size
-        t += [_fmt(f.time)] * n
-        u += _fmt(f.grid.levels)
-        value += _fmt(f.data)
-        kind += [f.kind] * n
-        width += ["" if f.width is None else _fmt(f.width)] * n
-    return [t, u, value, kind, width]
+        kind += [f.kind] * f.data.size
+        width += ["" if f.width is None else _fmt(f.width)] * f.data.size
+    return [
+        np.concatenate([np.full(f.data.size, f.time) for f in fields]),
+        np.concatenate([f.grid.levels for f in fields]),
+        np.concatenate([f.data for f in fields]),
+        kind,
+        width,
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -213,9 +216,8 @@ def cmd_qv(args) -> int:
         qv = quadratic_variation(path, scheme, k)
         levels += [str(j)] * len(times)
         table += [(t, *qv.value_at(t)) for t in times]
-    columns = np.reshape(table, (-1, 4)).T
     _emit(args, "qv.csv", ["n", "t", "total", "continuous", "jump"],
-          [levels, *map(_fmt, columns)])
+          [levels, *np.reshape(table, (-1, 4)).T])
     return 0
 
 
@@ -256,7 +258,7 @@ def cmd_localtime_skorokhod(args) -> int:
     dist = [lp_distance(a, b, p=1.0) for a, b in zip(fields[:-1], fields[1:])]
     _emit(args, "skorokhod_cauchy.csv",
           ["width_coarse", "width_fine", "l1_distance"],
-          [_fmt(widths[:-1]), _fmt(widths[1:]), _fmt(dist)])
+          [np.array(widths[:-1]), np.array(widths[1:]), np.array(dist)])
     return 0
 
 
@@ -280,8 +282,8 @@ def cmd_tanaka_check(args) -> int:
           ["function", "level", "t", "residual", "bound", "status"],
           [[f.name for f, _, _ in cells],
            [str(exponents[k]) for _, k, _ in cells],
-           _fmt([t for _, _, t in cells]), _fmt(residuals),
-           [_fmt(tol)] * len(cells),
+           np.array([t for _, _, t in cells]), np.array(residuals),
+           np.full(len(cells), tol),
            ["pass" if r <= tol else "FAIL" for r in residuals]])
     worst = max([0.0, *residuals])
     print(f"worst residual {_fmt(worst)} against bound {_fmt(tol)}")
@@ -302,13 +304,13 @@ def cmd_experiment(args) -> int:
     n_paths, n_levels = report.distances.shape
     levels = [str(v) for v in report.levels]
     _emit(args, "report.csv", ["level", "paths", "mean", "se"],
-          [levels, [str(n_paths)] * n_levels, _fmt(report.means),
-           _fmt(report.standard_errors)])
+          [levels, [str(n_paths)] * n_levels, report.means,
+           report.standard_errors])
     _emit(args, "long.csv", ["path", "level", "distance"],
           [[str(i) for i in range(n_paths) for _ in levels],
-           levels * n_paths, _fmt(report.distances)])
+           levels * n_paths, report.distances])
     _emit(args, "timings.csv", ["level", "seconds"],
-          [levels, _fmt(report.wall_clocks)])
+          [levels, np.array(report.wall_clocks)])
     for r in report.rows:
         print(f"level {r.level}: mean={_fmt(r.mean)} se={_fmt(r.se)}")
     return 0
@@ -320,7 +322,7 @@ def cmd_qstat(args) -> int:
     grid = _resolve_grid(args, cfg, path, extra_margin=max(widths))
     ref = classical_local_time(path, grid=grid)
     q = [q_statistic(path, grid=grid, d=d, classical=ref) for d in widths]
-    _emit(args, "qstat.csv", ["d", "q_l1"], [_fmt(widths), _fmt(q)])
+    _emit(args, "qstat.csv", ["d", "q_l1"], [np.array(widths), np.array(q)])
     return 0
 
 
@@ -350,8 +352,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def command(subs, name, func, summary, keys=None):
-        """Add subcommand ``name``.  One that reads a path declares the
-        config ``keys`` it reads and takes the flag of each that has one."""
+        """Add subcommand ``name``, run by the module function named
+        ``func``.  One that reads a path declares the config ``keys`` it
+        reads and takes the flag of each that has one."""
         subparser = subs.add_parser(
             name, parents=[common] if keys is None else [common, pathin],
             help=summary,
@@ -363,30 +366,33 @@ def build_parser() -> argparse.ArgumentParser:
         subparser.set_defaults(func=func, keys=keys)
 
     grid_keys = ("grid_du", "grid_margin")
-    command(sub, "generate", cmd_generate, "write a seeded path CSV")
-    command(sub, "qv", cmd_qv, "quadratic variation per level",
+    command(sub, "generate", "cmd_generate", "write a seeded path CSV")
+    command(sub, "qv", "cmd_qv", "quadratic variation per level",
             ("levels", "times"))
     lt = sub.add_parser("localtime", help="local-time estimators")
     ltsub = lt.add_subparsers(dest="variant", required=True)
-    command(ltsub, "occ", cmd_localtime_occ, "occupation-density estimator",
+    command(ltsub, "occ", "cmd_localtime_occ", "occupation-density estimator",
             ("widths", *grid_keys))
-    command(ltsub, "crossing", cmd_localtime_crossing, "level-crossing fields",
+    command(ltsub, "crossing", "cmd_localtime_crossing", "level-crossing fields",
             grid_keys)
-    command(ltsub, "skorokhod", cmd_localtime_skorokhod,
+    command(ltsub, "skorokhod", "cmd_localtime_skorokhod",
             "interval-crossing estimator ladder", ("widths", *grid_keys))
-    command(sub, "tanaka-check", cmd_tanaka_check,
+    command(sub, "tanaka-check", "cmd_tanaka_check",
             "discrete Tanaka identity residuals",
             ("levels", "times", "tolerance"))
-    command(sub, "experiment", cmd_experiment, "Monte Carlo convergence run")
-    command(sub, "q-stat", cmd_qstat, "crossing-occupation defect",
+    command(sub, "experiment", "cmd_experiment", "Monte Carlo convergence run")
+    command(sub, "q-stat", "cmd_qstat", "crossing-occupation defect",
             ("widths", *grid_keys))
     return parser
 
 
+# one parser per process: parsing does not change it
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     print(
@@ -394,7 +400,8 @@ def main(argv=None) -> int:
         f"({'compiled loops' if HAS_NUMBA else 'numba not installed'})"
     )
     try:
-        return args.func(args)
+        # looked up on each call, so a handler replaced on the module runs
+        return globals()[args.func](args)
     except InvariantViolation as exc:
         print(f"invariant violation: {exc}")
         return 2

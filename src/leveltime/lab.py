@@ -70,7 +70,7 @@ class GeneratorSpec:
         if self.kind not in GENERATOR_KINDS:
             raise ValueError(f"unknown generator kind {self.kind!r}")
         object.__setattr__(self, "T", _positive("T", self.T))
-        if round(self.T * self.steps_per_unit) < 2:
+        if self.n_steps < 2:
             raise ValueError("need at least 2 steps over the horizon")
         for name in ("sigma", "jump_rate"):
             value = _positive(name, getattr(self, name), zero=True)
@@ -91,6 +91,11 @@ class GeneratorSpec:
         if self.n_jumps < 0:
             raise ValueError("n_jumps must be nonnegative")
 
+    @property
+    def n_steps(self) -> int:
+        """Steps of every path of this spec: ``n_steps + 1`` samples."""
+        return int(round(self.T * self.steps_per_unit))
+
     def effective(self):
         """(sigma, mu, jump_rate) actually used for this kind."""
         if self.kind == "brownian":
@@ -105,7 +110,7 @@ class GeneratorSpec:
 
 
 def _deterministic_path(spec: GeneratorSpec) -> SampledCadlagPath:
-    n = int(round(spec.T * spec.steps_per_unit))
+    n = spec.n_steps
     times = np.linspace(0.0, spec.T, n + 1)
     if spec.pattern == "ramp":
         values = spec.x0 + spec.amplitude * times / spec.T
@@ -142,7 +147,7 @@ def generate(spec: GeneratorSpec, rng=None) -> SampledCadlagPath:
     if rng is None:
         rng = np.random.default_rng(spec.seed)
     sigma, mu, lam = spec.effective()
-    n = int(round(spec.T * spec.steps_per_unit))
+    n = spec.n_steps
     dt = spec.T / n
     times = np.linspace(0.0, spec.T, n + 1)
     if sigma > 0:
@@ -407,17 +412,13 @@ def _worker_count(n_jobs: int) -> int:
     return max(1, min(n_jobs, limit))
 
 
-def _ladder_fields(config: ExperimentConfig, path, grid, jf):
+def _ladder_fields(config: ExperimentConfig, path, grid, jf, scheme):
     """One estimator field per ladder level for a single path, built lazily
     so that each level's build time can be charged to that level.  ``jf``
-    is the path's J field for a K_pi ladder."""
+    is the path's J field and ``scheme`` its dyadic scheme for a K_pi
+    ladder."""
     t = config.t
     if config.estimator == "K_pi":
-        scheme = PartitionScheme.dyadic(
-            path.n_samples,
-            config.ladder,
-            include_jumps=path if config.include_jumps else None,
-        )
         for k in range(len(config.ladder)):
             kf = k_pi(path, scheme, k, t=t, grid=grid, mode=config.field_mode)
             yield split_Kc_Kd(kf, jf)[1]
@@ -429,17 +430,17 @@ def _ladder_fields(config: ExperimentConfig, path, grid, jf):
             yield interval_crossing_local_time(path, t=t, width=c, grid=grid)
 
 
-def _classical_reference(config: ExperimentConfig, path, grid, jf):
+def _classical_reference(config: ExperimentConfig, path, grid, jf, full):
     """Reference field matched to the estimator's representation.
 
     Point-mode estimators compare against the pointwise Tanaka route. A
     cell-mode K_pi ladder compares against the exact per-cell average of the
     same Tanaka field, computed in closed form through the full-grid identity
-    raw local time = 2 (K - J), with the ladder's own J field ``jf``.
+    raw local time = 2 (K - J) on the ``full`` scheme, with the ladder's own
+    J field ``jf``.
     """
     if config.estimator == "K_pi" and config.field_mode == "cell":
-        scheme = PartitionScheme.full(path.n_samples)
-        kf = k_pi(path, scheme, 0, t=config.t, grid=grid, mode="cell")
+        kf = k_pi(path, full, 0, t=config.t, grid=grid, mode="cell")
         lt = split_Kc_Kd(kf, jf)[1]
         return lt.replace_data(lt.data, kind="L_classical")
     return classical_local_time(path, t=config.t, grid=grid)
@@ -460,19 +461,32 @@ def run_convergence_experiment(config: ExperimentConfig) -> ExperimentReport:
     margin = config.grid_margin
     if config.estimator != "K_pi":
         margin = max(margin, max(config.ladder) + config.grid_du)
+    # every path of the spec has the same samples, so the partition schemes
+    # are built once, unless a scheme takes in each path's own jumps
+    n_samples = config.generator.n_steps + 1
+    scheme = full = None
+    if config.estimator == "K_pi" and not config.include_jumps:
+        scheme = PartitionScheme.dyadic(n_samples, config.ladder)
+    if config.estimator == "K_pi" and config.field_mode == "cell":
+        full = PartitionScheme.full(n_samples)
 
     def job(i):
         rng = np.random.default_rng(children[i])
         path = generate(config.generator, rng)
         grid = LevelGrid.for_path(path, config.grid_du, margin)
-        jf = None
+        jf = path_scheme = None
         if config.estimator == "K_pi":
             jf = j_pi(path, t=config.t, grid=grid, mode=config.field_mode)
-        ref = _classical_reference(config, path, grid, jf)
+            path_scheme = scheme or PartitionScheme.dyadic(
+                n_samples, config.ladder, include_jumps=path
+            )
+        ref = _classical_reference(config, path, grid, jf, full)
         local_clock = np.zeros(n_levels)
         row = np.empty(n_levels)
         tick = time.perf_counter()
-        for k, fld in enumerate(_ladder_fields(config, path, grid, jf)):
+        for k, fld in enumerate(
+            _ladder_fields(config, path, grid, jf, path_scheme)
+        ):
             row[k] = lp_distance(
                 fld, ref, p=config.distance_p, weight=config.distance_weight
             )

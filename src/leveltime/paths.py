@@ -11,7 +11,6 @@ resolution.  Index 0 is never marked.
 
 from __future__ import annotations
 
-import csv
 import io
 import itertools
 from dataclasses import dataclass
@@ -395,26 +394,58 @@ class LevelGrid:
 _CSV_HEADER = ["t", "x", "jump", "pre_x"]
 
 
-def _fmt(values):
+def _fmt(value) -> str:
     """A float as text with 17 significant digits, enough to read back the
-    same double.  For an array, an iterator over the texts of its floats in
-    row-major order, so a table column is formatted as it is written."""
-    text = "%.17g".__mod__
-    if np.ndim(values) == 0:
-        return text(float(values))
-    return map(text, np.ravel(np.asarray(values, np.float64)).tolist())
+    same double."""
+    return "%.17g" % float(value)
+
+
+# Rows that _write_table formats with one % call: whole formatted columns
+# would cost megabytes of peak memory at 2^14 rows.
+_BLOCK_ROWS = 1024
 
 
 def _write_table(file, header, columns):
-    """Write ``header``, then row ``i`` of each of the equal-length string
-    ``columns`` (sequences or iterators), through ``csv.writer`` to a
-    filename or an open text file."""
+    """Write ``header``, then row ``i`` of each of the equal-length
+    ``columns`` to a filename or an open text file, lines ending in
+    ``\\r\\n``.
+
+    A column that is an ndarray is written as its floats in row-major
+    order, each as :func:`_fmt` text; any other column is a sequence of
+    ``str``.  Rows are formatted a block at a time.  A cell that would need
+    quoting (one that holds ``,``, ``"``, ``\\r`` or ``\\n``, or the empty
+    only cell of a row) raises ``ValueError``: the writer never quotes.
+    """
     if isinstance(file, (str, bytes)):
         with open(file, "w", newline="") as fh:
             return _write_table(fh, header, columns)
-    writer = csv.writer(file)
-    writer.writerow(header)
-    writer.writerows(zip(*columns, strict=True))
+    k = len(header)
+    columns = [np.ravel(np.asarray(c, np.float64)) if isinstance(c, np.ndarray)
+               else c for c in columns]
+    n = len(columns[0]) if columns else 0
+    if len(columns) != k or any(len(c) != n for c in columns):
+        raise ValueError(f"need {k} columns of equal length")
+    row = ",".join(
+        "%.17g" if isinstance(c, np.ndarray) else "%s" for c in columns
+    ) + "\r\n"
+    file.write(_checked(",".join(header) + "\r\n", k, 1))
+    for s in range(0, n, _BLOCK_ROWS):
+        e = min(s + _BLOCK_ROWS, n)
+        cells = [None] * (k * (e - s))
+        for i, c in enumerate(columns):
+            cells[i::k] = c[s:e].tolist() if isinstance(c, np.ndarray) else c[s:e]
+        file.write(_checked(row * (e - s) % tuple(cells), k, e - s))
+
+
+def _checked(text, k, rows):
+    """``text``, ``rows`` rows of ``k`` cells each, unless a cell holds a
+    character that ``csv.writer`` would quote, or a one-cell row is empty."""
+    if (text.count(",") != (k - 1) * rows or text.count("\n") != rows
+            or text.count("\r") != rows or '"' in text
+            or k == 1 and "\n\r" in "\n" + text):
+        raise ValueError("a table cell needs quoting: it holds ',', '\"', "
+                         "'\\r' or '\\n', or is the empty only cell of a row")
+    return text
 
 
 def write_path_csv(path: SampledCadlagPath, file) -> None:
@@ -422,15 +453,12 @@ def write_path_csv(path: SampledCadlagPath, file) -> None:
 
     ``pre_x`` is empty on unmarked rows and repeats the previous sample value
     on marked rows, which makes jump bookkeeping auditable in the file.
-    Floats are rendered by :func:`_fmt`, so the round trip is exact.
+    Floats are written as :func:`_fmt` text, so the round trip is exact.
     """
-    pre = [""] * path.n_samples
+    jump, pre = ["0"] * path.n_samples, [""] * path.n_samples
     for i in path.jump_indices.tolist():
-        pre[i] = _fmt(path.values[i - 1])
-    jump = ["1" if m else "0" for m in path.jump_mask.tolist()]
-    _write_table(
-        file, _CSV_HEADER, [_fmt(path.times), _fmt(path.values), jump, pre]
-    )
+        jump[i], pre[i] = "1", _fmt(path.values[i - 1])
+    _write_table(file, _CSV_HEADER, [path.times, path.values, jump, pre])
 
 
 # Characters per block of rows that read_path_csv converts at once: about
@@ -474,12 +502,28 @@ def _block_columns(text, prev):
 
 
 def _text_blocks(fh):
-    """The text of ``fh`` in blocks of whole lines, every line end ``\\n``."""
-    while lines := fh.readlines(_BLOCK_CHARS):
-        text = "".join(lines)
-        if "\r" in text:
-            text = text.replace("\r\n", "\n").replace("\r", "\n")
-        yield text
+    """The text of ``fh`` in blocks of whole lines, every line end ``\\n``.
+
+    Blocks are reads of ``_BLOCK_CHARS`` characters, the partial last line
+    carried over to the next block.  A file that :func:`read_path_csv`
+    opens itself reads with universal newlines; text from a file object the
+    caller passes may still end lines in ``\\r\\n`` or ``\\r``.
+    """
+    part = []  # the start of a line that no read has ended yet
+    cr = ""  # a "\r" that ended the last read, perhaps half of a "\r\n"
+    while chunk := fh.read(_BLOCK_CHARS):
+        if cr or "\r" in chunk:
+            chunk, cr = cr + chunk, ""
+            if chunk.endswith("\r"):
+                chunk, cr = chunk[:-1], "\r"
+            chunk = chunk.replace("\r\n", "\n").replace("\r", "\n")
+        cut = chunk.rfind("\n") + 1
+        if cut:
+            yield "".join([*part, chunk[:cut]])
+            part = []
+        part.append(chunk[cut:])
+    if rest := "".join(part) + ("\n" if cr else ""):
+        yield rest
 
 
 def _row_columns(rows, prev):
@@ -527,7 +571,7 @@ def read_path_csv(file) -> SampledCadlagPath:
     the first faulty row of the file.
     """
     own = isinstance(file, (str, bytes))
-    fh = open(file, "r", newline="") if own else file
+    fh = open(file) if own else file
     try:
         texts = _text_blocks(fh)
         header, _, text = next(texts, "").partition("\n")

@@ -1,3 +1,6 @@
+import csv
+import io
+
 import numpy as np
 import pytest
 
@@ -32,3 +35,26 @@ def step_path():
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+def _csv_writer_text(header, columns):
+    """The text ``csv.writer`` writes for ``header`` and the rows of
+    ``columns``: an ndarray column as the ``%.17g`` texts of its floats in
+    row-major order, any other column as its cells."""
+    cells = [
+        ["%.17g" % v for v in np.ravel(c).tolist()]
+        if isinstance(c, np.ndarray) else list(c)
+        for c in columns
+    ]
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(zip(*cells, strict=True))
+    return buf.getvalue()
+
+
+@pytest.fixture(scope="session")
+def csv_writer():
+    """The oracle of ``paths._write_table``: ``csv.writer``'s text for a
+    header and columns."""
+    return _csv_writer_text

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import leveltime
+from leveltime import cli, paths
 from leveltime._kernels import HAS_NUMBA
 from leveltime.cli import _FIELD_HEADER, _field_columns, main
 from leveltime.crossing import LocalTimeField, occupation_local_time
@@ -451,6 +452,73 @@ class TestParser:
              "--out", str(tmp_path)]
         )
         assert rc == 1
+
+
+class TestOneParser:
+    """``main`` builds its parser once per process; the handler is looked
+    up on each call."""
+
+    def test_calls_in_a_row_write_what_each_writes_alone(self, tmp_path, path_csv):
+        runs = [["localtime", "occ", "--path", path_csv, "--widths", "0.2"],
+                ["localtime", "occ", "--path", path_csv]]
+        for k, argv in enumerate(runs):
+            assert main(argv + ["--out", str(tmp_path / f"row{k}")]) == 0
+        for k, argv in enumerate(runs):
+            cli._parser.cache_clear()
+            assert main(argv + ["--out", str(tmp_path / f"alone{k}")]) == 0
+            alone = (tmp_path / f"alone{k}" / "localtime_occ.csv").read_bytes()
+            assert (tmp_path / f"row{k}" / "localtime_occ.csv").read_bytes() == alone
+        assert alone != (tmp_path / "row0" / "localtime_occ.csv").read_bytes()
+
+    def test_a_handler_replaced_on_the_module_runs(
+        self, tmp_path, path_csv, monkeypatch
+    ):
+        argv = ["qv", "--path", path_csv, "--out", str(tmp_path)]
+        assert main(argv) == 0
+        seen = []
+        monkeypatch.setattr(cli, "cmd_qv", lambda args: seen.append(args) or 7)
+        assert main(argv) == 7
+        assert [a.path for a in seen] == [path_csv]
+
+
+class TestTablesMatchCsvWriter:
+    def test_every_table_of_a_chain_and_an_experiment(
+        self, tmp_path, monkeypatch, csv_writer
+    ):
+        written = {}
+
+        def spy(file, header, columns):
+            if isinstance(file, str):
+                written[os.path.basename(file)] = (header, columns)
+            return _write_table(file, header, columns)
+
+        monkeypatch.setattr(paths, "_write_table", spy)
+        monkeypatch.setattr(cli, "_write_table", spy)
+        cfg = write_config(tmp_path, {"generator": GEN})
+        out = str(tmp_path / "run")
+        path_in = ["--path", os.path.join(out, "path.csv"), "--out", out]
+        for argv in (
+            ["generate", "--config", cfg, "--out", out],
+            ["qv", *path_in],
+            ["tanaka-check", *path_in],
+            ["localtime", "occ", "--widths", "0.2,0.1", *path_in],
+            ["localtime", "crossing", *path_in],
+            ["localtime", "skorokhod", "--widths", "0.4,0.2", *path_in],
+            ["q-stat", "--widths", "0.4,0.2", *path_in],
+            ["experiment", "--config",
+             write_config(tmp_path, TestExperiment.CONFIG, "exp.json"),
+             "--out", out],
+        ):
+            assert main(argv) == 0, argv
+        assert sorted(written) == sorted(os.listdir(out)) == sorted([
+            "path.csv", "qv.csv", "tanaka_check.csv", "localtime_occ.csv",
+            "localtime_crossing.csv", "localtime_skorokhod_0p4.csv",
+            "localtime_skorokhod_0p2.csv", "skorokhod_cauchy.csv",
+            "qstat.csv", "report.csv", "long.csv", "timings.csv",
+        ])
+        for name, (header, columns) in written.items():
+            with open(os.path.join(out, name), newline="") as fh:
+                assert fh.read() == csv_writer(header, columns), name
 
 
 class TestArtifactText:

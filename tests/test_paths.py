@@ -460,6 +460,90 @@ def test_buffer_round_trip_via_stringio():
 
 
 # ---------------------------------------------------------------------------
+# the table writer against csv.writer
+# ---------------------------------------------------------------------------
+
+def written_text(header, columns):
+    buf = io.StringIO()
+    paths._write_table(buf, header, columns)
+    return buf.getvalue()
+
+
+EDGE_FLOATS = st.one_of(
+    st.sampled_from([
+        0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308,
+        1.7976931348623157e308, 0.1, 1.0 / 3.0,
+    ]),
+    st.integers(-(2**60), 2**60).map(float),
+    st.floats(),
+)
+PLAIN_TEXT = st.text(st.characters(blacklist_characters=',"\r\n'), max_size=6)
+
+
+class TestTableWriter:
+    def test_path_csv_matches_csv_writer(self, csv_writer):
+        p = path_from_csv_text("\n".join(long_rows()))
+        pre = [""] * p.n_samples
+        for i in p.jump_indices.tolist():
+            pre[i] = "%.17g" % p.values[i - 1]
+        jump = ["1" if m else "0" for m in p.jump_mask.tolist()]
+        assert path_to_csv_text(p) == csv_writer(
+            ["t", "x", "jump", "pre_x"], [p.times, p.values, jump, pre]
+        )
+
+    @given(
+        kinds=st.lists(st.booleans(), min_size=1, max_size=5),
+        n=st.integers(0, 40),
+        block=st.sampled_from([1, 3, paths._BLOCK_ROWS]),
+        data=st.data(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_float_and_text_columns_match_csv_writer(
+        self, csv_writer, kinds, n, block, data
+    ):
+        columns = [
+            np.array(data.draw(st.lists(EDGE_FLOATS, min_size=n, max_size=n)))
+            if is_float
+            else data.draw(st.lists(PLAIN_TEXT, min_size=n, max_size=n))
+            for is_float in kinds
+        ]
+        header = [f"c{i}" for i in range(len(kinds))]
+        if len(kinds) == 1 and not kinds[0] and "" in columns[0]:
+            # csv.writer quotes a row whose one cell is empty
+            with pytest.raises(ValueError):
+                written_text(header, columns)
+            return
+        with mock.patch.object(paths, "_BLOCK_ROWS", block):
+            assert written_text(header, columns) == csv_writer(
+                header, columns
+            )
+
+    def test_a_2d_array_is_written_row_major(self, csv_writer):
+        table = np.arange(6.0).reshape(2, 3) / 3.0
+        rows = [str(i) for i in range(6)]
+        assert written_text(["i", "v"], [rows, table]) == csv_writer(
+            ["i", "v"], [rows, table.ravel()]
+        )
+
+    @pytest.mark.parametrize("bad", [",", '"', "\r", "\n", "a,b", 'say "x"',
+                                     "a\r\nb"])
+    @pytest.mark.parametrize("row", [0, 5, 1500])
+    def test_a_cell_that_needs_quoting_is_refused(self, bad, row):
+        cells = ["ok"] * 2000
+        cells[row] = bad
+        with pytest.raises(ValueError):
+            written_text(["x", "text"], [np.zeros(2000), cells])
+        with pytest.raises(ValueError):
+            written_text(["x", bad], [np.zeros(2), ["a", "b"]])
+
+    def test_columns_of_unequal_length_are_refused(self):
+        with pytest.raises(ValueError):
+            written_text(["x", "y"], [np.zeros(3), ["a", "b"]])
+        with pytest.raises(ValueError):
+            written_text(["x", "y"], [np.zeros(3)])
+
+
+# ---------------------------------------------------------------------------
 # the block-wise reader against the row loop it replaced
 # ---------------------------------------------------------------------------
 
@@ -670,3 +754,61 @@ class TestCsvReaderContract:
         text = end.join(lines) + end
         with mock.patch.object(paths, "_BLOCK_CHARS", block):
             assert outcome(path_from_csv_text, text) == outcome(row_loop_read, text)
+
+
+class TestCsvReaderBlocks:
+    """Reads of ``_BLOCK_CHARS`` characters: line ends and lines that
+    straddle the reads."""
+
+    @given(
+        text=st.text(st.sampled_from("ab\r\n"), max_size=60),
+        block=st.integers(1, 8),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_blocks_are_whole_lines_with_every_line_end_translated(
+        self, text, block
+    ):
+        with mock.patch.object(paths, "_BLOCK_CHARS", block):
+            blocks = list(paths._text_blocks(io.StringIO(text)))
+        assert "".join(blocks) == text.replace("\r\n", "\n").replace("\r", "\n")
+        assert all(b.endswith("\n") for b in blocks[:-1])
+        assert all(blocks)
+
+    @pytest.mark.parametrize("end", ["\r\n", "\r"])
+    @pytest.mark.parametrize("source", ["stringio", "open file", "filename"])
+    def test_line_end_split_across_two_reads_is_one_line_end(
+        self, tmp_path, end, source
+    ):
+        text = "\n".join(long_rows(n=400)) + "\n"
+        other = text.replace("\n", end)
+        # the first read ends in the "\r" of a line end
+        block = other.index("\r", 1000) + 1
+        target = tmp_path / "path.csv"
+        target.write_bytes(other.encode())
+
+        def read(_):
+            if source == "stringio":
+                return path_from_csv_text(other)
+            if source == "filename":
+                return read_path_csv(str(target))
+            with open(target, newline="") as fh:
+                return read_path_csv(fh)
+
+        with mock.patch.object(paths, "_BLOCK_CHARS", block), \
+                mock.patch.object(paths, "_row_columns", side_effect=AssertionError):
+            if source == "stringio":
+                assert "".join(paths._text_blocks(io.StringIO(other))) == text
+            assert outcome(read, None) == outcome(path_from_csv_text, text)
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n"])
+    def test_a_line_longer_than_a_block(self, tmp_path, end):
+        lines = long_rows(n=60)
+        padded = list(lines)
+        padded[30] = " " * (paths._BLOCK_CHARS + 100) + lines[30]
+        text = end.join(padded) + end
+        expected = outcome(path_from_csv_text, "\n".join(lines))
+        assert outcome(path_from_csv_text, text) == expected
+        assert outcome(row_loop_read, text) == expected
+        target = tmp_path / "path.csv"
+        target.write_bytes(text.encode())
+        assert outcome(read_path_csv, str(target)) == expected
