@@ -21,7 +21,6 @@ from .dcfuncs import (
     SecondDerivativeMeasure,
     builtin_suite,
     dc_function_from_descriptor,
-    jf_increment,
     make_abs,
     make_bump,
     make_mix,
@@ -29,13 +28,7 @@ from .dcfuncs import (
     make_square,
 )
 from .errors import ConfigError, InvariantViolation
-from .follmer import (
-    QuadraticVariation,
-    follmer_residual,
-    jump_compensator,
-    quadratic_variation,
-    riemann_integral,
-)
+from .follmer import QuadraticVariation, quadratic_variation
 from .lab import (
     ExperimentConfig,
     ExperimentReport,
@@ -46,7 +39,6 @@ from .lab import (
     generate_many,
     generator_spec_from_json,
     lp_distance,
-    mass_consistency,
     q_statistic,
     run_convergence_experiment,
 )
@@ -54,12 +46,9 @@ from .paths import (
     LevelGrid,
     PartitionScheme,
     SampledCadlagPath,
-    jump_sizes,
-    path_from_csv_text,
     path_to_csv_text,
     read_path_csv,
     total_variation,
-    value_at,
     write_path_csv,
 )
 from .skorokhod import (
@@ -92,7 +81,6 @@ __all__ = [
     "SecondDerivativeMeasure",
     "builtin_suite",
     "dc_function_from_descriptor",
-    "jf_increment",
     "make_abs",
     "make_bump",
     "make_mix",
@@ -101,10 +89,7 @@ __all__ = [
     "ConfigError",
     "InvariantViolation",
     "QuadraticVariation",
-    "follmer_residual",
-    "jump_compensator",
     "quadratic_variation",
-    "riemann_integral",
     "ExperimentConfig",
     "ExperimentReport",
     "GeneratorSpec",
@@ -114,18 +99,14 @@ __all__ = [
     "generate_many",
     "generator_spec_from_json",
     "lp_distance",
-    "mass_consistency",
     "q_statistic",
     "run_convergence_experiment",
     "LevelGrid",
     "PartitionScheme",
     "SampledCadlagPath",
-    "jump_sizes",
-    "path_from_csv_text",
     "path_to_csv_text",
     "read_path_csv",
     "total_variation",
-    "value_at",
     "write_path_csv",
     "SkorokhodSolution",
     "banach_indicatrix",

@@ -63,15 +63,6 @@ class LocalTimeField:
         """du-weighted total mass."""
         return float(self.grid.du * self.data.sum())
 
-    def replace_data(self, data, kind=None, width=None) -> "LocalTimeField":
-        return LocalTimeField(
-            self.grid,
-            self.time,
-            data,
-            self.kind if kind is None else kind,
-            self.width if width is None else width,
-        )
-
 
 def _check_mode(mode):
     if mode not in ("cell", "point"):

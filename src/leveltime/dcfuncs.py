@@ -64,10 +64,6 @@ class SecondDerivativeMeasure:
         )
         object.__setattr__(self, "atoms", merged)
 
-    @property
-    def is_absolutely_continuous(self) -> bool:
-        return len(self.atoms) == 0
-
     def cell_masses(self, grid) -> np.ndarray:
         """Density mass per grid cell (atoms handled separately by callers)."""
         if self.cdf is None:
@@ -115,19 +111,6 @@ class DCFunction:
 
     def __call__(self, u):
         return self.eval_f(u)
-
-    @property
-    def is_smooth(self) -> bool:
-        return self.second_derivative.is_absolutely_continuous
-
-
-def jf_increment(f: DCFunction, a: float, b: float) -> float:
-    """Taylor remainder J^f(a, b) = f(a) - f(b) - f'(b)(a - b)."""
-    a = float(a)
-    b = float(b)
-    if a == b:
-        return 0.0
-    return float(f.eval_f(a) - f.eval_f(b) - f.eval_fprime(b) * (a - b))
 
 
 # ---------------------------------------------------------------------------

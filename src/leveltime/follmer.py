@@ -1,4 +1,4 @@
-"""Quadratic variation along partitions and the pathwise Ito identity.
+"""Quadratic variation along partition schemes.
 
 All sums use the clipped convention: an interval ``[t_j, t_{j+1}]`` of the
 partition contributes through ``x_{t_{j+1} ^ t} - x_{t_j ^ t}``, which makes
@@ -11,7 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dcfuncs import DCFunction
 from .paths import PartitionScheme, SampledCadlagPath
 
 
@@ -68,66 +67,3 @@ def quadratic_variation(
         level=int(n),
     )
 
-
-def riemann_integral(
-    path: SampledCadlagPath,
-    integrand,
-    scheme: PartitionScheme,
-    n: int,
-    t=None,
-) -> float:
-    """Left-point Riemann sum ``sum g(x_{t_j}) (x_{t_{j+1} ^ t} - x_{t_j ^ t})``.
-
-    ``integrand`` is either a callable applied to sample values or an array
-    of per-sample values ``g(x_i)`` aligned with the path grid.
-    """
-    x = path.values[scheme.clipped(path, n, t)]
-    if callable(integrand):
-        g = np.asarray(integrand(path.values), np.float64)
-    else:
-        g = np.asarray(integrand, np.float64)
-        if g.shape != path.values.shape:
-            raise ValueError("integrand values must align with path samples")
-    return float(np.dot(g[scheme[n][:-1]], np.diff(x)))
-
-
-def jump_compensator(path: SampledCadlagPath, f: DCFunction, t=None) -> float:
-    """Sum over marked jumps of ``f(x_s) - f(x_{s-}) - f'(x_{s-}) dx_s``."""
-    pre, post = path.jump_brackets(t)
-    if pre.size == 0:
-        return 0.0
-    terms = (
-        np.asarray(f.eval_f(post), np.float64)
-        - np.asarray(f.eval_f(pre), np.float64)
-        - np.asarray(f.eval_fprime(pre), np.float64) * (post - pre)
-    )
-    return float(terms.sum())
-
-
-def follmer_residual(
-    path: SampledCadlagPath,
-    f: DCFunction,
-    scheme: PartitionScheme,
-    n: int,
-    t=None,
-) -> float:
-    """Defect of the pathwise Ito formula at partition level ``n``.
-
-    Residual = f(x_t) - f(x_0) - left Riemann sum of f' along the partition
-    - (1/2) sum over unmarked grid increments of f''(x_left) (increment)^2
-    - jump compensator.  Requires an atom-free ``f''`` (the second-derivative
-    term needs a pointwise density).
-    """
-    if not f.is_smooth:
-        raise ValueError("follmer_residual needs f'' without atoms")
-    head = f.eval_f(np.array([path.values[path.index_at(t)], path.values[0]]))
-    term_f = float(head[0] - head[1])
-    term_riemann = riemann_integral(path, f.eval_fprime, scheme, n, t)
-    f2 = f.second_derivative
-    term_qv = 0.0
-    left, inc = path.continuous_steps(t)
-    if f2.density is not None and left.size:
-        dens = np.asarray(f2.density(left), np.float64)
-        term_qv = 0.5 * float(np.dot(dens, inc**2))
-    term_jumps = jump_compensator(path, f, t)
-    return term_f - term_riemann - term_qv - term_jumps

@@ -48,6 +48,13 @@ GENERATOR_KINDS = (
 _PATTERNS = ("ramp", "zigzag", "constant", "jump_ladder")
 
 
+def _integer(name, value):
+    """``ValueError`` naming ``name`` unless ``value`` is an int (a boolean
+    is not)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class GeneratorSpec:
     """Parameters of a seeded path generator."""
@@ -70,6 +77,8 @@ class GeneratorSpec:
         if self.kind not in GENERATOR_KINDS:
             raise ValueError(f"unknown generator kind {self.kind!r}")
         object.__setattr__(self, "T", _positive("T", self.T))
+        steps = _whole(self.steps_per_unit, "steps_per_unit")
+        object.__setattr__(self, "steps_per_unit", steps)
         if self.n_steps < 2:
             raise ValueError("need at least 2 steps over the horizon")
         for name in ("sigma", "jump_rate"):
@@ -84,10 +93,8 @@ class GeneratorSpec:
             raise ValueError("jump size bounds out of order")
         if self.pattern not in _PATTERNS:
             raise ValueError(f"unknown deterministic pattern {self.pattern!r}")
-        for name in ("seed", "n_jumps"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+        _integer("seed", self.seed)
+        _integer("n_jumps", self.n_jumps)
         if self.n_jumps < 0:
             raise ValueError("n_jumps must be nonnegative")
 
@@ -215,14 +222,6 @@ def classical_local_time(
     return LocalTimeField(grid, jf.time, np.maximum(raw, 0.0), "L_classical")
 
 
-def mass_consistency(path: SampledCadlagPath, grid: LevelGrid, t=None):
-    """(local-time mass, unmarked squared-increment sum, relative gap)."""
-    mass = classical_local_time(path, t=t, grid=grid).mass
-    qv_c = float((path.continuous_steps(t)[1] ** 2).sum())
-    gap = abs(mass - qv_c) / qv_c if qv_c > 0 else abs(mass)
-    return mass, qv_c, gap
-
-
 # ---------------------------------------------------------------------------
 # Q-statistic
 # ---------------------------------------------------------------------------
@@ -342,8 +341,11 @@ class ExperimentConfig:
             if any(b >= a for a, b in zip(ladder[:-1], ladder[1:])):
                 raise ValueError("width ladder must decrease")
         object.__setattr__(self, "ladder", ladder)
-        if self.n_paths < 1:
+        n_paths = _whole(self.n_paths, "n_paths")
+        if n_paths < 1:
             raise ValueError("need at least one path")
+        object.__setattr__(self, "n_paths", n_paths)
+        _integer("seed", self.seed)
         _positive("grid_du", self.grid_du)
         _positive("grid_margin", self.grid_margin, zero=True)
         if not (np.isfinite(self.distance_p) and self.distance_p >= 1):
@@ -442,7 +444,7 @@ def _classical_reference(config: ExperimentConfig, path, grid, jf, full):
     if config.estimator == "K_pi" and config.field_mode == "cell":
         kf = k_pi(path, full, 0, t=config.t, grid=grid, mode="cell")
         lt = split_Kc_Kd(kf, jf)[1]
-        return lt.replace_data(lt.data, kind="L_classical")
+        return LocalTimeField(lt.grid, lt.time, lt.data, "L_classical")
     return classical_local_time(path, t=config.t, grid=grid)
 
 

@@ -103,20 +103,8 @@ class SampledCadlagPath:
         return float(self.times[-1])
 
     @property
-    def initial_value(self) -> float:
-        return float(self.values[0])
-
-    @property
-    def final_value(self) -> float:
-        return float(self.values[-1])
-
-    @property
     def jump_indices(self) -> np.ndarray:
         return np.flatnonzero(self.jump_mask)
-
-    def pre_jump_values(self) -> np.ndarray:
-        """Values immediately before each marked jump."""
-        return self.jump_brackets()[0]
 
     def index_at(self, t=None) -> int:
         """Largest sample index ``i`` with ``times[i] <= t``; the last index
@@ -147,17 +135,6 @@ class SampledCadlagPath:
         idx = self.jump_indices
         idx = idx[idx <= self.index_at(t)]
         return self.values[idx - 1], self.values[idx]
-
-
-def value_at(path: SampledCadlagPath, t: float) -> float:
-    """Right-continuous step evaluation of the path at time ``t``."""
-    return float(path.values[path.index_at(t)])
-
-
-def jump_sizes(path: SampledCadlagPath) -> np.ndarray:
-    """Signed sizes of the marked jumps, in time order."""
-    pre, post = path.jump_brackets()
-    return post - pre
 
 
 def total_variation(path: SampledCadlagPath) -> float:
@@ -200,12 +177,6 @@ class PartitionScheme:
                 raise ValueError("all partitions must end at the same index")
             cleaned.append(_readonly(idx))
         object.__setattr__(self, "partitions", tuple(cleaned))
-
-    @property
-    def refining(self) -> bool:
-        """Whether every partition's points are contained in the next one's."""
-        parts = self.partitions
-        return all(np.isin(a, b).all() for a, b in zip(parts[:-1], parts[1:]))
 
     @property
     def n_levels(self) -> int:
@@ -318,9 +289,8 @@ class LevelGrid:
     value on a cell edge belongs to the cell above it; fields sampled on the
     grid use that convention for mass accounting.  A point mass (an atom of
     a curvature measure) at ``u`` is placed at the nearest level to the
-    left, the level ``u_k <= u < u_{k+1}``.  Both lookups rank values
-    exactly as ``np.searchsorted`` would on :attr:`edges` and
-    :attr:`levels`.
+    left, the level ``u_k <= u < u_{k+1}``, ranked exactly as
+    ``np.searchsorted`` would rank it on :attr:`levels`.
     """
 
     u0: float
@@ -349,13 +319,6 @@ class LevelGrid:
     def edges(self) -> np.ndarray:
         """The ``n_levels + 1`` cell edges ``u_k - du/2``, then ``u_max + du/2``."""
         return self.u0 + self.du * (np.arange(self.n_levels + 1) - 0.5)
-
-    def cell_index(self, u) -> np.ndarray:
-        """Index of the half-open cell containing ``u`` (nearest level)."""
-        k = _rank(np.asarray(u, np.float64), self.u0, self.du, True, -0.5) - 1
-        if np.any(k < 0) or np.any(k >= self.n_levels):
-            raise ValueError("value outside the level grid")
-        return k if k.ndim else int(k)
 
     def left_index(self, u):
         """Index of the nearest level at or left of ``u``, unclipped: ``-1``
@@ -599,7 +562,3 @@ def path_to_csv_text(path: SampledCadlagPath) -> str:
     buf = io.StringIO()
     write_path_csv(path, buf)
     return buf.getvalue()
-
-
-def path_from_csv_text(text: str) -> SampledCadlagPath:
-    return read_path_csv(io.StringIO(text))

@@ -689,8 +689,8 @@ class TestBadInput:
             (["generate"], {"generator": dict(GEN, mu=float("-inf"))},
              "bad generator descriptor: mu must be finite, got -inf"),
             (["generate"], {"generator": dict(GEN, steps_per_unit=float("inf"))},
-             "bad generator descriptor: cannot convert float infinity to "
-             "integer"),
+             "bad generator descriptor: steps_per_unit must be whole numbers, "
+             "got inf"),
             (["experiment"], dict(TestExperiment.CONFIG, distance={
                 "p": 2, "weight": {"kind": "abs", "centre": 0.3}}),
              "unknown function fields: ['centre']"),
@@ -710,6 +710,12 @@ class TestBadInput:
             (["experiment"], dict(TestExperiment.CONFIG, distance={
                 "weight": {"kind": "bump", "center": float("nan")}}),
              "bad function descriptor: center must be finite, got nan"),
+            (["generate"], {"generator": dict(GEN, steps_per_unit=100.5)},
+             "bad generator descriptor: steps_per_unit must be whole numbers, "
+             "got 100.5"),
+            (["generate"], {"generator": dict(GEN, steps_per_unit=True)},
+             "bad generator descriptor: steps_per_unit must be whole numbers, "
+             "got True"),
         ],
     )
     def test_generate_and_experiment_refuse_keys_they_do_not_read(

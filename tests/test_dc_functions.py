@@ -14,7 +14,6 @@ from leveltime import (
     LevelGrid,
     builtin_suite,
     dc_function_from_descriptor,
-    jf_increment,
     make_abs,
     make_bump,
     make_mix,
@@ -24,6 +23,15 @@ from leveltime import (
 from leveltime.dcfuncs import left_sign
 
 SUITE = builtin_suite()
+
+
+def jf_increment(f: DCFunction, a: float, b: float) -> float:
+    """Taylor remainder J^f(a, b) = f(a) - f(b) - f'(b)(a - b)."""
+    a = float(a)
+    b = float(b)
+    if a == b:
+        return 0.0
+    return float(f.eval_f(a) - f.eval_f(b) - f.eval_fprime(b) * (a - b))
 
 
 def jf_measure_side(f: DCFunction, a: float, b: float) -> float:
@@ -298,4 +306,5 @@ def test_descriptor_refuses_non_finite_numbers(desc):
 def test_suite_composition():
     names = [f.name for f in SUITE]
     assert names == ["abs*0.5@0", "relu@0.25", "square", "bump@0w1", "mix"]
-    assert [f.is_smooth for f in SUITE] == [False, False, True, True, False]
+    has_atoms = [bool(f.second_derivative.atoms) for f in SUITE]
+    assert has_atoms == [True, True, False, False, True]

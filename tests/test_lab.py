@@ -1,12 +1,15 @@
 """Generators, the classical Tanaka reference, the Q-statistic, field
 distances, and the convergence harness."""
 
+import inspect
+import re
 import threading
 import time
 
 import numpy as np
 import pytest
 
+import leveltime
 from leveltime import _kernels, lab
 from leveltime import (
     ConfigError,
@@ -29,7 +32,6 @@ from leveltime import (
     lp_distance,
     make_abs,
     make_square,
-    mass_consistency,
     occupation_local_time,
     q_statistic,
     quadratic_variation,
@@ -58,16 +60,15 @@ class TestGenerators:
         p = generate(spec)
         assert p.n_samples == 1025
         assert p.duration == 2.0
-        assert p.initial_value == 0.0
+        assert p.values[0] == 0.0
 
     def test_marked_steps_carry_only_the_jump(self):
         spec = GeneratorSpec(kind="jump_diffusion", seed=11, jump_rate=10.0)
         p = generate(spec)
         assert p.jump_indices.size > 0
         # pre-jump values are literally the previous samples, by construction
-        np.testing.assert_array_equal(
-            p.pre_jump_values(), p.values[p.jump_indices - 1]
-        )
+        pre, _ = p.jump_brackets()
+        np.testing.assert_array_equal(pre, p.values[p.jump_indices - 1])
 
     def test_compound_poisson_is_piecewise_constant(self):
         spec = GeneratorSpec(
@@ -92,7 +93,7 @@ class TestGenerators:
 
     def test_deterministic_patterns(self):
         ramp = generate(GeneratorSpec(kind="deterministic_test", pattern="ramp"))
-        assert ramp.final_value == 1.0
+        assert ramp.values[-1] == 1.0
         const = generate(
             GeneratorSpec(kind="deterministic_test", pattern="constant", x0=2.0)
         )
@@ -115,11 +116,8 @@ class TestGenerators:
         assert ladder.jump_indices.size == 4
         inc = np.diff(ladder.values)
         assert np.all(inc[~ladder.jump_mask[1:]] == 0.0)
-        np.testing.assert_allclose(
-            ladder.values[ladder.jump_indices]
-            - ladder.pre_jump_values(),
-            [1.0, -1.0, 1.0, -1.0],
-        )
+        pre, post = ladder.jump_brackets()
+        np.testing.assert_allclose(post - pre, [1.0, -1.0, 1.0, -1.0])
 
     def test_generate_many_distinct_and_reproducible(self):
         spec = GeneratorSpec(kind="brownian", steps_per_unit=64, seed=5)
@@ -217,12 +215,15 @@ class TestClassicalLocalTime:
             classical_local_time(step_path(103))
 
     def test_mass_consistency_within_ten_percent(self):
+        # occupation-times formula: the local time's mass over the levels is
+        # the continuous quadratic variation, the unmarked squared increments
         spec = GeneratorSpec(kind="brownian", steps_per_unit=2**13, seed=17)
         p = generate(spec)
         grid = LevelGrid.for_path(p, 0.02, margin=0.2)
-        mass, qv_c, gap = mass_consistency(p, grid)
+        mass = classical_local_time(p, grid=grid).mass
+        qv_c = float((p.continuous_steps()[1] ** 2).sum())
         assert qv_c > 0.5
-        assert gap < 0.1
+        assert abs(mass - qv_c) / qv_c < 0.1
 
 
 class TestQStatistic:
@@ -485,6 +486,9 @@ class TestExperiments:
             self.brownian_config(ladder=(2.5, 4.9))
         with pytest.raises(ValueError, match="whole numbers, got True"):
             self.brownian_config(ladder=(True, 3))
+        # an integral float is a whole number of paths
+        n_paths = self.brownian_config(n_paths=2.0).n_paths
+        assert n_paths == 2 and type(n_paths) is int
 
     def test_worker_count_honors_thread_cap(self, monkeypatch):
         monkeypatch.setenv("LOCALTIME_THREADS", "2")
@@ -600,18 +604,36 @@ def test_non_finite_or_negative_width_rejected(argument, value):
         WIDTH_ARGUMENTS[argument](p, grid, value)
 
 
+OCCUPATION_CONFIG = dict(
+    generator=GeneratorSpec(kind="brownian", steps_per_unit=64, seed=0),
+    estimator="occupation", ladder=(0.4, 0.2), n_paths=1, seed=0,
+)
+
+
 @pytest.mark.parametrize(
     "field,value",
     [("distance_p", np.inf), ("distance_p", np.nan), ("grid_du", np.inf),
      ("grid_margin", np.nan), ("ladder", (np.inf, 0.1))],
 )
 def test_experiment_config_rejects_non_finite_values(field, value):
-    base = dict(
-        generator=GeneratorSpec(kind="brownian", steps_per_unit=64, seed=0),
-        estimator="occupation", ladder=(0.4, 0.2), n_paths=1, seed=0,
-    )
     with pytest.raises(ValueError, match="finite"):
-        ExperimentConfig(**dict(base, **{field: value}))
+        ExperimentConfig(**dict(OCCUPATION_CONFIG, **{field: value}))
+
+
+@pytest.mark.parametrize(
+    "field,value,message",
+    [("n_paths", 2.5, "n_paths must be whole numbers, got 2.5"),
+     ("n_paths", True, "n_paths must be whole numbers, got True"),
+     ("n_paths", np.nan, "n_paths must be whole numbers, got nan"),
+     ("seed", 1.5, "seed must be an integer, got 1.5"),
+     ("seed", True, "seed must be an integer, got True"),
+     ("seed", 7.0, "seed must be an integer, got 7.0")],
+)
+def test_experiment_config_refuses_fractional_or_boolean_counts(
+    field, value, message
+):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ExperimentConfig(**dict(OCCUPATION_CONFIG, **{field: value}))
 
 
 # every estimator of a local-time field, called on (path, grid, t)
@@ -695,3 +717,17 @@ def test_sequence_time_refused(estimator, t, step_path):
     with pytest.raises(TypeError) as refused:
         FIELD_ESTIMATORS[estimator](p, grid, t)
     assert str(refused.value) == str(stop.value)
+
+
+def test_export_list_names_each_public_definition_once():
+    exported = leveltime.__all__
+    assert len(set(exported)) == len(exported)
+    assert [n for n in exported if not hasattr(leveltime, n)] == []
+    # every function or class of a layer module that the package imports
+    imported = {
+        name for name, obj in vars(leveltime).items()
+        if (inspect.isfunction(obj) or inspect.isclass(obj))
+        and obj.__module__.startswith("leveltime.")
+        and not name.startswith("_")
+    }
+    assert sorted(imported - set(exported)) == []

@@ -15,14 +15,21 @@ from leveltime import (
     LevelGrid,
     PartitionScheme,
     SampledCadlagPath,
-    jump_sizes,
-    path_from_csv_text,
     path_to_csv_text,
     read_path_csv,
     total_variation,
-    value_at,
     write_path_csv,
 )
+
+
+def path_from_csv_text(text):
+    return read_path_csv(io.StringIO(text))
+
+
+def refines(scheme):
+    """Whether every partition's points are contained in the next one's."""
+    parts = scheme.partitions
+    return all(np.isin(a, b).all() for a, b in zip(parts[:-1], parts[1:]))
 
 
 def make_step_path():
@@ -81,8 +88,9 @@ class TestAccessors:
     def test_jump_bookkeeping(self):
         p = make_step_path()
         assert list(p.jump_indices) == [3]
-        np.testing.assert_array_equal(p.pre_jump_values(), [1.0])
-        np.testing.assert_array_equal(jump_sizes(p), [-1.5])
+        pre, post = p.jump_brackets()
+        np.testing.assert_array_equal(pre, [1.0])
+        np.testing.assert_array_equal(post - pre, [-1.5])
 
     def test_index_at_is_right_continuous_floor(self):
         p = make_step_path()
@@ -148,9 +156,10 @@ class TestAccessors:
                 arr[0] = 9.0
 
     def test_value_at_steps(self):
+        # the path holds values[i] on [times[i], times[i+1]): right-continuous
         p = make_step_path()
-        assert value_at(p, 0.6) == 1.0
-        assert value_at(p, 0.75) == -0.5
+        assert p.values[p.index_at(0.6)] == 1.0
+        assert p.values[p.index_at(0.75)] == -0.5
 
     def test_total_variation_hand_value(self):
         p = make_step_path()
@@ -192,12 +201,12 @@ class TestPartitionScheme:
         scheme = PartitionScheme.dyadic(n, exponents, jumps)
         for j, part in zip(exponents, scheme.partitions):
             np.testing.assert_array_equal(part, rounded_spread(n, 2**j + 1, jumps))
-        assert scheme.refining
+        assert refines(scheme)
 
     def test_dyadic_levels_refine(self):
         scheme = PartitionScheme.dyadic(1025, range(1, 6))
         assert scheme.n_levels == 5
-        assert scheme.refining
+        assert refines(scheme)
         assert scheme[0].size == 3
         assert scheme[4].size == 33
         assert scheme.last_index == 1024
@@ -208,7 +217,7 @@ class TestPartitionScheme:
         assert scheme[1].size == 9
         # 2**20 + 1 points cap at the 1025 samples: every index
         np.testing.assert_array_equal(scheme[2], np.arange(1025))
-        assert scheme.refining
+        assert refines(scheme)
         for j in (40, 2000):
             np.testing.assert_array_equal(
                 PartitionScheme.dyadic(65, [j])[0], np.arange(65)
@@ -272,7 +281,7 @@ class TestPartitionScheme:
         scheme = PartitionScheme.explicit(
             [np.array([0, 3, 6]), np.array([0, 2, 4, 6])]
         )
-        assert not scheme.refining
+        assert not refines(scheme)
 
     def test_mesh_rejects_foreign_path(self):
         p = make_step_path()
@@ -307,27 +316,12 @@ class TestLevelGrid:
         assert g.n_levels == 3 and type(g.n_levels) is int
         assert g.levels.size == 3
 
-    def test_cell_index_nearest_level(self):
-        g = LevelGrid(0.0, 0.5, 5)
-        assert g.cell_index(0.2) == 0
-        assert g.cell_index(0.3) == 1
-        np.testing.assert_array_equal(g.cell_index([0.0, 1.1, 2.0]), [0, 2, 4])
-        with pytest.raises(ValueError, match="outside"):
-            g.cell_index(2.5)
-        with pytest.raises(ValueError, match="outside"):
-            g.cell_index(-0.3)
-        # cells are half-open: a value on an edge belongs to the cell above
-        assert g.cell_index(0.25) == 1
-        assert g.cell_index(-0.25) == 0
-        with pytest.raises(ValueError, match="outside"):
-            g.cell_index(2.25)
-
     def test_edges_bound_the_cells(self):
         g = LevelGrid(-1.0, 0.25, 4)
         np.testing.assert_array_equal(
             g.edges, [-1.125, -0.875, -0.625, -0.375, -0.125]
         )
-        assert g.cell_index(g.edges[:-1]).tolist() == [0, 1, 2, 3]
+        np.testing.assert_array_equal(g.edges[:-1] + 0.5 * g.du, g.levels)
 
     def test_left_index_is_the_nearest_level_at_or_below(self):
         g = LevelGrid(0.0, 0.5, 5)
@@ -456,7 +450,7 @@ def test_buffer_round_trip_via_stringio():
     write_path_csv(p, buf)
     buf.seek(0)
     q = read_path_csv(buf)
-    assert q.final_value == p.final_value
+    assert q.values[-1] == p.values[-1]
 
 
 # ---------------------------------------------------------------------------
