@@ -4,7 +4,8 @@ Each kernel is bound at import to one implementation: with numba, the
 compiled loop (the signed increment sum has one form, a sorted prefix sum);
 without numba, the array form where it beats the uncompiled loop.  This
 script first checks every kernel's bound implementation against its
-uncompiled loop (the play operator bit for bit, the others within 1e-9; the
+uncompiled loop (the play operator bit for bit, the crossing counts exactly
+under both arm rules, strict and non-strict, the others within 1e-9; the
 signed increment sum against a dense numpy oracle, and bit for bit against
 its prefix sum in stable-sort order) on two small inputs of 2,049 samples by
 101 levels, small enough for the uncompiled loops: a seeded path, and values
@@ -104,16 +105,17 @@ def snapped_inputs(steps, levels, seed):
     return values, u0, du
 
 
-def build_cases(values, u0, du, m, eps):
+def build_cases(values, u0, du, m, eps, strict=False):
     """Per kernel, a call taking one of its implementations: the play
-    operator, a crossing clamp, a field accumulator or a signed sum."""
+    operator, a crossing clamp (under the ``strict`` arm rule or not), a
+    field accumulator or a signed sum."""
     a = values[:-1]
     b = values[1:]
     inc = np.diff(values)
     return {
         "play_operator": lambda impl: impl(values, eps),
         "crossing_counts": lambda impl: _kernels._crossing_counts(
-            impl, values, u0, du, m, eps, False
+            impl, values, u0, du, m, eps, strict
         ),
         "interval_field_point": lambda impl: _kernels._interval_field(
             _kernels._level_ranges, impl, a, b, u0, du, m, np.zeros(m)
@@ -130,11 +132,13 @@ def build_cases(values, u0, du, m, eps):
 
 def check_agreement(case, name):
     """The bound kernel against its loop: the play operator bit for bit,
-    the others within 1e-9."""
+    the crossing counts exactly, the others within 1e-9."""
     bound, loop, _ = VARIANTS[name]
     for x, y in zip(np.atleast_1d(case(bound)), np.atleast_1d(case(loop))):
         if name == "play_operator":
             agree = np.array_equal(x.view(np.int64), y.view(np.int64))
+        elif name == "crossing_counts":
+            agree = x.dtype == y.dtype and np.array_equal(x, y)
         else:
             agree = np.allclose(x, y, rtol=1e-9, atol=1e-9)
         if not agree:
@@ -176,6 +180,8 @@ def main(argv=None):
         checks = build_cases(values, u0, du, 101, band * du)
         for name, case in checks.items():
             check_agreement(case, name)  # compiles the numba loops, if present
+        strict = build_cases(values, u0, du, 101, band * du, strict=True)
+        check_agreement(strict["crossing_counts"], "crossing_counts")
         signed = checks["signed_increment_sum"]
         if not np.array_equal(
             signed(_kernels.signed_increment_sum).view(np.int64),
@@ -186,7 +192,8 @@ def main(argv=None):
             )
         print(
             f"bound kernels agree with their loops on {len(checks)} kernels "
-            f"({label}, 2049 samples x 101 levels, eps = {band} du)"
+            f"({label}, 2049 samples x 101 levels, eps = {band} du; "
+            "crossing counts strict and non-strict)"
         )
 
     print(f"backend {_kernels.ACTIVE_BACKEND}, HAS_NUMBA {_kernels.HAS_NUMBA}")

@@ -9,8 +9,8 @@ beats it:
 - the play operator runs its loop compiled or, without numba, a scan of
   clamp maps that is checked step by step against the loop's own test and
   falls back to the loop where a step differs (:func:`_play_operator_np`);
-- the crossing counts run one clamp loop, compiled over int64 arrays or,
-  uncompiled, over lists without the samples that repeat a clamp;
+- the crossing counts rank through :func:`_rank`, then run their clamp loop
+  compiled or, without numba, the play operator's scan over level indices;
 - the three field kernels (point and cell interval fields, occupation
   weights) are each one shared range computation, which finds every
   bracket's first and last covered level or cell with :func:`_rank`, plus
@@ -101,31 +101,14 @@ def _step_inside(x, v, half, toward):
     return v
 
 
-def _play_operator_np(values, eps):
-    """The loop's ``(reg, dev)`` from a scan of clamp maps, checked step by
-    step against the loop's own test, else from the loop itself.
-
-    Sample ``i`` acts on the previous value as the clamp
-    ``p -> min(max(p, up_i), down_i)``, where ``up_i`` (``down_i``) is the
-    loop's moved value: the first float at or above ``x_i - half`` (at or
-    below ``x_i + half``) within ``half`` of ``x_i``.  The loop's
-    ``v <= prev`` nudge never changes it, since every float at or below a
-    failing ``prev`` fails too.  Clamps compose into clamps through min and
-    max alone, so a Hillis-Steele scan of ``log2 n`` passes gives every
-    prefix exactly.  The clamp and the loop differ only where the loop
-    stalls although ``prev`` is below ``up_i`` (``x_i - prev`` rounds onto
-    ``half``) or on a signed zero; the check then finds a step whose value
-    is not the loop's, and the loop runs instead.
-    """
-    half = 0.5 * eps
-    x = values[1:]
-    up = _step_inside(x, x - half, half, np.inf)
-    down = _step_inside(x, x + half, half, -np.inf)
-    # map 0 is the constant p -> values[0]; after the scan map i is the
-    # composition of maps 0..i, a constant too, so lo == hi == reg
-    lo = np.concatenate([values[:1], up])
-    hi = np.concatenate([values[:1], down])
-    buf_lo, buf_hi = np.empty((2, lo.size - 1))  # one pair for every pass
+def _clamp_scan(p0, lo, hi):
+    """The states ``p_i = min(max(p_{i-1}, lo_i), hi_i)``, ``p_0 = p0``, in
+    float64 or int64 by an exact Hillis-Steele scan: clamps compose into
+    clamps through min and max alone, and after the constant map 0 into
+    constants, so that ``lo == hi`` holds the states."""
+    lo = np.concatenate([[p0], lo])
+    hi = np.concatenate([[p0], hi])
+    buf_lo, buf_hi = np.empty((2, lo.size - 1), lo.dtype)  # for every pass
     k = 1
     while k < lo.size:
         # map i after map i - k: clamp i - k's ends into [lo_i, hi_i]
@@ -136,7 +119,28 @@ def _play_operator_np(values, eps):
         lo[k:] = new_lo
         hi[k:] = new_hi
         k *= 2
-    reg = lo
+    return lo
+
+
+def _play_operator_np(values, eps):
+    """The loop's ``(reg, dev)`` from a scan of clamp maps, checked step by
+    step against the loop's own test, else from the loop itself.
+
+    Sample ``i`` acts on the previous value as the clamp
+    ``p -> min(max(p, up_i), down_i)``, where ``up_i`` (``down_i``) is the
+    loop's moved value: the first float at or above ``x_i - half`` (at or
+    below ``x_i + half``) within ``half`` of ``x_i``.  The loop's
+    ``v <= prev`` nudge never changes it, since every float at or below a
+    failing ``prev`` fails too.  The clamps differ from the loop only where
+    it stalls although ``prev`` is below ``up_i`` (``x_i - prev`` rounds
+    onto ``half``) or on a signed zero; the check then finds a step whose
+    value is not the loop's, and the loop runs instead.
+    """
+    half = 0.5 * eps
+    x = values[1:]
+    up = _step_inside(x, x - half, half, np.inf)
+    down = _step_inside(x, x + half, half, -np.inf)
+    reg = _clamp_scan(values[0], up, down)
     # the loop's step from each scanned value, compared bit for bit
     dev = np.empty(values.size, np.float64)
     dev[0] = 0.0
@@ -178,12 +182,13 @@ def _crossing_clamp_loop(arm, last, a, diff):
 
 
 def _crossing_clamp_np(arm, last, a, diff):
-    # a clamp applied twice in a row acts once, so a sample that repeats the
-    # previous (arm, last) pair is dropped; uncompiled, the loop runs two to
-    # three times faster over lists than over int64 arrays
-    keep = np.ones(arm.size, bool)
-    keep[1:] = (arm[1:] != arm[:-1]) | (last[1:] != last[:-1])
-    return _crossing_clamp_loop(arm[keep].tolist(), last[keep].tolist(), a, diff)
+    """The loop's fired ranges through the play operator's scan over level
+    indices: sample ``i`` fires ``[a_{i-1}, last[i]]`` where nonempty."""
+    a = _clamp_scan(a, last + 1, arm)[:-1]
+    fire = last >= a
+    diff += np.bincount(a[fire], minlength=diff.size)
+    diff -= np.bincount(last[fire] + 1, minlength=diff.size)
+    return diff
 
 
 def _crossing_counts(clamp, values, u0, du, m, eps, strict):
@@ -194,21 +199,20 @@ def _crossing_counts(clamp, values, u0, du, m, eps, strict):
     so a downcrossing's armed set is a ray ``k' >= a`` too.
     """
     half = 0.5 * eps
-    # du * k rounds exactly like k * du, so these are the band edges
-    # (u0 + k*du) -/+ half of every level, bit for bit
-    levels = u0 + du * np.arange(m)
-    low = levels - half
-    high = levels + half
+
+    def edges(shift, right):  # searchsorted on (u0 + k*du) + shift, k < m
+        return np.minimum(_rank(values, u0, du, right, shift=shift), m)
+
     # up: a sample arms levels with low_k > v (>= v non-strict), fires
     # levels with high_k <= v
-    arm = np.searchsorted(low, values, "right" if strict else "left")
-    last = np.minimum(np.searchsorted(high, values, "right") - 1, arm - 1)
+    arm = edges(-half, strict)
+    last = np.minimum(edges(half, True) - 1, arm - 1)
     diff = np.zeros(2 * m + 1, np.int64)
     clamp(arm, last, m, diff)
     # down, mirrored: a sample arms levels with high_k < v (<= v
     # non-strict), fires levels with low_k >= v
-    arm = 2 * m - np.searchsorted(high, values, "left" if strict else "right")
-    last = np.minimum(2 * m - 1 - np.searchsorted(low, values, "left"), arm - 1)
+    arm = 2 * m - edges(half, not strict)
+    last = np.minimum(2 * m - 1 - edges(-half, False), arm - 1)
     clamp(arm, last, 2 * m, diff)
     counts = np.cumsum(diff[:-1])
     return counts[:m], counts[m:][::-1]
@@ -218,19 +222,20 @@ def _crossing_counts(clamp, values, u0, du, m, eps, strict):
 # level ranks: the one rule that maps values to level and cell indices
 # ---------------------------------------------------------------------------
 
-def _rank(x, u0, du, right=False, off=0.0):
+def _rank(x, u0, du, right=False, off=0.0, shift=0.0):
     """``np.searchsorted(grid, x, side)`` on the unbounded grid
     ``u0 + (k + off)*du``, ``k = 0, 1, ...``, without building the grid.
 
-    ``off=0`` ranks against the levels, ``off=-0.5`` against the cell edges.
+    ``off=0`` ranks against the levels, ``off=-0.5`` against the cell edges;
+    ``shift=-/+eps/2`` against the band edges ``(u0 + k*du) -/+ eps/2``.
     The search starts one point below an arithmetic guess and steps up past
     each of the next two points that lies below ``x`` (``<`` for the left
     side, ``<=`` for the right), comparing with the grid points as written
     above.  The rank is exact whenever the guess is within one point of it,
-    that is whenever ``|x - u0| / du`` is far below ``2**52``.
+    that is whenever ``|x - u0 - shift| / du`` is far below ``2**52``.
     """
     below = np.less_equal if right else np.less
-    r = np.subtract(x, u0, out=np.empty(np.shape(x)))
+    r = np.subtract(x, u0 + shift, out=np.empty(np.shape(x)))
     r *= 1.0 / du
     if right:
         r -= off
@@ -244,6 +249,8 @@ def _rank(x, u0, du, right=False, off=0.0):
         np.add(r, off, out=g)
         g *= du
         g += u0
+        if shift:  # the levels and cells skip the pass
+            g += shift
         r += below(g, x)
     return np.maximum(r, 0.0, out=rank, casting="unsafe")
 

@@ -4,7 +4,8 @@ Q-statistic, and the Monte Carlo convergence harness.
 Reproducibility contract: a (spec, seed) pair generates the identical path
 bit for bit; experiments spawn one child seed per path from a root
 SeedSequence and reduce results in path order, so reports do not depend on
-scheduling.
+scheduling.  ``generate_many(cfg.generator, cfg.n_paths, seed=cfg.seed)``
+returns exactly the paths that ``run_convergence_experiment(cfg)`` draws.
 """
 
 from __future__ import annotations
@@ -182,7 +183,9 @@ def generate(spec: GeneratorSpec, rng=None) -> SampledCadlagPath:
 
 def generate_many(spec: GeneratorSpec, n_paths: int, seed=None):
     """List of independent paths from per-path child seeds of one root."""
-    root = np.random.SeedSequence(spec.seed if seed is None else seed)
+    seed = spec.seed if seed is None else seed
+    _integer("seed", seed)
+    root = np.random.SeedSequence(seed)
     return [
         generate(spec, np.random.default_rng(child))
         for child in root.spawn(_whole(n_paths, "n_paths"))

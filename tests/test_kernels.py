@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from leveltime import _kernels
 from leveltime._kernels import HAS_NUMBA
+from leveltime.lab import GeneratorSpec, generate
 
 
 def _sample_values(seed, n=400, jumpy=True):
@@ -280,6 +281,45 @@ def test_crossing_counts_armed_sample_never_fires_same_step():
         assert (int(up[0]), int(down[0])) == (2, 0)
 
 
+def _clamp_case(case):
+    """``(values, u0, du, m)``: a 2^14-sample path of check 7's
+    jump-diffusion generator on its 0.025 grid, a walk of half grid steps
+    held for up to 40 samples at a time, or one or two samples."""
+    if case == "jump-diffusion":
+        spec = GeneratorSpec(
+            kind="jump_diffusion", steps_per_unit=2**14, seed=0, jump_rate=5.0
+        )
+        values = generate(spec).values
+        u0 = values.min() - 0.5
+        return values, u0, 0.025, int((values.max() + 0.5 - u0) / 0.025) + 1
+    if case == "flat":
+        rng = np.random.default_rng(41)
+        steps = rng.choice([-1, 0, 1], 600) * 0.0125  # half a grid step
+        held = np.repeat(np.cumsum(steps), rng.integers(1, 41, steps.size))
+        return held, -0.5, 0.025, 41
+    return np.array([0.3, -0.2][: int(case)]), -0.5, 0.025, 41
+
+
+@pytest.mark.parametrize("strict", [False, True], ids=["non-strict", "strict"])
+@pytest.mark.parametrize(
+    "case,eps",
+    [("jump-diffusion", w) for w in (0.4, 0.2, 0.1, 0.05, 0.025)]
+    + [("flat", 0.025), ("flat", 0.1), ("1", 0.1), ("2", 0.1)],
+)
+def test_crossing_clamps_match_the_loop_bitwise(case, eps, strict):
+    # long flat stretches repeat one (arm, last) pair many times over
+    values, u0, du, m = _clamp_case(case)
+    want = _kernels._crossing_counts(
+        _kernels._crossing_clamp_loop, values, u0, du, m, eps, strict
+    )
+    assert sum(int(c.sum()) for c in want) > 0 or values.size < 3
+    for clamp in CLAMPS[1:]:
+        got = _kernels._crossing_counts(clamp, values, u0, du, m, eps, strict)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype == np.int64
+            np.testing.assert_array_equal(g, w)
+
+
 # Grid-snapped cases: values on levels, on cell edges u_k +- du/2 and beyond
 # both grid ends, so every range end meets its tie.
 def _snapped(seeds, grids):
@@ -502,35 +542,38 @@ _GRID_SIZE = 40
 @st.composite
 def _grid_probes(draw):
     # values on the grid points, on their float neighbours, between them and
-    # beyond both ends of a grid with |u0| / du up to 1e10
+    # beyond both ends of a grid with |u0| / du up to 1e10, shifted as the
+    # crossing counts' band edges u_k -/+ eps/2 are
     u0 = draw(st.floats(-1e4, 1e4, allow_nan=False))
     du = draw(st.floats(1e-6, 10.0))
     off = draw(st.sampled_from([0.0, -0.5]))
-    grid = u0 + (np.arange(_GRID_SIZE) + off) * du
+    half = 0.5 * draw(st.floats(0.0, 10.0))
+    shift = draw(st.sampled_from([0.0, 0.5 * du, -0.5 * du, half, -half]))
+    grid = (u0 + (np.arange(_GRID_SIZE) + off) * du) + shift
     ks = draw(st.lists(st.integers(-3, _GRID_SIZE + 2), min_size=1, max_size=30))
-    shifts = draw(st.lists(st.sampled_from(["on", "up", "down", "mid"]), min_size=len(ks), max_size=len(ks)))
+    moves = draw(st.lists(st.sampled_from(["on", "up", "down", "mid"]), min_size=len(ks), max_size=len(ks)))
     x = []
-    for k, shift in zip(ks, shifts):
-        v = u0 + (k + off) * du
-        if shift == "up":
+    for k, move in zip(ks, moves):
+        v = (u0 + (k + off) * du) + shift
+        if move == "up":
             v = np.nextafter(v, np.inf)
-        elif shift == "down":
+        elif move == "down":
             v = np.nextafter(v, -np.inf)
-        elif shift == "mid":
+        elif move == "mid":
             v = v + 0.5 * du
         x.append(v)
-    return u0, du, off, grid, np.array(x)
+    return u0, du, off, shift, grid, np.array(x)
 
 
 @given(_grid_probes(), st.booleans())
 @settings(max_examples=300, deadline=None)
 def test_rank_is_searchsorted_on_the_materialised_grid(probe, right):
-    u0, du, off, grid, x = probe
-    got = _kernels._rank(x, u0, du, right, off)
+    u0, du, off, shift, grid, x = probe
+    got = _kernels._rank(x, u0, du, right, off, shift)
     want = np.searchsorted(grid, x, "right" if right else "left")
     np.testing.assert_array_equal(np.minimum(got, grid.size), want)
     for v, expect in zip(x, got):
-        assert _kernels._rank(v, u0, du, right, off) == expect
+        assert _kernels._rank(v, u0, du, right, off, shift) == expect
 
 
 def test_kernels_empty_and_degenerate_inputs():

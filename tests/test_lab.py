@@ -136,6 +136,18 @@ class TestGenerators:
         # an integral float is a whole number
         assert len(generate_many(spec, 3.0)) == 3
 
+    @pytest.mark.parametrize("bad", [True, 1.5])
+    def test_generate_many_refuses_fractional_or_boolean_seeds(self, bad):
+        spec = GeneratorSpec(kind="brownian", steps_per_unit=64, seed=5)
+        message = f"seed must be an integer, got {bad!r}"
+        with pytest.raises(ValueError, match=message):
+            generate_many(spec, 2, seed=bad)
+        # an integer seed, numpy's included, overrides the spec's
+        want = generate_many(GeneratorSpec(kind="brownian", steps_per_unit=64, seed=1), 1)
+        for seed in (1, np.int64(1)):
+            got = generate_many(spec, 1, seed=seed)
+            np.testing.assert_array_equal(got[0].values, want[0].values)
+
     def test_spec_validation(self):
         with pytest.raises(ValueError, match="kind"):
             GeneratorSpec(kind="levy_flight")
@@ -391,6 +403,29 @@ class TestExperiments:
             assert len(threads) == cfg.n_paths
             assert inline == {workers == "1"}
         np.testing.assert_array_equal(reports[0].distances, reports[1].distances)
+
+    def test_generate_many_draws_the_experiment_paths(self, monkeypatch):
+        drawn = []
+        original = lab.generate
+
+        def spy(spec, rng=None):
+            drawn.append(original(spec, rng))
+            return drawn[-1]
+
+        monkeypatch.setattr(lab, "generate", spy)
+        monkeypatch.setenv("LOCALTIME_THREADS", "1")
+        cfg = self.brownian_config(generator=GeneratorSpec(
+            kind="jump_diffusion", steps_per_unit=256, seed=0, jump_rate=5.0
+        ))
+        run_convergence_experiment(cfg)
+        monkeypatch.undo()
+        paths = generate_many(cfg.generator, cfg.n_paths, seed=cfg.seed)
+        assert len(drawn) == len(paths) == cfg.n_paths
+        assert any(p.jump_indices.size for p in paths)
+        for got, want in zip(drawn, paths):
+            np.testing.assert_array_equal(got.times, want.times)
+            np.testing.assert_array_equal(got.values, want.values)
+            np.testing.assert_array_equal(got.jump_mask, want.jump_mask)
 
     def test_seed_changes_distances(self):
         r1 = run_convergence_experiment(self.brownian_config())
