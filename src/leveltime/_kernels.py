@@ -203,16 +203,18 @@ def _crossing_counts(clamp, values, u0, du, m, eps, strict):
     def edges(shift, right):  # searchsorted on (u0 + k*du) + shift, k < m
         return np.minimum(_rank(values, u0, du, right, shift=shift), m)
 
+    # the fire ranks; the non-strict arm ranks are the same two
+    low_left, high_right = edges(-half, False), edges(half, True)
     # up: a sample arms levels with low_k > v (>= v non-strict), fires
     # levels with high_k <= v
-    arm = edges(-half, strict)
-    last = np.minimum(edges(half, True) - 1, arm - 1)
+    arm = edges(-half, True) if strict else low_left
+    last = np.minimum(high_right - 1, arm - 1)
     diff = np.zeros(2 * m + 1, np.int64)
     clamp(arm, last, m, diff)
     # down, mirrored: a sample arms levels with high_k < v (<= v
     # non-strict), fires levels with low_k >= v
-    arm = 2 * m - edges(half, not strict)
-    last = np.minimum(2 * m - 1 - edges(-half, False), arm - 1)
+    arm = 2 * m - (edges(half, False) if strict else high_right)
+    last = np.minimum(2 * m - 1 - low_left, arm - 1)
     clamp(arm, last, 2 * m, diff)
     counts = np.cumsum(diff[:-1])
     return counts[:m], counts[m:][::-1]

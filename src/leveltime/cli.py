@@ -35,6 +35,7 @@ from .paths import (
     LevelGrid,
     PartitionScheme,
     _fmt,
+    _is_real,
     _positive,
     _whole,
     _write_table,
@@ -63,27 +64,28 @@ def _load_config(args) -> dict:
 def _cfg_float(cfg, key, default):
     value = cfg.get(key, default)
     try:
-        return float(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"config {key!r} must be a number, got {value!r}") from exc
+        if _is_real(value):
+            return float(value)
+    except OverflowError:
+        pass
+    raise ConfigError(f"config {key!r} must be a number, got {value!r}")
 
 
 def _cfg_list(cfg, key, convert, scalar_ok=False):
     """Config list ``key`` with ``convert`` (``float`` or ``int``) applied to
     every entry; None when the key is absent or null.  ``scalar_ok`` also
-    takes one bare value.  An ``int`` entry must be a whole number, as
-    ``PartitionScheme.dyadic`` requires; it is never truncated."""
+    takes one bare value.  Every entry must be a number, and an ``int``
+    entry a whole number, as ``PartitionScheme.dyadic`` requires; it is
+    never truncated."""
     value = cfg.get(key)
     if value is None:
         return None
-    exact = (lambda v: _whole(v, key)) if convert is int else convert
-    try:
-        if isinstance(value, list):
-            return [exact(v) for v in value]
-        if scalar_ok:
-            return [exact(value)]
-    except (TypeError, ValueError, OverflowError):
-        pass
+    items = value if isinstance(value, list) else [value] if scalar_ok else None
+    if items is not None and all(map(_is_real, items)):
+        try:
+            return [_whole(v, key) if convert is int else float(v) for v in items]
+        except (ValueError, OverflowError):
+            pass
     raise ConfigError(
         f"config {key!r} must be a list of {convert.__name__}s, got {value!r}"
     )

@@ -2,10 +2,16 @@
 Q-statistic, and the Monte Carlo convergence harness.
 
 Reproducibility contract: a (spec, seed) pair generates the identical path
-bit for bit; experiments spawn one child seed per path from a root
-SeedSequence and reduce results in path order, so reports do not depend on
-scheduling.  ``generate_many(cfg.generator, cfg.n_paths, seed=cfg.seed)``
-returns exactly the paths that ``run_convergence_experiment(cfg)`` draws.
+bit for bit.  Every batch of paths generates path ``i`` from child seed
+``i`` of one root SeedSequence (:func:`_path_seeds`), so
+``generate_many(cfg.generator, cfg.n_paths, seed=cfg.seed)`` returns
+exactly the paths that ``run_convergence_experiment(cfg)`` draws; results
+reduce in path order, so reports do not depend on scheduling.
+
+:class:`ExperimentConfig` holds every default and stores the values it
+checked (a string or a boolean is never a number), and :func:`_estimator`
+decides all that an estimator needs: grid margin, partition schemes, J
+field, reference field and one field per ladder level.
 """
 
 from __future__ import annotations
@@ -33,6 +39,7 @@ from .paths import (
     LevelGrid,
     PartitionScheme,
     SampledCadlagPath,
+    _is_real,
     _positive,
     _whole,
 )
@@ -49,11 +56,12 @@ GENERATOR_KINDS = (
 _PATTERNS = ("ramp", "zigzag", "constant", "jump_ladder")
 
 
-def _integer(name, value):
-    """``ValueError`` naming ``name`` unless ``value`` is an int (a boolean
-    is not)."""
+def _integer(name, value, error=ValueError):
+    """``value`` as an int; ``error`` naming ``name`` unless it is an int (a
+    boolean is not)."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
+        raise error(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -86,16 +94,16 @@ class GeneratorSpec:
             value = _positive(name, getattr(self, name), zero=True)
             object.__setattr__(self, name, value)
         for name in ("mu", "jump_low", "jump_high", "x0", "amplitude"):
-            value = float(getattr(self, name))
-            if not np.isfinite(value):
+            value = getattr(self, name)
+            if not (_is_real(value) and np.isfinite(value)):
                 raise ValueError(f"{name} must be finite, got {value}")
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, float(value))
         if self.jump_low > self.jump_high:
             raise ValueError("jump size bounds out of order")
         if self.pattern not in _PATTERNS:
             raise ValueError(f"unknown deterministic pattern {self.pattern!r}")
-        _integer("seed", self.seed)
-        _integer("n_jumps", self.n_jumps)
+        object.__setattr__(self, "seed", _integer("seed", self.seed))
+        object.__setattr__(self, "n_jumps", _integer("n_jumps", self.n_jumps))
         if self.n_jumps < 0:
             raise ValueError("n_jumps must be nonnegative")
 
@@ -148,12 +156,13 @@ def generate(spec: GeneratorSpec, rng=None) -> SampledCadlagPath:
 
     Jump times snap to the right endpoint of their grid step, and a marked
     step carries only the jump sum (its continuous increment is dropped), so
-    the pre-jump value is exactly the previous sample.
+    the pre-jump value is exactly the previous sample.  ``rng`` is a numpy
+    Generator or a seed to make one from, such as a ``SeedSequence``; None
+    takes ``spec.seed``.
     """
     if spec.kind == "deterministic_test":
         return _deterministic_path(spec)
-    if rng is None:
-        rng = np.random.default_rng(spec.seed)
+    rng = np.random.default_rng(spec.seed if rng is None else rng)
     sigma, mu, lam = spec.effective()
     n = spec.n_steps
     dt = spec.T / n
@@ -181,15 +190,17 @@ def generate(spec: GeneratorSpec, rng=None) -> SampledCadlagPath:
     return SampledCadlagPath(times, values, mask)
 
 
+def _path_seeds(seed, n_paths):
+    """The seeds of every batch of paths, one per path: the child seeds of
+    one root ``SeedSequence(seed)``."""
+    root = np.random.SeedSequence(_integer("seed", seed))
+    return root.spawn(_whole(n_paths, "n_paths"))
+
+
 def generate_many(spec: GeneratorSpec, n_paths: int, seed=None):
     """List of independent paths from per-path child seeds of one root."""
     seed = spec.seed if seed is None else seed
-    _integer("seed", seed)
-    root = np.random.SeedSequence(seed)
-    return [
-        generate(spec, np.random.default_rng(child))
-        for child in root.spawn(_whole(n_paths, "n_paths"))
-    ]
+    return [generate(spec, child) for child in _path_seeds(seed, n_paths)]
 
 
 # ---------------------------------------------------------------------------
@@ -331,6 +342,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.estimator not in ESTIMATORS:
             raise ValueError(f"unknown estimator {self.estimator!r}")
+        if isinstance(self.ladder, str):
+            raise ValueError(f"ladder must be a list, got {self.ladder!r}")
         if len(self.ladder) == 0:
             raise ValueError("ladder must be nonempty")
         if self.estimator == "K_pi":
@@ -343,18 +356,25 @@ class ExperimentConfig:
             ladder = tuple(_positive("widths", v) for v in self.ladder)
             if any(b >= a for a, b in zip(ladder[:-1], ladder[1:])):
                 raise ValueError("width ladder must decrease")
-        object.__setattr__(self, "ladder", ladder)
         n_paths = _whole(self.n_paths, "n_paths")
         if n_paths < 1:
             raise ValueError("need at least one path")
-        object.__setattr__(self, "n_paths", n_paths)
-        _integer("seed", self.seed)
-        _positive("grid_du", self.grid_du)
-        _positive("grid_margin", self.grid_margin, zero=True)
-        if not (np.isfinite(self.distance_p) and self.distance_p >= 1):
+        seed = _integer("seed", self.seed)
+        grid_du = _positive("grid_du", self.grid_du)
+        grid_margin = _positive("grid_margin", self.grid_margin, zero=True)
+        p = float(self.distance_p) if _is_real(self.distance_p) else np.nan
+        if not (np.isfinite(p) and p >= 1):
             raise ValueError("distance p must be finite and at least 1")
+        if not (self.t is None or _is_real(self.t)):
+            raise ValueError(f"t must be a number, got {self.t!r}")
         if self.field_mode not in ("point", "cell"):
             raise ValueError("field_mode must be 'point' or 'cell'")
+        for name, value in (
+            ("ladder", ladder), ("n_paths", n_paths), ("seed", seed),
+            ("grid_du", grid_du), ("grid_margin", grid_margin),
+            ("t", None if self.t is None else float(self.t)), ("distance_p", p),
+        ):
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
@@ -417,97 +437,87 @@ def _worker_count(n_jobs: int) -> int:
     return max(1, min(n_jobs, limit))
 
 
-def _ladder_fields(config: ExperimentConfig, path, grid, jf, scheme):
-    """One estimator field per ladder level for a single path, built lazily
-    so that each level's build time can be charged to that level.  ``jf``
-    is the path's J field and ``scheme`` its dyadic scheme for a K_pi
-    ladder."""
-    t = config.t
-    if config.estimator == "K_pi":
-        for k in range(len(config.ladder)):
-            kf = k_pi(path, scheme, k, t=t, grid=grid, mode=config.field_mode)
-            yield split_Kc_Kd(kf, jf)[1]
-    elif config.estimator == "occupation":
-        for eps in config.ladder:
-            yield occupation_local_time(path, t=t, bandwidth=eps, grid=grid)
-    else:
-        for c in config.ladder:
-            yield interval_crossing_local_time(path, t=t, width=c, grid=grid)
+def _estimator(config: ExperimentConfig):
+    """The level-grid margin that ``config``'s fields need beyond a path's
+    range, and ``fields(path, grid)``, which yields the path's reference
+    field, then one estimator field per ladder level, each built only when
+    asked for, so that each build can be charged to its ladder level.
 
-
-def _classical_reference(config: ExperimentConfig, path, grid, jf, full):
-    """Reference field matched to the estimator's representation.
-
-    Point-mode estimators compare against the pointwise Tanaka route. A
-    cell-mode K_pi ladder compares against the exact per-cell average of the
-    same Tanaka field, computed in closed form through the full-grid identity
-    raw local time = 2 (K - J) on the ``full`` scheme, with the ladder's own
-    J field ``jf``.
+    The reference is the pointwise Tanaka route, but a cell-mode K_pi
+    ladder compares against its exact per-cell average, in closed form
+    through the full-grid identity raw local time = 2 (K - J) with the
+    ladder's own J field.  Every path of the spec has the same samples, so
+    the partition schemes are built once, unless the ladder takes in each
+    path's own jumps.
     """
-    if config.estimator == "K_pi" and config.field_mode == "cell":
-        kf = k_pi(path, full, 0, t=config.t, grid=grid, mode="cell")
-        lt = split_Kc_Kd(kf, jf)[1]
-        return LocalTimeField(lt.grid, lt.time, lt.data, "L_classical")
-    return classical_local_time(path, t=config.t, grid=grid)
+    t, mode, ladder = config.t, config.field_mode, config.ladder
+    if config.estimator != "K_pi":
+        def fields(path, grid):
+            yield classical_local_time(path, t=t, grid=grid)
+            for w in ladder:
+                if config.estimator == "occupation":
+                    yield occupation_local_time(path, t=t, bandwidth=w, grid=grid)
+                else:
+                    yield interval_crossing_local_time(path, t=t, width=w, grid=grid)
+
+        return max(config.grid_margin, max(ladder) + config.grid_du), fields
+
+    n_samples = config.generator.n_steps + 1
+    full = PartitionScheme.full(n_samples) if mode == "cell" else None
+    shared = None if config.include_jumps else PartitionScheme.dyadic(n_samples, ladder)
+
+    def fields(path, grid):
+        jf = j_pi(path, t=t, grid=grid, mode=mode)
+        scheme = shared or PartitionScheme.dyadic(n_samples, ladder, include_jumps=path)
+        if full is None:
+            yield classical_local_time(path, t=t, grid=grid)
+        else:
+            kf = k_pi(path, full, 0, t=t, grid=grid, mode="cell")
+            yield split_Kc_Kd(kf, jf)[1]
+        for k in range(len(ladder)):
+            kf = k_pi(path, scheme, k, t=t, grid=grid, mode=mode)
+            yield split_Kc_Kd(kf, jf)[1]
+
+    return config.grid_margin, fields
 
 
 def run_convergence_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Mean +- SE of the estimator-to-reference distance per ladder level.
 
-    Paths are generated from per-path child seeds; the reduction is an
-    ordered fill of a preallocated matrix, so the report is deterministic
-    for a given config regardless of thread scheduling.
+    Paths are generated from per-path child seeds, as in
+    :func:`generate_many`; the reduction is an ordered fill of a
+    preallocated matrix, so the report is deterministic for a given config
+    regardless of thread scheduling.
     """
+    margin, fields = _estimator(config)
     n_levels = len(config.ladder)
-    distances = np.full((config.n_paths, n_levels), np.nan)
-    clocks = np.zeros(n_levels)
-    root = np.random.SeedSequence(config.seed)
-    children = root.spawn(config.n_paths)
-    margin = config.grid_margin
-    if config.estimator != "K_pi":
-        margin = max(margin, max(config.ladder) + config.grid_du)
-    # every path of the spec has the same samples, so the partition schemes
-    # are built once, unless a scheme takes in each path's own jumps
-    n_samples = config.generator.n_steps + 1
-    scheme = full = None
-    if config.estimator == "K_pi" and not config.include_jumps:
-        scheme = PartitionScheme.dyadic(n_samples, config.ladder)
-    if config.estimator == "K_pi" and config.field_mode == "cell":
-        full = PartitionScheme.full(n_samples)
 
-    def job(i):
-        rng = np.random.default_rng(children[i])
-        path = generate(config.generator, rng)
-        grid = LevelGrid.for_path(path, config.grid_du, margin)
-        jf = path_scheme = None
-        if config.estimator == "K_pi":
-            jf = j_pi(path, t=config.t, grid=grid, mode=config.field_mode)
-            path_scheme = scheme or PartitionScheme.dyadic(
-                n_samples, config.ladder, include_jumps=path
-            )
-        ref = _classical_reference(config, path, grid, jf, full)
-        local_clock = np.zeros(n_levels)
-        row = np.empty(n_levels)
+    def job(seed):
+        path = generate(config.generator, seed)
+        built = fields(path, LevelGrid.for_path(path, config.grid_du, margin))
+        ref = next(built)
+        row, clock = np.empty(n_levels), np.zeros(n_levels)
         tick = time.perf_counter()
-        for k, fld in enumerate(
-            _ladder_fields(config, path, grid, jf, path_scheme)
-        ):
+        for k, fld in enumerate(built):
             row[k] = lp_distance(
                 fld, ref, p=config.distance_p, weight=config.distance_weight
             )
             now = time.perf_counter()
-            local_clock[k] += now - tick
+            clock[k] = now - tick
             tick = now
-        return i, row, local_clock
+        return row, clock
 
+    distances = np.empty((config.n_paths, n_levels))
+    clocks = np.zeros(n_levels)
+    seeds = _path_seeds(config.seed, config.n_paths)
     workers = _worker_count(config.n_paths)
     # the pool starts no thread until a job is submitted, so one worker
     # runs every path inline
     with ThreadPoolExecutor(max_workers=workers) as pool:
         run = map if workers == 1 else pool.map
-        for i, row, local_clock in run(job, range(config.n_paths)):
+        for i, (row, clock) in enumerate(run(job, seeds)):
             distances[i] = row
-            clocks += local_clock
+            clocks += clock
     if not np.all(np.isfinite(distances)):
         raise InvariantViolation("non-finite distance in experiment run")
     if np.any(distances < 0):
@@ -524,13 +534,6 @@ def run_convergence_experiment(config: ExperimentConfig) -> ExperimentReport:
 # JSON descriptors
 # ---------------------------------------------------------------------------
 
-def _json_int(obj, key):
-    value = obj[key]
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"config {key!r} must be an integer, got {value!r}")
-    return int(value)
-
-
 def generator_spec_from_json(obj) -> GeneratorSpec:
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ConfigError("generator descriptor must be a mapping with a 'kind'")
@@ -545,6 +548,10 @@ def generator_spec_from_json(obj) -> GeneratorSpec:
 
 
 def experiment_config_from_json(obj) -> ExperimentConfig:
+    """The :class:`ExperimentConfig` of a JSON descriptor, whose keys are
+    the config's fields, except ``paths`` for ``n_paths`` and a
+    ``distance`` mapping of ``p`` and ``weight``; a key left out keeps the
+    config's default."""
     if not isinstance(obj, dict):
         raise ConfigError("experiment config must be a mapping")
     required = {"generator", "estimator", "ladder", "paths", "seed"}
@@ -555,36 +562,26 @@ def experiment_config_from_json(obj) -> ExperimentConfig:
         *required, "grid_du", "grid_margin", "t", "distance", "field_mode",
         "include_jumps",
     ))
-    gen = generator_spec_from_json(obj["generator"])
-    weight = None
-    dist = obj.get("distance", {})
+    fields = dict(obj, generator=generator_spec_from_json(obj["generator"]))
+    dist = fields.pop("distance", None)
     if dist:
         if not isinstance(dist, dict):
             raise ConfigError("distance must be a mapping")
         _refuse_unknown(dist, ("p", "weight"), "distance keys")
-        wdesc = dist.get("weight")
-        if wdesc is not None:
-            weight = dc_function_from_descriptor(wdesc).second_derivative
-    include_jumps = obj.get("include_jumps", False)
-    if not isinstance(include_jumps, bool):
+        if "p" in dist:
+            fields["distance_p"] = dist["p"]
+        if dist.get("weight") is not None:
+            wdesc = dc_function_from_descriptor(dist["weight"])
+            fields["distance_weight"] = wdesc.second_derivative
+    jumps = obj.get("include_jumps")
+    if "include_jumps" in obj and not isinstance(jumps, bool):
         raise ConfigError(
-            f"config 'include_jumps' must be true or false, got {include_jumps!r}"
+            f"config 'include_jumps' must be true or false, got {jumps!r}"
         )
-    n_paths, seed = _json_int(obj, "paths"), _json_int(obj, "seed")
+    for key in ("paths", "seed"):
+        _integer(f"config {key!r}", obj[key], ConfigError)
+    fields["n_paths"] = fields.pop("paths")
     try:
-        return ExperimentConfig(
-            generator=gen,
-            estimator=obj["estimator"],
-            ladder=tuple(obj["ladder"]),
-            n_paths=n_paths,
-            seed=seed,
-            grid_du=float(obj.get("grid_du", 0.02)),
-            grid_margin=float(obj.get("grid_margin", 1.0)),
-            t=None if obj.get("t") is None else float(obj["t"]),
-            distance_p=float(dist.get("p", 1.0)) if dist else 1.0,
-            distance_weight=weight,
-            field_mode=obj.get("field_mode", "point"),
-            include_jumps=include_jumps,
-        )
+        return ExperimentConfig(**fields)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad experiment config: {exc}") from exc

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import io
 import itertools
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,10 +21,15 @@ import numpy as np
 from ._kernels import _rank
 
 
+def _is_real(value) -> bool:
+    """Whether ``value`` is a real number: a string or a boolean is not."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def _positive(name, value, zero=False) -> float:
-    """``value`` as a float; ``ValueError`` unless it is finite and positive
-    (or zero, with ``zero=True``)."""
-    v = np.nan if value is None else float(value)
+    """``value`` as a float; ``ValueError`` unless it is a real number that
+    is finite and positive (or zero, with ``zero=True``)."""
+    v = float(value) if _is_real(value) else np.nan
     if not (np.isfinite(v) and (v > 0 or zero and v == 0)):
         sign = "nonnegative" if zero else "positive"
         raise ValueError(f"{name} must be {sign} and finite, got {value}")
@@ -32,9 +38,9 @@ def _positive(name, value, zero=False) -> float:
 
 def _whole(value, what) -> int:
     """``value`` as an int; ``ValueError`` naming ``what`` and ``value``
-    unless it is a whole number (a boolean is not), so that 2.5 is never
-    truncated."""
-    if isinstance(value, (bool, np.bool_)) or not float(value).is_integer():
+    unless it is a whole real number (a string or a boolean is not), so
+    that 2.5 is never truncated."""
+    if not (_is_real(value) and float(value).is_integer()):
         raise ValueError(f"{what} must be whole numbers, got {value!r}")
     return int(value)
 
@@ -216,9 +222,12 @@ class PartitionScheme:
     def dyadic(cls, n_samples: int, exponents, include_jumps=None):
         """One level per exponent ``j``, targeting ``2**j + 1`` points.
 
-        Built by :meth:`uniform`; the power-of-two spreads make increasing
-        exponents refine each other exactly.  ``include_jumps`` is as in
-        :meth:`uniform`.
+        Points are placed by rounding an even spread of the index range, so
+        that increasing exponents refine each other exactly.  Each count is
+        capped at ``n_samples``, where the level holds every index; below
+        the cap the spread's step is at least 1, so the rounded points are
+        distinct.  ``include_jumps`` may be a jump-index array (or a path)
+        whose marked indices are unioned into every level.
         """
         exponents = [_whole(j, "dyadic exponents") for j in exponents]
         if not exponents:
@@ -227,30 +236,14 @@ class PartitionScheme:
             raise ValueError("dyadic exponents must be >= 0")
         if n_samples < 2:
             raise ValueError("need at least two samples to partition")
-        # counts of n_samples and more all build every index; the cap keeps
-        # 2**j a count that uniform can check as a float
-        counts = [2 ** min(j, 62) + 1 for j in exponents]
-        return cls.uniform(n_samples, counts, include_jumps)
-
-    @classmethod
-    def uniform(cls, n_samples: int, counts, include_jumps=None):
-        """One level per entry of ``counts``, each an even spread of points.
-
-        Points are placed by rounding an even spread of the index range.
-        Each count is capped at ``n_samples``, where the level holds every
-        index; below the cap the spread's step is at least 1, so the rounded
-        points are distinct.  ``include_jumps`` may be a jump-index array (or
-        a path) whose marked indices are unioned into every level.
-        """
         top = n_samples - 1
         extra = _jump_index_array(include_jumps)
         extra = extra[(extra > 0) & (extra <= top)]
         parts = []
-        for c in counts:
-            c = _whole(c, "counts")
-            if c < 2:
-                raise ValueError("each level needs at least two points")
-            pts = np.rint(np.linspace(0, top, min(c, n_samples))).astype(np.int64)
+        for j in exponents:
+            # min(j, 62) keeps 2**j small: 2**62 + 1 points cap at any count
+            count = min(2 ** min(j, 62) + 1, n_samples)
+            pts = np.rint(np.linspace(0, top, count)).astype(np.int64)
             if extra.size:
                 keep = np.zeros(n_samples, bool)
                 keep[pts] = True

@@ -606,6 +606,21 @@ class TestBadInput:
              "'levels' must be a list of ints, got [2.5, 3.7]"),
             (["qv"], {"levels": [True, 3]},
              "'levels' must be a list of ints, got [True, 3]"),
+            (["qv"], {"levels": ["2"]},
+             "'levels' must be a list of ints, got ['2']"),
+            (["qv"], {"times": ["0.5"]},
+             "'times' must be a list of floats, got ['0.5']"),
+            (["qv"], {"times": True}, "'times' must be a list of floats, got True"),
+            (["localtime", "occ"], {"widths": ["0.1"]},
+             "'widths' must be a list of floats, got ['0.1']"),
+            (["q-stat"], {"widths": [0.4, True]},
+             "'widths' must be a list of floats, got [0.4, True]"),
+            (["localtime", "occ"], {"grid_du": "0.05"},
+             "'grid_du' must be a number, got '0.05'"),
+            (["localtime", "crossing"], {"grid_margin": True},
+             "'grid_margin' must be a number, got True"),
+            (["tanaka-check"], {"tolerance": "1e-9"},
+             "'tolerance' must be a number, got '1e-9'"),
         ],
     )
     def test_malformed_config_value_exits_1(self, tmp_path, path_csv, capsys,
@@ -716,6 +731,37 @@ class TestBadInput:
             (["generate"], {"generator": dict(GEN, steps_per_unit=True)},
              "bad generator descriptor: steps_per_unit must be whole numbers, "
              "got True"),
+            (["generate"], {"generator": dict(GEN, steps_per_unit="64")},
+             "bad generator descriptor: steps_per_unit must be whole numbers, "
+             "got '64'"),
+            (["generate"], {"generator": dict(GEN, T="1")},
+             "bad generator descriptor: T must be positive and finite, got 1"),
+            (["generate"], {"generator": dict(GEN, sigma=True)},
+             "bad generator descriptor: sigma must be nonnegative and finite, "
+             "got True"),
+            (["generate"], {"generator": dict(GEN, x0="0.5")},
+             "bad generator descriptor: x0 must be finite, got 0.5"),
+            (["generate"], {"generator": dict(GEN, mu=False)},
+             "bad generator descriptor: mu must be finite, got False"),
+            (["experiment"], dict(TestExperiment.CONFIG, grid_du="0.05"),
+             "bad experiment config: grid_du must be positive and finite, "
+             "got 0.05"),
+            (["experiment"], dict(TestExperiment.CONFIG, grid_margin=True),
+             "bad experiment config: grid_margin must be nonnegative and "
+             "finite, got True"),
+            (["experiment"], dict(TestExperiment.CONFIG, distance={"p": "2"}),
+             "bad experiment config: distance p must be finite and at least 1"),
+            (["experiment"], dict(TestExperiment.CONFIG, t="0.5"),
+             "bad experiment config: t must be a number, got '0.5'"),
+            (["experiment"], dict(TestExperiment.CONFIG, ladder="23"),
+             "bad experiment config: ladder must be a list, got '23'"),
+            (["experiment"], dict(TestExperiment.CONFIG, ladder=["2", "3"]),
+             "bad experiment config: dyadic exponents must be whole numbers, "
+             "got '2'"),
+            (["experiment"], dict(TestExperiment.CONFIG, estimator="occupation",
+                                  field_mode="point", ladder=["0.4", 0.2]),
+             "bad experiment config: widths must be positive and finite, "
+             "got 0.4"),
         ],
     )
     def test_generate_and_experiment_refuse_keys_they_do_not_read(

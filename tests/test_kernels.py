@@ -8,6 +8,8 @@ and with an independent reference loop written here, so a regression in any
 variant shows up as a disagreement on every machine.
 """
 
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -594,3 +596,19 @@ def test_zero_length_increments_contribute_nothing():
     b = np.array([0.3, 0.7, 0.3])
     out = _kernels.interval_field_point(a, b, 0.0, 0.1, 11)
     assert np.all(out == 0.0)
+
+
+def test_public_functions_are_the_six_kernels_and_warmup():
+    # perfbench's tracer wraps each public function of the module and looks
+    # up its cell count in KERNEL_CELLS by name: a traced run fails on a
+    # public helper that table does not know
+    public = {
+        name for name, obj in vars(_kernels).items()
+        if not name.startswith("_") and inspect.isfunction(obj)
+        and obj.__module__ == _kernels.__name__
+    }
+    assert public == {
+        "play_operator", "crossing_counts", "interval_field_point",
+        "interval_field_cell", "signed_increment_sum", "occupation_weights",
+        "warmup",
+    }

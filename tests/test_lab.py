@@ -127,7 +127,9 @@ class TestGenerators:
             np.testing.assert_array_equal(a.values, b.values)
         assert not np.array_equal(batch1[0].values, batch1[1].values)
 
-    @pytest.mark.parametrize("bad", [2.5, True, np.bool_(True), float("nan")])
+    @pytest.mark.parametrize(
+        "bad", [2.5, True, np.bool_(True), float("nan"), "3"]
+    )
     def test_generate_many_refuses_fractional_or_boolean_counts(self, bad):
         spec = GeneratorSpec(kind="brownian", steps_per_unit=64, seed=5)
         message = f"n_paths must be whole numbers, got {bad!r}"
@@ -165,6 +167,15 @@ class TestGenerators:
             GeneratorSpec(kind="deterministic_test", n_jumps=2.5)
         with pytest.raises(ValueError, match="seed must be an integer, got True"):
             GeneratorSpec(kind="brownian", seed=True)
+        # a string or a boolean is not a number
+        with pytest.raises(ValueError, match="T must be positive and finite"):
+            GeneratorSpec(kind="brownian", T="1")
+        with pytest.raises(ValueError, match="steps_per_unit must be whole"):
+            GeneratorSpec(kind="brownian", steps_per_unit="64")
+        with pytest.raises(ValueError, match="sigma must be nonnegative"):
+            GeneratorSpec(kind="brownian", sigma=True)
+        with pytest.raises(ValueError, match="amplitude must be finite, got 2"):
+            GeneratorSpec(kind="deterministic_test", amplitude="2")
 
     def test_effective_parameters(self):
         assert GeneratorSpec(
@@ -524,6 +535,12 @@ class TestExperiments:
         # an integral float is a whole number of paths
         n_paths = self.brownian_config(n_paths=2.0).n_paths
         assert n_paths == 2 and type(n_paths) is int
+        # the config stores the values it checked
+        cfg = self.brownian_config(
+            grid_du=1, grid_margin=0, t=1, distance_p=2, seed=np.int64(5)
+        )
+        stored = (cfg.grid_du, cfg.grid_margin, cfg.t, cfg.distance_p, cfg.seed)
+        assert [type(v) for v in stored] == [float] * 4 + [int]
 
     def test_worker_count_honors_thread_cap(self, monkeypatch):
         monkeypatch.setenv("LOCALTIME_THREADS", "2")
@@ -648,7 +665,9 @@ OCCUPATION_CONFIG = dict(
 @pytest.mark.parametrize(
     "field,value",
     [("distance_p", np.inf), ("distance_p", np.nan), ("grid_du", np.inf),
-     ("grid_margin", np.nan), ("ladder", (np.inf, 0.1))],
+     ("grid_margin", np.nan), ("ladder", (np.inf, 0.1)),
+     ("distance_p", "2"), ("distance_p", True), ("grid_du", "0.05"),
+     ("grid_margin", False), ("ladder", ("0.4", 0.1))],
 )
 def test_experiment_config_rejects_non_finite_values(field, value):
     with pytest.raises(ValueError, match="finite"):
@@ -662,7 +681,11 @@ def test_experiment_config_rejects_non_finite_values(field, value):
      ("n_paths", np.nan, "n_paths must be whole numbers, got nan"),
      ("seed", 1.5, "seed must be an integer, got 1.5"),
      ("seed", True, "seed must be an integer, got True"),
-     ("seed", 7.0, "seed must be an integer, got 7.0")],
+     ("seed", 7.0, "seed must be an integer, got 7.0"),
+     ("n_paths", "2", "n_paths must be whole numbers, got '2'"),
+     ("ladder", "89", "ladder must be a list, got '89'"),
+     ("t", "0.5", "t must be a number, got '0.5'"),
+     ("t", True, "t must be a number, got True")],
 )
 def test_experiment_config_refuses_fractional_or_boolean_counts(
     field, value, message

@@ -174,18 +174,6 @@ def rounded_spread(n_samples, count, jumps=None):
     return pts
 
 
-def spread_counts(n_samples):
-    # every count from 2 to 3n on small n; on large n the small counts, a
-    # stride through the range and the neighbourhoods of n/k and 2n
-    top = 3 * n_samples
-    if n_samples <= 5:
-        return list(range(2, top + 1))
-    near = [n_samples // k + d for k in (1, 2, 3, 7) for d in range(-3, 4)]
-    near += [2 * n_samples + d for d in range(-2, 3)] + [top]
-    strided = range(2, top + 1, top // 60)
-    return sorted(set(near) | set(strided) | set(range(2, 30)))
-
-
 class TestPartitionScheme:
     @pytest.mark.parametrize("with_jumps", [False, True])
     @pytest.mark.parametrize("n", [2, 3, 5, 1000, 1025, 12345, 16385])
@@ -193,10 +181,6 @@ class TestPartitionScheme:
         jumps = None
         if with_jumps:
             jumps = np.array([-1, 0, 1, n // 3, n // 3 + 1, n - 2, n - 1, n, n + 7])
-        counts = spread_counts(n)
-        scheme = PartitionScheme.uniform(n, counts, jumps)
-        for c, part in zip(counts, scheme.partitions):
-            np.testing.assert_array_equal(part, rounded_spread(n, c, jumps))
         exponents = range(int(np.log2(3 * n)) + 2)
         scheme = PartitionScheme.dyadic(n, exponents, jumps)
         for j, part in zip(exponents, scheme.partitions):
@@ -229,7 +213,7 @@ class TestPartitionScheme:
         with pytest.raises(ValueError, match="at least one level"):
             PartitionScheme.dyadic(65, [])
 
-    @pytest.mark.parametrize("bad", [2.5, True, np.bool_(True), float("nan")])
+    @pytest.mark.parametrize("bad", [2.5, True, np.bool_(True), float("nan"), "2"])
     def test_dyadic_refuses_fractional_or_boolean_exponents(self, bad):
         with pytest.raises(ValueError, match=f"whole numbers, got {bad!r}"):
             PartitionScheme.dyadic(65, [2, bad])
@@ -237,16 +221,12 @@ class TestPartitionScheme:
         assert PartitionScheme.dyadic(65, [2.0])[0].size == 5
 
     @pytest.mark.parametrize("bad", [3.7, True, np.bool_(True), float("nan")])
-    def test_uniform_refuses_fractional_or_boolean_counts(self, bad):
-        message = f"counts must be whole numbers, got {bad!r}"
+    def test_dyadic_refuses_fractional_or_boolean_leading_exponent(self, bad):
+        message = f"dyadic exponents must be whole numbers, got {bad!r}"
         with pytest.raises(ValueError, match=message):
-            PartitionScheme.uniform(65, [bad, 9])
+            PartitionScheme.dyadic(65, [bad, 9])
         # an integral float is a whole number
-        assert PartitionScheme.uniform(65, [3.0, 9])[0].size == 3
-
-    def test_uniform_needs_two_points_per_level(self):
-        with pytest.raises(ValueError, match="at least two points"):
-            PartitionScheme.uniform(65, [1])
+        assert PartitionScheme.dyadic(65, [1.0, 9])[0].size == 3
 
     def test_dyadic_include_jumps_unions_marks(self):
         p = make_step_path()
