@@ -10,11 +10,13 @@ signed increment sum against a dense numpy oracle, and bit for bit against
 its prefix sum in stable-sort order) on two small inputs of 2,049 samples by
 101 levels, small enough for the uncompiled loops: a seeded path, and values
 snapped to levels and cell edges with a band of one grid step, so that a
-variant split on ties fails the script.  It then
+variant split on ties fails the script.  It also checks the
+clamp scan that the play operator and the crossing counts run without numba
+against the sequential clamp recursion, on float64 and int64 maps.  It then
 prints which implementation each kernel is bound to and reports
-best-of-``--repeat`` wall times of the bound kernels.  With numba it also
-times the implementation each kernel binds without numba, and the compiled
-loop's speedup over it.
+best-of-``--repeat`` wall times of the bound kernels and of the clamp scan
+on the play operator's maps.  With numba it also times the implementation
+each kernel binds without numba, and the compiled loop's speedup over it.
 
 Usage::
 
@@ -82,6 +84,34 @@ VARIANTS = {
         _kernels._band_sums_np,
     ),
 }
+
+
+def sequential_clamps(p0, lo, hi):
+    """Oracle for the clamp scan: ``p = min(max(p, lo_i), hi_i)``, one map
+    at a time."""
+    out = [p0]
+    for low, high in zip(lo.tolist(), hi.tolist()):
+        out.append(min(max(out[-1], low), high))
+    return np.array(out, lo.dtype)
+
+
+def clamp_maps(values, eps):
+    """The play operator's clamp maps ``[x_i - eps/2, x_i + eps/2]``."""
+    x = values[1:]
+    return values[0], x - 0.5 * eps, x + 0.5 * eps
+
+
+def check_clamp_scan(values, du, levels):
+    """The clamp scan against the recursion: on the play operator's float64
+    maps, and on int64 level-index maps of the crossing counts' form."""
+    rng = np.random.default_rng(values.size)
+    arm = rng.integers(0, levels, values.size)
+    first = np.minimum(arm, rng.integers(0, levels, values.size))
+    for p0, lo, hi in (clamp_maps(values, 8 * du), (levels, first, arm)):
+        if not np.array_equal(
+            _kernels._clamp_scan(p0, lo, hi), sequential_clamps(p0, lo, hi)
+        ):
+            raise AssertionError(f"clamp_scan: not the recursion ({lo.dtype})")
 
 
 def make_inputs(steps, levels, seed):
@@ -182,6 +212,7 @@ def main(argv=None):
             check_agreement(case, name)  # compiles the numba loops, if present
         strict = build_cases(values, u0, du, 101, band * du, strict=True)
         check_agreement(strict["crossing_counts"], "crossing_counts")
+        check_clamp_scan(values, du, 101)
         signed = checks["signed_increment_sum"]
         if not np.array_equal(
             signed(_kernels.signed_increment_sum).view(np.int64),
@@ -193,7 +224,8 @@ def main(argv=None):
         print(
             f"bound kernels agree with their loops on {len(checks)} kernels "
             f"({label}, 2049 samples x 101 levels, eps = {band} du; "
-            "crossing counts strict and non-strict)"
+            "crossing counts strict and non-strict), and the clamp scan "
+            "with the clamp recursion (float64 and int64)"
         )
 
     print(f"backend {_kernels.ACTIVE_BACKEND}, HAS_NUMBA {_kernels.HAS_NUMBA}")
@@ -206,10 +238,13 @@ def main(argv=None):
         f"steps={args.steps} levels={args.levels} seed={args.seed} "
         f"repeat={args.repeat}"
     )
+    maps = clamp_maps(values, 8.0 * du)
+    t_scan = best_time(lambda: _kernels._clamp_scan(*maps), args.repeat)
     if not _kernels.HAS_NUMBA:
         for name, case in cases.items():
             t = best_time(lambda: case(VARIANTS[name][0]), args.repeat)
             print(f"{name:24s} {t * 1e3:9.3f} ms")
+        print(f"{'clamp_scan':24s} {t_scan * 1e3:9.3f} ms")
         return 0
 
     print(f"{'kernel':24s} {'bound':>12s} {'no numba':>12s} {'speedup':>9s}")
@@ -221,6 +256,7 @@ def main(argv=None):
             f"{name:24s} {t_bound * 1e3:9.3f} ms {t_fallback * 1e3:9.3f} ms "
             f"{t_fallback / t_bound:8.1f}x"
         )
+    print(f"{'clamp_scan':24s} {'':>12s} {t_scan * 1e3:9.3f} ms")
     return 0
 
 

@@ -8,9 +8,16 @@ beats it:
 
 - the play operator runs its loop compiled or, without numba, a scan of
   clamp maps that is checked step by step against the loop's own test and
-  falls back to the loop where a step differs (:func:`_play_operator_np`);
+  falls back to the loop where a step differs (:func:`_play_operator_np`).
+  Its moved values and its check are dense passes over the whole array,
+  since at small band widths nearly every moved value takes an ulp step;
 - the crossing counts rank through :func:`_rank`, then run their clamp loop
-  compiled or, without numba, the play operator's scan over level indices;
+  compiled or, without numba, the play operator's scan over level indices,
+  on the samples that do not repeat the previous sample's clamp;
+- the one scan, :func:`_clamp_scan`, composes the clamps in blocks of
+  ``_BLOCK`` consecutive maps laid out as the columns of an array, so that
+  each Hillis-Steele pass is a few contiguous array calls, and scans the
+  block ends by calling itself;
 - the three field kernels (point and cell interval fields, occupation
   weights) are each one shared range computation, which finds every
   bracket's first and last covered level or cell with :func:`_rank`, plus
@@ -92,34 +99,62 @@ def _play_operator_loop(values, eps):
 def _step_inside(x, v, half, toward):
     """Step each ``v`` by ulps ``toward`` (``+inf`` or ``-inf``) while it
     is more than ``half`` beyond ``x``, as the loop's ``while`` does, in
-    place; ``-(x - v)`` rounds exactly as ``v - x``."""
-    sign = 1.0 if toward > 0 else -1.0
-    out = np.flatnonzero(sign * (x - v) > half)
-    while out.size:
-        v[out] = np.nextafter(v[out], toward)
-        out = out[sign * (x[out] - v[out]) > half]
+    place and over the whole array, since most samples step at small
+    ``half``; ``-(x - v)`` rounds exactly as ``v - x``."""
+    a, b = (x, v) if toward > 0 else (v, x)
+    gap = np.subtract(a, b)
+    out = np.greater(gap, half)
+    while out.any():
+        np.nextafter(v, toward, out=v, where=out)
+        np.greater(np.subtract(a, b, out=gap), half, out=out)
     return v
 
 
+_BLOCK = 8  # maps per block of the clamp scan; 16 timed alike, 4 and 32 slower
+
+
 def _clamp_scan(p0, lo, hi):
-    """The states ``p_i = min(max(p_{i-1}, lo_i), hi_i)``, ``p_0 = p0``, in
-    float64 or int64 by an exact Hillis-Steele scan: clamps compose into
-    clamps through min and max alone, and after the constant map 0 into
-    constants, so that ``lo == hi`` holds the states."""
-    lo = np.concatenate([[p0], lo])
-    hi = np.concatenate([[p0], hi])
-    buf_lo, buf_hi = np.empty((2, lo.size - 1), lo.dtype)  # for every pass
+    """The states ``p_i = min(max(p_{i-1}, lo_i), hi_i)``, ``p_0 = p0``, of
+    the maps ``lo <= hi``, in float64 or int64.
+
+    Clamps compose into clamps through min and max alone, so any grouping
+    gives the same states.  The maps are laid out as the columns of an
+    ``(L, B)`` array, each a block of ``L = _BLOCK`` consecutive maps, so
+    that every slice below is contiguous.  Hillis-Steele passes down the
+    columns compose every prefix of each block, alternating between two
+    buffers; this scan of the block-end maps gives each block's incoming
+    state, and the block's prefixes clamp that state.
+    """
+    n, L = lo.size, _BLOCK
+    full, rem = divmod(n, L)
+    cols = full + (rem > 0)
+    a_lo, a_hi = np.empty((L, cols), lo.dtype), np.empty((L, cols), lo.dtype)
+    for end, src in ((a_lo, lo), (a_hi, hi)):
+        end[:, :full] = src[: full * L].reshape(full, L).T
+        if rem:  # no state is read from the rows past the last map
+            end[:rem, full] = src[full * L :]
+            end[rem:, full] = 0
+    b_lo, b_hi = np.empty_like(a_lo), np.empty_like(a_hi)
     k = 1
-    while k < lo.size:
-        # map i after map i - k: clamp i - k's ends into [lo_i, hi_i]
-        new_lo = np.maximum(lo[:-k], lo[k:], out=buf_lo[k - 1 :])
-        np.minimum(new_lo, hi[k:], out=new_lo)
-        new_hi = np.maximum(hi[:-k], lo[k:], out=buf_hi[k - 1 :])
-        np.minimum(new_hi, hi[k:], out=new_hi)
-        lo[k:] = new_lo
-        hi[k:] = new_hi
+    while k < L:
+        # map r after map r - k: clamp r - k's ends into [lo_r, hi_r]; rows
+        # above k are final and rows above k/2 already sit in b
+        for a, b in ((a_lo, b_lo), (a_hi, b_hi)):
+            b[k // 2 : k] = a[k // 2 : k]
+            np.maximum(a[:-k], a_lo[k:], out=b[k:])
+            np.minimum(b[k:], a_hi[k:], out=b[k:])
+        a_lo, a_hi, b_lo, b_hi = b_lo, b_hi, a_lo, a_hi
         k *= 2
-    return lo
+    p = _clamp_scan(p0, a_lo[-1, :-1], a_hi[-1, :-1]) if cols > 1 else p0
+    p = np.maximum(a_lo, p, out=b_lo)
+    np.minimum(p, a_hi, out=p)
+    a_lo = a_hi = b_hi = None  # free before the states are copied out
+    out = np.empty(n + 1, lo.dtype)
+    out[0] = p0
+    out[1 : 1 + full * L].reshape(full, L)[...] = p[:, :full].T
+    if rem:
+        out[1 + full * L :] = p[:rem, full]
+    return out
 
 
 def _play_operator_np(values, eps):
@@ -141,18 +176,20 @@ def _play_operator_np(values, eps):
     up = _step_inside(x, x - half, half, np.inf)
     down = _step_inside(x, x + half, half, -np.inf)
     reg = _clamp_scan(values[0], up, down)
-    # the loop's step from each scanned value, compared bit for bit
     dev = np.empty(values.size, np.float64)
     dev[0] = 0.0
     d = np.subtract(x, reg[:-1], out=dev[1:])
     moved_up = d > half
     moved_down = d < -half
-    step = np.where(moved_down, down, reg[:-1])
-    np.copyto(step, up, where=moved_up)
-    if not np.array_equal(step.view(np.int64), reg[1:].view(np.int64)):
+    # the loop's step from each scanned value, compared bit for bit: up_i
+    # where it moves up, down_i where it moves down, else the value itself
+    r = reg.view(np.int64)
+    ok = (r[1:] == r[:-1]) | moved_up | moved_down
+    ok &= (r[1:] == up.view(np.int64)) | ~moved_up
+    ok &= (r[1:] == down.view(np.int64)) | ~moved_down
+    if not ok.all():
         return _play_operator_loop(values, eps)
-    d[moved_up] = half
-    d[moved_down] = -half
+    np.clip(d, -half, half, out=d)  # +-half exactly where the value moved
     return reg, dev
 
 
@@ -183,7 +220,17 @@ def _crossing_clamp_loop(arm, last, a, diff):
 
 def _crossing_clamp_np(arm, last, a, diff):
     """The loop's fired ranges through the play operator's scan over level
-    indices: sample ``i`` fires ``[a_{i-1}, last[i]]`` where nonempty."""
+    indices: sample ``i`` fires ``[a_{i-1}, last[i]]`` where nonempty.
+
+    A sample whose ``(arm, last)`` repeats the previous sample's is dropped
+    first: the clamp is idempotent and leaves ``a > last``, so the repeat
+    neither moves ``a`` nor fires.
+    """
+    if arm.size > 1:
+        new = (arm[1:] != arm[:-1]) | (last[1:] != last[:-1])
+        if not new.all():
+            keep = np.concatenate([[True], new])
+            arm, last = arm[keep], last[keep]
     a = _clamp_scan(a, last + 1, arm)[:-1]
     fire = last >= a
     diff += np.bincount(a[fire], minlength=diff.size)

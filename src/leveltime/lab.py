@@ -290,6 +290,13 @@ def q_statistic(
 # distances
 # ---------------------------------------------------------------------------
 
+def _exponent(p):
+    """``p`` as a float if it is a real number (a string or a boolean is
+    not) that is finite and at least 1, else None."""
+    v = float(p) if _is_real(p) else np.nan
+    return v if np.isfinite(v) and v >= 1 else None
+
+
 def lp_distance(a, b, p: float = 1.0, weight=None):
     """L^p distance of two fields on one grid, optionally in L^p(|f''|(du)).
 
@@ -300,8 +307,8 @@ def lp_distance(a, b, p: float = 1.0, weight=None):
     grid = a.grid
     if b.grid != grid:
         raise ValueError("fields live on different level grids")
-    if not (np.isfinite(p) and p >= 1):
-        raise ValueError(f"p must be finite and at least 1, got {p}")
+    if _exponent(p) is None:
+        raise ValueError(f"p must be finite and at least 1, got {p!r}")
     diff = np.abs(a.data - b.data)
     if weight is None:
         return float((diff**p).sum() * grid.du) ** (1.0 / p)
@@ -362,13 +369,17 @@ class ExperimentConfig:
         seed = _integer("seed", self.seed)
         grid_du = _positive("grid_du", self.grid_du)
         grid_margin = _positive("grid_margin", self.grid_margin, zero=True)
-        p = float(self.distance_p) if _is_real(self.distance_p) else np.nan
-        if not (np.isfinite(p) and p >= 1):
+        p = _exponent(self.distance_p)
+        if p is None:
             raise ValueError("distance p must be finite and at least 1")
         if not (self.t is None or _is_real(self.t)):
             raise ValueError(f"t must be a number, got {self.t!r}")
         if self.field_mode not in ("point", "cell"):
             raise ValueError("field_mode must be 'point' or 'cell'")
+        if not isinstance(self.include_jumps, bool):
+            raise ValueError(
+                f"include_jumps must be True or False, got {self.include_jumps!r}"
+            )
         for name, value in (
             ("ladder", ladder), ("n_paths", n_paths), ("seed", seed),
             ("grid_du", grid_du), ("grid_margin", grid_margin),

@@ -100,6 +100,23 @@ class SampledCadlagPath:
         object.__setattr__(self, "values", _readonly(values))
         object.__setattr__(self, "jump_mask", _readonly(mask))
 
+    def _revalued(self, values: np.ndarray) -> SampledCadlagPath:
+        """This path's times and jump marks with new float64 ``values`` of
+        the same length, which are checked for finiteness and made
+        read-only in place; the times and marks, already checked and
+        read-only, are shared.  Nothing is copied."""
+        if values.shape != self.times.shape:
+            raise ValueError("times and values must have equal length")
+        if not np.isfinite(values).all():
+            raise ValueError("times and values must be finite")
+        values.setflags(write=False)
+        path = object.__new__(SampledCadlagPath)
+        for name, arr in (
+            ("times", self.times), ("values", values), ("jump_mask", self.jump_mask)
+        ):
+            object.__setattr__(path, name, arr)
+        return path
+
     @property
     def n_samples(self) -> int:
         return self.times.size

@@ -68,7 +68,7 @@ def skorokhod_map(path: SampledCadlagPath, eps: float) -> SkorokhodSolution:
     """
     eps = _positive("eps", eps)
     reg_values, dev = _kernels.play_operator(path.values, eps)
-    regularized = SampledCadlagPath(path.times, reg_values, path.jump_mask)
+    regularized = path._revalued(reg_values)
     return SkorokhodSolution(
         path=path,
         regularized=regularized,

@@ -69,6 +69,14 @@ def ref_crossings(values, z, eps, strict):
     return up, down
 
 
+def ref_clamps(p0, lo, hi):
+    """The states of ``p = min(max(p, lo_i), hi_i)``, one map at a time."""
+    out = [p0]
+    for low, high in zip(lo.tolist(), hi.tolist()):
+        out.append(min(max(out[-1], low), high))
+    return np.array(out, lo.dtype)
+
+
 def ref_point_field(a, b, levels):
     out = np.zeros(levels.size)
     for aj, bj in zip(a, b):
@@ -149,6 +157,51 @@ def assert_plays_agree(values, eps):
         assert_bitwise(r, reg)
         assert_bitwise(d, dev)
     return reg, dev
+
+
+BLOCK = _kernels._BLOCK
+SCAN_SIZES = [
+    0, 1, 2, BLOCK - 1, BLOCK, BLOCK + 1, 5 * BLOCK + 3, BLOCK**2 + 1, 2**14 + 1
+]
+
+
+def _clamp_maps(n, dtype, rng):
+    """``n`` clamps ``[lo, hi]`` with ``lo <= hi``, many ties between maps
+    and some constant maps (``lo == hi``)."""
+    lo = rng.integers(-20, 20, n)
+    hi = lo + rng.integers(0, 8, n)
+    if dtype == np.float64:
+        return lo / 4.0, hi / 4.0
+    return lo, hi
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.int64])
+@pytest.mark.parametrize("n", SCAN_SIZES)
+def test_clamp_scan_is_the_sequential_recursion(n, dtype):
+    # whole blocks, partial last blocks and the recursion over block ends;
+    # floats compare with ==, as the scan leaves signed zeros to the play
+    # operator's check
+    lo, hi = _clamp_maps(n, dtype, np.random.default_rng(n))
+    p0 = dtype(3)
+    got = _kernels._clamp_scan(p0, lo, hi)
+    assert got.dtype == dtype and got.shape == (n + 1,)
+    np.testing.assert_array_equal(got, ref_clamps(p0, lo, hi))
+
+
+@given(
+    st.integers(-30, 30),
+    st.lists(
+        st.tuples(st.integers(-25, 25), st.integers(0, 10)), max_size=4 * BLOCK + 3
+    ),
+    st.sampled_from([np.float64, np.int64]),
+)
+@settings(max_examples=200, deadline=None)
+def test_clamp_scan_matches_the_recursion_on_any_clamps(p0, maps, dtype):
+    lo = np.array([m[0] for m in maps], dtype)
+    hi = np.array([m[0] + m[1] for m in maps], dtype)
+    np.testing.assert_array_equal(
+        _kernels._clamp_scan(dtype(p0), lo, hi), ref_clamps(dtype(p0), lo, hi)
+    )
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

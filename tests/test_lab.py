@@ -369,6 +369,17 @@ class TestLpDistance:
         with pytest.raises(ValueError, match="at least 1"):
             lp_distance(a, b, p=0.5)
 
+    @pytest.mark.parametrize("p", [True, "2", None, np.nan])
+    def test_p_must_be_a_real_number(self, p):
+        # the rule ExperimentConfig applies to distance_p: True is not 1
+        grid = LevelGrid(0.0, 0.5, 4)
+        a = LocalTimeField(grid, 1.0, np.ones(4), "K")
+        b = LocalTimeField(grid, 1.0, np.zeros(4), "K")
+        with pytest.raises(ValueError, match="finite and at least 1"):
+            lp_distance(a, b, p=p)
+        with pytest.raises(ValueError, match="finite and at least 1"):
+            ExperimentConfig(**dict(OCCUPATION_CONFIG, distance_p=p))
+
 
 class TestExperiments:
     def brownian_config(self, **overrides):
@@ -692,6 +703,15 @@ def test_experiment_config_refuses_fractional_or_boolean_counts(
 ):
     with pytest.raises(ValueError, match=re.escape(message)):
         ExperimentConfig(**dict(OCCUPATION_CONFIG, **{field: value}))
+
+
+@pytest.mark.parametrize("value", ["false", 1, None])
+def test_experiment_config_refuses_non_boolean_include_jumps(value):
+    # "false" is truthy and would take in each path's jumps
+    with pytest.raises(ValueError, match=re.escape(
+        f"include_jumps must be True or False, got {value!r}"
+    )):
+        ExperimentConfig(**dict(OCCUPATION_CONFIG, include_jumps=value))
 
 
 # every estimator of a local-time field, called on (path, grid, t)

@@ -54,6 +54,17 @@ class TestSkorokhodMap:
         sol = skorokhod_map(p, 0.3)
         np.testing.assert_array_equal(sol.regularized.times, p.times)
         np.testing.assert_array_equal(sol.regularized.jump_mask, p.jump_mask)
+        # shared, not copied; the new values are read-only like the path's
+        assert sol.regularized.times is p.times
+        assert sol.regularized.jump_mask is p.jump_mask
+        assert not sol.regularized.values.flags.writeable
+
+    def test_revalued_path_checks_the_new_values(self):
+        p = tent_path()
+        with pytest.raises(ValueError, match="finite"):
+            p._revalued(np.array([0.0, np.inf, 0.0]))
+        with pytest.raises(ValueError, match="equal length"):
+            p._revalued(np.zeros(2))
 
     @pytest.mark.parametrize("eps", [1.0, 0.25, 0.04])
     def test_band_invariants(self, eps, step_path):
