@@ -20,7 +20,9 @@ import numpy as np
 from ._kernels import ACTIVE_BACKEND, HAS_NUMBA
 from .crossing import j_pi, k_pi, occupation_local_time, split_Kc_Kd
 from .dcfuncs import builtin_suite
-from .errors import ConfigError, InvariantViolation, _refuse_unknown
+from .errors import (
+    ConfigError, InvariantViolation, _number, _positive, _refuse_unknown, _whole,
+)
 from .follmer import quadratic_variation
 from .lab import (
     classical_local_time,
@@ -35,9 +37,6 @@ from .paths import (
     LevelGrid,
     PartitionScheme,
     _fmt,
-    _is_real,
-    _positive,
-    _whole,
     _write_table,
     read_path_csv,
     total_variation,
@@ -62,29 +61,22 @@ def _load_config(args) -> dict:
 
 
 def _cfg_float(cfg, key, default):
-    value = cfg.get(key, default)
-    try:
-        if _is_real(value):
-            return float(value)
-    except OverflowError:
-        pass
-    raise ConfigError(f"config {key!r} must be a number, got {value!r}")
+    return _number(f"config {key!r}", cfg.get(key, default), ConfigError)
 
 
 def _cfg_list(cfg, key, convert, scalar_ok=False):
-    """Config list ``key`` with ``convert`` (``float`` or ``int``) applied to
-    every entry; None when the key is absent or null.  ``scalar_ok`` also
-    takes one bare value.  Every entry must be a number, and an ``int``
-    entry a whole number, as ``PartitionScheme.dyadic`` requires; it is
-    never truncated."""
+    """Config list ``key`` of ``convert`` values (``float`` or ``int``, which
+    must be whole), or None when the key is absent or null.  ``scalar_ok``
+    also takes one bare value."""
     value = cfg.get(key)
     if value is None:
         return None
     items = value if isinstance(value, list) else [value] if scalar_ok else None
-    if items is not None and all(map(_is_real, items)):
+    rule = _whole if convert is int else _number
+    if items is not None:
         try:
-            return [_whole(v, key) if convert is int else float(v) for v in items]
-        except (ValueError, OverflowError):
+            return [rule(key, v) for v in items]
+        except ValueError:
             pass
     raise ConfigError(
         f"config {key!r} must be a list of {convert.__name__}s, got {value!r}"
@@ -146,9 +138,7 @@ def _path_input(args):
 
 
 def _resolve_grid(args, cfg, path, extra_margin=0.0):
-    du = args.grid_du
-    if du is None:
-        du = _cfg_float(cfg, "grid_du", 0.05)
+    du = _cfg_float(cfg, "grid_du", 0.05) if args.grid_du is None else args.grid_du
     margin = _cfg_float(cfg, "grid_margin", 0.5) + extra_margin
     return LevelGrid.for_path(path, du, margin)
 

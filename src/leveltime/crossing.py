@@ -22,7 +22,8 @@ import numpy as np
 
 from . import _kernels
 from .dcfuncs import DCFunction
-from .paths import LevelGrid, PartitionScheme, SampledCadlagPath, _positive
+from .errors import _positive
+from .paths import LevelGrid, PartitionScheme, SampledCadlagPath
 
 FIELD_KINDS = ("K", "Kc", "J", "L_occupation", "L_interval", "L_classical")
 

@@ -13,13 +13,13 @@ derivative handles are left-continuous at atoms of ``f''``.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ConfigError, _refuse_unknown
-from .paths import _positive
+from .errors import ConfigError, _finite, _positive, _refuse_unknown
 
 
 def left_sign(x):
@@ -54,10 +54,7 @@ class SecondDerivativeMeasure:
             )
         pairs = {}
         for loc, w in self.atoms:
-            loc = float(loc)
-            w = float(w)
-            if not (np.isfinite(loc) and np.isfinite(w)):
-                raise ValueError("atom locations and weights must be finite")
+            loc, w = _finite("atom locations and weights", loc, w)
             pairs[loc] = pairs.get(loc, 0.0) + w
         merged = tuple(
             (loc, w) for loc, w in sorted(pairs.items()) if w != 0.0
@@ -119,8 +116,7 @@ class DCFunction:
 
 def make_abs(center: float = 0.0, scale: float = 1.0) -> DCFunction:
     """f(x) = scale * |x - center|, curvature 2*scale at the kink."""
-    c = float(center)
-    s = float(scale)
+    c, s = _finite("center", center), _finite("scale", scale)
 
     def f(x):
         return s * np.abs(np.asarray(x, np.float64) - c)
@@ -135,7 +131,7 @@ def make_abs(center: float = 0.0, scale: float = 1.0) -> DCFunction:
 
 def make_relu(center: float = 0.0) -> DCFunction:
     """f(x) = (x - center)^+, one unit atom of curvature."""
-    c = float(center)
+    c = _finite("center", center)
 
     def f(x):
         return np.maximum(np.asarray(x, np.float64) - c, 0.0)
@@ -198,10 +194,8 @@ def _quartic_ramp(v):
 
 def make_bump(center: float = 0.0, width: float = 1.0) -> DCFunction:
     """C^2 ramp whose curvature is the quartic bump on [center-width, center+width]."""
-    c = float(center)
     w = _positive("width", width)
-    if not np.isfinite(c):
-        raise ValueError(f"center must be finite, got {center}")
+    c = _finite("center", center)
 
     def f(x):
         return w * _quartic_ramp((np.asarray(x, np.float64) - c) / w)
@@ -246,13 +240,8 @@ def make_mix(
     The negative atom weight makes this a genuine difference of convex
     functions rather than a convex one.
     """
-    atoms = tuple((float(loc), float(w)) for loc, w in atoms)
-    cu = float(uniform_weight)
-    cb = float(bump_weight)
-    if not (np.isfinite(cu) and np.isfinite(cb)):
-        raise ValueError(
-            f"mix weights must be finite, got {uniform_weight}, {bump_weight}"
-        )
+    atoms = tuple(_finite("atom locations and weights", loc, w) for loc, w in atoms)
+    cu, cb = _finite("mix weights", uniform_weight, bump_weight)
 
     def f(x):
         x = np.asarray(x, np.float64)
@@ -293,11 +282,8 @@ def builtin_suite():
 
 
 _DESCRIPTOR_KINDS = {
-    "abs": (make_abs, ("center", "scale")),
-    "relu": (make_relu, ("center",)),
-    "square": (make_square, ()),
-    "bump": (make_bump, ("center", "width")),
-    "mix": (make_mix, ("atoms", "uniform_weight", "bump_weight")),
+    "abs": make_abs, "relu": make_relu, "square": make_square,
+    "bump": make_bump, "mix": make_mix,
 }
 
 
@@ -312,9 +298,10 @@ def dc_function_from_descriptor(obj) -> DCFunction:
     kind = obj["kind"]
     if not isinstance(kind, str) or kind not in _DESCRIPTOR_KINDS:
         raise ConfigError(f"unknown function kind {kind!r}")
-    build, fields = _DESCRIPTOR_KINDS[kind]
-    _refuse_unknown(obj, ("kind", *fields), "function fields")
+    build = _DESCRIPTOR_KINDS[kind]
+    fields = {k: v for k, v in obj.items() if k != "kind"}
+    _refuse_unknown(fields, inspect.signature(build).parameters, "function fields")
     try:
-        return build(**{k: obj[k] for k in fields if k in obj})
+        return build(**fields)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad function descriptor: {exc}") from exc

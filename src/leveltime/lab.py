@@ -16,6 +16,7 @@ field, reference field and one field per ladder level.
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -34,15 +35,11 @@ from .crossing import (
     split_Kc_Kd,
 )
 from .dcfuncs import SecondDerivativeMeasure, dc_function_from_descriptor
-from .errors import ConfigError, InvariantViolation, _refuse_unknown
-from .paths import (
-    LevelGrid,
-    PartitionScheme,
-    SampledCadlagPath,
-    _is_real,
-    _positive,
-    _whole,
+from .errors import (
+    ConfigError, InvariantViolation, _boolean, _exponent, _finite, _integer,
+    _number, _positive, _refuse_unknown, _store, _whole,
 )
+from .paths import LevelGrid, PartitionScheme, SampledCadlagPath
 from .skorokhod import crossing_count_field, interval_crossing_local_time
 
 GENERATOR_KINDS = (
@@ -54,14 +51,6 @@ GENERATOR_KINDS = (
 )
 
 _PATTERNS = ("ramp", "zigzag", "constant", "jump_ladder")
-
-
-def _integer(name, value, error=ValueError):
-    """``value`` as an int; ``error`` naming ``name`` unless it is an int (a
-    boolean is not)."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise error(f"{name} must be an integer, got {value!r}")
-    return int(value)
 
 
 @dataclass(frozen=True)
@@ -85,25 +74,17 @@ class GeneratorSpec:
     def __post_init__(self):
         if self.kind not in GENERATOR_KINDS:
             raise ValueError(f"unknown generator kind {self.kind!r}")
-        object.__setattr__(self, "T", _positive("T", self.T))
-        steps = _whole(self.steps_per_unit, "steps_per_unit")
-        object.__setattr__(self, "steps_per_unit", steps)
+        _store(self, _positive, "T")
+        _store(self, _whole, "steps_per_unit")
         if self.n_steps < 2:
             raise ValueError("need at least 2 steps over the horizon")
-        for name in ("sigma", "jump_rate"):
-            value = _positive(name, getattr(self, name), zero=True)
-            object.__setattr__(self, name, value)
-        for name in ("mu", "jump_low", "jump_high", "x0", "amplitude"):
-            value = getattr(self, name)
-            if not (_is_real(value) and np.isfinite(value)):
-                raise ValueError(f"{name} must be finite, got {value}")
-            object.__setattr__(self, name, float(value))
+        _store(self, _positive, "sigma", "jump_rate", zero=True)
+        _store(self, _finite, "mu", "jump_low", "jump_high", "x0", "amplitude")
         if self.jump_low > self.jump_high:
             raise ValueError("jump size bounds out of order")
         if self.pattern not in _PATTERNS:
             raise ValueError(f"unknown deterministic pattern {self.pattern!r}")
-        object.__setattr__(self, "seed", _integer("seed", self.seed))
-        object.__setattr__(self, "n_jumps", _integer("n_jumps", self.n_jumps))
+        _store(self, _integer, "seed", "n_jumps")
         if self.n_jumps < 0:
             raise ValueError("n_jumps must be nonnegative")
 
@@ -194,7 +175,7 @@ def _path_seeds(seed, n_paths):
     """The seeds of every batch of paths, one per path: the child seeds of
     one root ``SeedSequence(seed)``."""
     root = np.random.SeedSequence(_integer("seed", seed))
-    return root.spawn(_whole(n_paths, "n_paths"))
+    return root.spawn(_whole("n_paths", n_paths))
 
 
 def generate_many(spec: GeneratorSpec, n_paths: int, seed=None):
@@ -290,13 +271,6 @@ def q_statistic(
 # distances
 # ---------------------------------------------------------------------------
 
-def _exponent(p):
-    """``p`` as a float if it is a real number (a string or a boolean is
-    not) that is finite and at least 1, else None."""
-    v = float(p) if _is_real(p) else np.nan
-    return v if np.isfinite(v) and v >= 1 else None
-
-
 def lp_distance(a, b, p: float = 1.0, weight=None):
     """L^p distance of two fields on one grid, optionally in L^p(|f''|(du)).
 
@@ -354,7 +328,7 @@ class ExperimentConfig:
         if len(self.ladder) == 0:
             raise ValueError("ladder must be nonempty")
         if self.estimator == "K_pi":
-            ladder = tuple(_whole(v, "dyadic exponents") for v in self.ladder)
+            ladder = tuple(_whole("dyadic exponents", v) for v in self.ladder)
             if any(v < 1 for v in ladder):
                 raise ValueError("dyadic exponents must be >= 1")
             if any(b <= a for a, b in zip(ladder[:-1], ladder[1:])):
@@ -363,29 +337,26 @@ class ExperimentConfig:
             ladder = tuple(_positive("widths", v) for v in self.ladder)
             if any(b >= a for a, b in zip(ladder[:-1], ladder[1:])):
                 raise ValueError("width ladder must decrease")
-        n_paths = _whole(self.n_paths, "n_paths")
-        if n_paths < 1:
+        object.__setattr__(self, "ladder", ladder)
+        _store(self, _whole, "n_paths")
+        if self.n_paths < 1:
             raise ValueError("need at least one path")
-        seed = _integer("seed", self.seed)
-        grid_du = _positive("grid_du", self.grid_du)
-        grid_margin = _positive("grid_margin", self.grid_margin, zero=True)
+        _store(self, _integer, "seed")
+        _store(self, _positive, "grid_du")
+        _store(self, _positive, "grid_margin", zero=True)
         p = _exponent(self.distance_p)
         if p is None:
             raise ValueError("distance p must be finite and at least 1")
-        if not (self.t is None or _is_real(self.t)):
-            raise ValueError(f"t must be a number, got {self.t!r}")
+        object.__setattr__(self, "distance_p", p)
+        if self.t is not None:
+            _store(self, _number, "t")
         if self.field_mode not in ("point", "cell"):
             raise ValueError("field_mode must be 'point' or 'cell'")
-        if not isinstance(self.include_jumps, bool):
-            raise ValueError(
-                f"include_jumps must be True or False, got {self.include_jumps!r}"
-            )
-        for name, value in (
-            ("ladder", ladder), ("n_paths", n_paths), ("seed", seed),
-            ("grid_du", grid_du), ("grid_margin", grid_margin),
-            ("t", None if self.t is None else float(self.t)), ("distance_p", p),
-        ):
-            object.__setattr__(self, name, value)
+        _boolean("include_jumps", self.include_jumps)
+        weight = self.distance_weight
+        if not (weight is None or isinstance(weight, SecondDerivativeMeasure)):
+            raise ValueError("distance_weight must be None or a "
+                             f"SecondDerivativeMeasure, got {weight!r}")
 
 
 @dataclass(frozen=True)
@@ -548,10 +519,9 @@ def run_convergence_experiment(config: ExperimentConfig) -> ExperimentReport:
 def generator_spec_from_json(obj) -> GeneratorSpec:
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ConfigError("generator descriptor must be a mapping with a 'kind'")
-    _refuse_unknown(obj, (
-        "kind", "T", "steps_per_unit", "seed", "sigma", "mu", "jump_rate",
-        "jump_low", "jump_high", "x0", "pattern", "amplitude", "n_jumps",
-    ), "generator fields")
+    _refuse_unknown(
+        obj, [f.name for f in dataclasses.fields(GeneratorSpec)], "generator fields"
+    )
     try:
         return GeneratorSpec(**obj)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -575,20 +545,17 @@ def experiment_config_from_json(obj) -> ExperimentConfig:
     ))
     fields = dict(obj, generator=generator_spec_from_json(obj["generator"]))
     dist = fields.pop("distance", None)
-    if dist:
+    if dist is not None:
         if not isinstance(dist, dict):
-            raise ConfigError("distance must be a mapping")
+            raise ConfigError(f"config 'distance' must be a mapping, got {dist!r}")
         _refuse_unknown(dist, ("p", "weight"), "distance keys")
         if "p" in dist:
             fields["distance_p"] = dist["p"]
         if dist.get("weight") is not None:
             wdesc = dc_function_from_descriptor(dist["weight"])
             fields["distance_weight"] = wdesc.second_derivative
-    jumps = obj.get("include_jumps")
-    if "include_jumps" in obj and not isinstance(jumps, bool):
-        raise ConfigError(
-            f"config 'include_jumps' must be true or false, got {jumps!r}"
-        )
+    if "include_jumps" in obj:
+        _boolean("config 'include_jumps'", obj["include_jumps"], ConfigError)
     for key in ("paths", "seed"):
         _integer(f"config {key!r}", obj[key], ConfigError)
     fields["n_paths"] = fields.pop("paths")

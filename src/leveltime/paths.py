@@ -13,36 +13,12 @@ from __future__ import annotations
 
 import io
 import itertools
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._kernels import _rank
-
-
-def _is_real(value) -> bool:
-    """Whether ``value`` is a real number: a string or a boolean is not."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
-def _positive(name, value, zero=False) -> float:
-    """``value`` as a float; ``ValueError`` unless it is a real number that
-    is finite and positive (or zero, with ``zero=True``)."""
-    v = float(value) if _is_real(value) else np.nan
-    if not (np.isfinite(v) and (v > 0 or zero and v == 0)):
-        sign = "nonnegative" if zero else "positive"
-        raise ValueError(f"{name} must be {sign} and finite, got {value}")
-    return v
-
-
-def _whole(value, what) -> int:
-    """``value`` as an int; ``ValueError`` naming ``what`` and ``value``
-    unless it is a whole real number (a string or a boolean is not), so
-    that 2.5 is never truncated."""
-    if not (_is_real(value) and float(value).is_integer()):
-        raise ValueError(f"{what} must be whole numbers, got {value!r}")
-    return int(value)
+from .errors import _finite, _positive, _store, _whole
 
 
 def _readonly(arr):
@@ -246,11 +222,12 @@ class PartitionScheme:
         distinct.  ``include_jumps`` may be a jump-index array (or a path)
         whose marked indices are unioned into every level.
         """
-        exponents = [_whole(j, "dyadic exponents") for j in exponents]
+        exponents = [_whole("dyadic exponents", j) for j in exponents]
         if not exponents:
             raise ValueError("need at least one level")
         if min(exponents) < 0:
             raise ValueError("dyadic exponents must be >= 0")
+        n_samples = _whole("n_samples", n_samples)
         if n_samples < 2:
             raise ValueError("need at least two samples to partition")
         top = n_samples - 1
@@ -272,6 +249,7 @@ class PartitionScheme:
     @classmethod
     def full(cls, n_samples: int):
         """The single partition using every sample index."""
+        n_samples = _whole("n_samples", n_samples)
         return cls((np.arange(n_samples, dtype=np.int64),))
 
     @classmethod
@@ -308,14 +286,11 @@ class LevelGrid:
     n_levels: int
 
     def __post_init__(self):
-        if not np.isfinite(self.u0):
-            raise ValueError("u0 must be finite")
-        n_levels = _whole(self.n_levels, "n_levels")
-        if n_levels < 1:
+        _store(self, _finite, "u0")
+        _store(self, _whole, "n_levels")
+        if self.n_levels < 1:
             raise ValueError("need at least one level")
-        object.__setattr__(self, "u0", float(self.u0))
-        object.__setattr__(self, "du", _positive("du", self.du))
-        object.__setattr__(self, "n_levels", n_levels)
+        _store(self, _positive, "du")
 
     @property
     def levels(self) -> np.ndarray:

@@ -16,7 +16,8 @@ import numpy as np
 from . import _kernels
 from .crossing import LocalTimeField, _eval_time
 from .dcfuncs import DCFunction
-from .paths import LevelGrid, SampledCadlagPath, _positive
+from .errors import _positive
+from .paths import LevelGrid, SampledCadlagPath
 
 
 @dataclass(frozen=True)

@@ -735,17 +735,17 @@ class TestBadInput:
              "bad generator descriptor: steps_per_unit must be whole numbers, "
              "got '64'"),
             (["generate"], {"generator": dict(GEN, T="1")},
-             "bad generator descriptor: T must be positive and finite, got 1"),
+             "bad generator descriptor: T must be positive and finite, got '1'"),
             (["generate"], {"generator": dict(GEN, sigma=True)},
              "bad generator descriptor: sigma must be nonnegative and finite, "
              "got True"),
             (["generate"], {"generator": dict(GEN, x0="0.5")},
-             "bad generator descriptor: x0 must be finite, got 0.5"),
+             "bad generator descriptor: x0 must be finite, got '0.5'"),
             (["generate"], {"generator": dict(GEN, mu=False)},
              "bad generator descriptor: mu must be finite, got False"),
             (["experiment"], dict(TestExperiment.CONFIG, grid_du="0.05"),
              "bad experiment config: grid_du must be positive and finite, "
-             "got 0.05"),
+             "got '0.05'"),
             (["experiment"], dict(TestExperiment.CONFIG, grid_margin=True),
              "bad experiment config: grid_margin must be nonnegative and "
              "finite, got True"),
@@ -761,7 +761,24 @@ class TestBadInput:
             (["experiment"], dict(TestExperiment.CONFIG, estimator="occupation",
                                   field_mode="point", ladder=["0.4", 0.2]),
              "bad experiment config: widths must be positive and finite, "
-             "got 0.4"),
+             "got '0.4'"),
+            (["experiment"], dict(TestExperiment.CONFIG, distance={
+                "weight": {"kind": "abs", "center": True}}),
+             "bad function descriptor: center must be finite, got True"),
+            (["experiment"], dict(TestExperiment.CONFIG, distance={
+                "weight": {"kind": "abs", "scale": "2"}}),
+             "bad function descriptor: scale must be finite, got '2'"),
+            (["experiment"], dict(TestExperiment.CONFIG, distance={
+                "weight": {"kind": "mix", "atoms": [[0, True]]}}),
+             "bad function descriptor: atom locations and weights must be "
+             "finite, got 0, True"),
+            # a distance that is there but falsy is not the default
+            (["experiment"], dict(TestExperiment.CONFIG, distance=0),
+             "config 'distance' must be a mapping, got 0"),
+            (["experiment"], dict(TestExperiment.CONFIG, distance=[]),
+             "config 'distance' must be a mapping, got []"),
+            (["experiment"], dict(TestExperiment.CONFIG, distance=False),
+             "config 'distance' must be a mapping, got False"),
         ],
     )
     def test_generate_and_experiment_refuse_keys_they_do_not_read(

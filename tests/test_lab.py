@@ -30,7 +30,9 @@ from leveltime import (
     j_pi,
     k_pi,
     lp_distance,
+    SecondDerivativeMeasure,
     make_abs,
+    make_mix,
     make_square,
     occupation_local_time,
     q_statistic,
@@ -174,7 +176,7 @@ class TestGenerators:
             GeneratorSpec(kind="brownian", steps_per_unit="64")
         with pytest.raises(ValueError, match="sigma must be nonnegative"):
             GeneratorSpec(kind="brownian", sigma=True)
-        with pytest.raises(ValueError, match="amplitude must be finite, got 2"):
+        with pytest.raises(ValueError, match="amplitude must be finite, got '2'"):
             GeneratorSpec(kind="deterministic_test", amplitude="2")
 
     def test_effective_parameters(self):
@@ -712,6 +714,41 @@ def test_experiment_config_refuses_non_boolean_include_jumps(value):
         f"include_jumps must be True or False, got {value!r}"
     )):
         ExperimentConfig(**dict(OCCUPATION_CONFIG, include_jumps=value))
+
+
+# values from outside that a constructor or builder refuses: a string or a
+# boolean is not a number, and a count is never truncated
+LIBRARY_REFUSALS = {
+    "grid u0 'a'": (lambda: LevelGrid("a", 0.1, 3), "u0 must be finite, got 'a'"),
+    "grid u0 True": (lambda: LevelGrid(True, 0.1, 3), "u0 must be finite, got True"),
+    "abs center '1'": (lambda: make_abs("1"), "center must be finite, got '1'"),
+    "mix uniform weight True": (
+        lambda: make_mix(uniform_weight=True),
+        "mix weights must be finite, got True, 0.5",
+    ),
+    "atom location '1'": (
+        lambda: SecondDerivativeMeasure(atoms=(("1", 1.0),)),
+        "atom locations and weights must be finite, got '1', 1.0",
+    ),
+    "full scheme of 2.5 samples": (
+        lambda: PartitionScheme.full(2.5), "n_samples must be whole numbers, got 2.5"
+    ),
+    "dyadic scheme of 2.5 samples": (
+        lambda: PartitionScheme.dyadic(2.5, [1]),
+        "n_samples must be whole numbers, got 2.5",
+    ),
+    "distance weight 5": (
+        lambda: ExperimentConfig(**dict(OCCUPATION_CONFIG, distance_weight=5)),
+        "distance_weight must be None or a SecondDerivativeMeasure, got 5",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LIBRARY_REFUSALS))
+def test_library_refuses_values_that_are_not_what_they_name(case):
+    build, message = LIBRARY_REFUSALS[case]
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build()
 
 
 # every estimator of a local-time field, called on (path, grid, t)
