@@ -10,7 +10,12 @@ signed increment sum against a dense numpy oracle, and bit for bit against
 its prefix sum in stable-sort order) on two small inputs of 2,049 samples by
 101 levels, small enough for the uncompiled loops: a seeded path, and values
 snapped to levels and cell edges with a band of one grid step, so that a
-variant split on ties fails the script.  It also checks the
+variant split on ties fails the script.  On a third input, a walk of a
+few ulps around zero (signed zeros and subnormals, with a band a few ulps
+wide), it checks the play operator's bound implementation and its form
+without numba bit for bit against the loop, and the moved values' integer
+ulp steps against an ``np.nextafter`` loop, so that both are checked on
+every machine.  It also checks the
 clamp scan that the play operator and the crossing counts run without numba
 against the sequential clamp recursion, on float64 and int64 maps.  It then
 prints which implementation each kernel is bound to and reports
@@ -112,6 +117,46 @@ def check_clamp_scan(values, du, levels):
             _kernels._clamp_scan(p0, lo, hi), sequential_clamps(p0, lo, hi)
         ):
             raise AssertionError(f"clamp_scan: not the recursion ({lo.dtype})")
+
+
+def ulp_inputs(steps, seed):
+    """A walk of a few ulps around zero: subnormals and both signed zeros."""
+    rng = np.random.default_rng(seed)
+    values = np.cumsum(rng.integers(-2, 3, steps + 1)) * 5e-324
+    values[(values == 0) & (rng.random(values.size) < 0.5)] = -0.0
+    return values
+
+
+def nextafter_steps(x, v, half, toward):
+    """Oracle for the moved values' ulp steps: ``np.nextafter`` until
+    ``v`` is within ``half`` of ``x``, one value at a time."""
+    out = v.copy()
+    for i in range(x.size):
+        while (x[i] - out[i] if toward > 0 else out[i] - x[i]) > half:
+            out[i] = np.nextafter(out[i], toward)
+    return out
+
+
+def check_ulp_steps(values, eps, seed):
+    """The play operator bit for bit against its loop, and its ulp steps
+    against ``np.nextafter``, from moved values up to three ulps outside
+    the band, which puts some on a zero that must step across the other."""
+    bound, loop, array_form = VARIANTS["play_operator"]
+    want = loop(values, eps)
+    for impl in (bound, array_form):
+        for x, y in zip(impl(values, eps), want):
+            if not np.array_equal(x.view(np.int64), y.view(np.int64)):
+                raise AssertionError("play_operator: not the loop on ulp walks")
+    rng = np.random.default_rng(seed)
+    half = 0.5 * eps
+    for toward, start in ((np.inf, values - half), (-np.inf, values + half)):
+        for i in np.flatnonzero(rng.random(values.size) < 0.5):
+            for _ in range(rng.integers(1, 4)):
+                start[i] = np.nextafter(start[i], -toward)
+        want = nextafter_steps(values, start, half, toward)
+        got = _kernels._step_inside(values, start.copy(), half, toward)
+        if not np.array_equal(got.view(np.int64), want.view(np.int64)):
+            raise AssertionError("_step_inside: not the np.nextafter steps")
 
 
 def make_inputs(steps, levels, seed):
@@ -227,6 +272,12 @@ def main(argv=None):
             "crossing counts strict and non-strict), and the clamp scan "
             "with the clamp recursion (float64 and int64)"
         )
+
+    check_ulp_steps(ulp_inputs(2048, args.seed), 4 * 5e-324, args.seed)
+    print(
+        "the play operator agrees with its loop bit for bit, and its ulp "
+        "steps with np.nextafter (ulp walk, 2049 samples, eps = 4 ulps of 0)"
+    )
 
     print(f"backend {_kernels.ACTIVE_BACKEND}, HAS_NUMBA {_kernels.HAS_NUMBA}")
     for name, (bound, _, _) in VARIANTS.items():

@@ -10,10 +10,13 @@ beats it:
   clamp maps that is checked step by step against the loop's own test and
   falls back to the loop where a step differs (:func:`_play_operator_np`).
   Its moved values and its check are dense passes over the whole array,
-  since at small band widths nearly every moved value takes an ulp step;
+  since at small band widths nearly every moved value takes an ulp step,
+  and an ulp step is an integer add on the float's bits
+  (:func:`_step_inside`);
 - the crossing counts rank through :func:`_rank`, then run their clamp loop
   compiled or, without numba, the play operator's scan over level indices,
-  on the samples that do not repeat the previous sample's clamp;
+  without the samples that repeat the previous sample's clamp where at
+  least a quarter repeat;
 - the one scan, :func:`_clamp_scan`, composes the clamps in blocks of
   ``_BLOCK`` consecutive maps laid out as the columns of an array, so that
   each Hillis-Steele pass is a few contiguous array calls, and scans the
@@ -100,12 +103,37 @@ def _step_inside(x, v, half, toward):
     """Step each ``v`` by ulps ``toward`` (``+inf`` or ``-inf``) while it
     is more than ``half`` beyond ``x``, as the loop's ``while`` does, in
     place and over the whole array, since most samples step at small
-    ``half``; ``-(x - v)`` rounds exactly as ``v - x``."""
+    ``half``; ``-(x - v)`` rounds exactly as ``v - x``.
+
+    One ulp is one unit of the float's ``int64`` view: +1 away from zero
+    and -1 toward it on a clear sign bit, the reverse on a set one.  A step
+    never flips the sign bit, since a step toward zero ends on the zero of
+    the same sign, so the signs are read once.  Only a step from a zero
+    must skip the other zero; a pass that meets one takes ``np.nextafter``
+    and reads the signs again.
+    """
     a, b = (x, v) if toward > 0 else (v, x)
     gap = np.subtract(a, b)
     out = np.greater(gap, half)
+    bits = v.view(np.int64)
+    step = gap.view(np.int64)  # each pass's adds, before the gap is renewed
+    zero = np.empty(out.shape, bool)
+    neg = None
     while out.any():
-        np.nextafter(v, toward, out=v, where=out)
+        if np.logical_and(np.equal(v, 0.0, out=zero), out, out=zero).any():
+            np.nextafter(v, toward, out=v, where=out)
+            neg = None
+        else:
+            if neg is None:  # -1 where the step is -1, else 0
+                neg = np.right_shift(bits, 63)
+                if toward < 0:
+                    np.invert(neg, out=neg)
+            # out as 0 or 1, negated where neg is -1: dense passes, since
+            # a masked add is several times slower
+            np.copyto(step, out)
+            step ^= neg
+            step -= neg
+            bits += step
         np.greater(np.subtract(a, b, out=gap), half, out=out)
     return v
 
@@ -223,14 +251,18 @@ def _crossing_clamp_np(arm, last, a, diff):
     indices: sample ``i`` fires ``[a_{i-1}, last[i]]`` where nonempty.
 
     A sample whose ``(arm, last)`` repeats the previous sample's is dropped
-    first: the clamp is idempotent and leaves ``a > last``, so the repeat
-    neither moves ``a`` nor fires.
+    first when at least a quarter of the samples repeat: the clamp is
+    idempotent and leaves ``a > last``, so the repeat neither moves ``a``
+    nor fires.  On grids finer than the path's steps few samples repeat,
+    and the gathers would cost more than the shorter scan saves.
     """
     if arm.size > 1:
         new = (arm[1:] != arm[:-1]) | (last[1:] != last[:-1])
-        if not new.all():
-            keep = np.concatenate([[True], new])
-            arm, last = arm[keep], last[keep]
+        if 4 * np.count_nonzero(new) <= 3 * new.size:
+            # index gathers: a boolean gather on so irregular a mask is
+            # several times slower
+            keep = np.flatnonzero(np.concatenate([[True], new]))
+            arm, last = arm.take(keep), last.take(keep)
     a = _clamp_scan(a, last + 1, arm)[:-1]
     fire = last >= a
     diff += np.bincount(a[fire], minlength=diff.size)

@@ -67,10 +67,12 @@ def _cfg_float(cfg, key, default):
 def _cfg_list(cfg, key, convert, scalar_ok=False):
     """Config list ``key`` of ``convert`` values (``float`` or ``int``, which
     must be whole), or None when the key is absent or null.  ``scalar_ok``
-    also takes one bare value."""
+    also takes one bare value; an empty list is refused."""
     value = cfg.get(key)
     if value is None:
         return None
+    if value == []:
+        raise ConfigError(f"config {key!r} must not be empty")
     items = value if isinstance(value, list) else [value] if scalar_ok else None
     rule = _whole if convert is int else _number
     if items is not None:
@@ -84,14 +86,20 @@ def _cfg_list(cfg, key, convert, scalar_ok=False):
 
 
 def _csv_list(convert):
-    """Argument type for a comma-separated list of ``convert`` values."""
+    """Argument type for a nonempty comma-separated list of ``convert``
+    values."""
     def parse(text):
         try:
-            return [convert(v) for v in text.split(",") if v.strip()]
+            values = [convert(v) for v in text.split(",") if v.strip()]
         except ValueError as exc:
             raise argparse.ArgumentTypeError(
                 f"bad {convert.__name__} list {text!r}"
             ) from exc
+        if not values:
+            raise argparse.ArgumentTypeError(
+                f"empty {convert.__name__} list {text!r}"
+            )
+        return values
     return parse
 
 

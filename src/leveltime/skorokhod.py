@@ -153,22 +153,33 @@ def banach_indicatrix_integral(solution: SkorokhodSolution, t=None) -> float:
     Computed by slicing the level axis at all segment endpoint values and
     counting the segments strictly across each slice's midpoint, so the
     total-variation identity is verified by an independent route rather
-    than assumed.  The count is the indicatrix at the midpoints, O(S log S)
-    in the number S of segments; the slices are summed in order.
+    than assumed.  Consecutive segments share their turning values, so one
+    ``np.unique`` of the S + 1 turning values gives the cuts and each
+    turning value's cut index; segment k then covers the slices from the
+    lower of its two end indices up to, not including, the higher one, and
+    two ``bincount``s and one ``cumsum`` count every slice: one sort and
+    O(S) array work in the number S of segments.  The slices are summed in
+    order.
     """
     values, segs = _segments_until(solution, t)
     if segs[0, 2] == 0:
         return 0.0
-    cuts = np.unique(values[segs[:, :2]])
+    turns = values[np.append(segs[:, 0], segs[-1, 1])]
+    cuts, idx = np.unique(turns, return_inverse=True)
+    lo = np.minimum(idx[:-1], idx[1:])
+    hi = np.maximum(idx[:-1], idx[1:])
+    starts = np.bincount(lo, minlength=cuts.size)  # segments per low cut
+    stops = np.bincount(hi, minlength=cuts.size)  # segments per high cut
+    cover = np.cumsum(starts[:-1] - stops[:-1])
+    # between adjacent floats the midpoint rounds onto a cut, which the
+    # segments that start (or stop) there do not cover strictly; a midpoint
+    # that overflows lies beyond every segment
     mid = 0.5 * (cuts[:-1] + cuts[1:])
-    cover = _crossings(values, segs, mid)
-    # between adjacent floats the midpoint rounds onto a cut, where the
-    # indicatrix also counts the segments that end there
-    on = np.flatnonzero((mid == cuts[:-1]) | (mid == cuts[1:]))
-    if on.size:
-        ends = np.sort(values[segs[:, 1]])
-        upto = np.searchsorted(ends, mid[on], "right")
-        cover[on] -= upto - np.searchsorted(ends, mid[on], "left")
+    on = np.flatnonzero(mid == cuts[:-1])
+    cover[on] -= starts[on]
+    on = np.flatnonzero(mid == cuts[1:])
+    cover[on] -= stops[on + 1]
+    cover[np.isinf(mid)] = 0
     # np.cumsum adds term by term, as a running total would; np.sum would
     # add pairwise
     return float(np.cumsum(cover * np.diff(cuts))[-1])

@@ -621,6 +621,15 @@ class TestBadInput:
              "'grid_margin' must be a number, got True"),
             (["tanaka-check"], {"tolerance": "1e-9"},
              "'tolerance' must be a number, got '1e-9'"),
+            # an empty list is not the default ladder
+            (["qv"], {"levels": []}, "'levels' must not be empty"),
+            (["tanaka-check"], {"levels": []}, "'levels' must not be empty"),
+            (["localtime", "occ"], {"widths": []}, "'widths' must not be empty"),
+            (["localtime", "skorokhod"], {"widths": []},
+             "'widths' must not be empty"),
+            (["q-stat"], {"widths": []}, "'widths' must not be empty"),
+            (["qv"], {"times": []}, "'times' must not be empty"),
+            (["tanaka-check"], {"times": []}, "'times' must not be empty"),
         ],
     )
     def test_malformed_config_value_exits_1(self, tmp_path, path_csv, capsys,
@@ -822,6 +831,26 @@ class TestBadInput:
         rc = main(command + ["--path", path_csv, flag, "3", "--out", str(tmp_path)])
         assert rc == 1
         assert f"unrecognized arguments: {flag} 3" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.glob("*.csv")] == ["input.csv"]
+
+    @pytest.mark.parametrize("text", [",", "", " , "])
+    @pytest.mark.parametrize(
+        "command,flag",
+        [
+            (["qv"], "--levels"),
+            (["tanaka-check"], "--levels"),
+            (["localtime", "occ"], "--widths"),
+            (["localtime", "skorokhod"], "--widths"),
+            (["q-stat"], "--widths"),
+        ],
+    )
+    def test_empty_flag_list_exits_1(self, tmp_path, path_csv, capsys, command,
+                                     flag, text):
+        rc = main(command + ["--path", path_csv, flag, text, "--out", str(tmp_path)])
+        assert rc == 1
+        kind = "int" if flag == "--levels" else "float"
+        assert (f"argument {flag}: empty {kind} list {text!r}"
+                in capsys.readouterr().err)
         assert [p.name for p in tmp_path.glob("*.csv")] == ["input.csv"]
 
     def test_out_of_memory_grid_exits_1(self, tmp_path, path_csv):

@@ -77,6 +77,16 @@ def ref_clamps(p0, lo, hi):
     return np.array(out, lo.dtype)
 
 
+def ref_steps(x, v, half, toward):
+    """The loop's ``while``: step ``v`` by ``np.nextafter`` toward
+    ``toward`` until it is within ``half`` of ``x``, one value at a time."""
+    out = np.array(v, np.float64)
+    for i in range(out.size):
+        while (x[i] - out[i] if toward > 0 else out[i] - x[i]) > half:
+            out[i] = np.nextafter(out[i], toward)
+    return out
+
+
 def ref_point_field(a, b, levels):
     out = np.zeros(levels.size)
     for aj, bj in zip(a, b):
@@ -283,6 +293,79 @@ def test_play_operator_variants_agree_on_lab_size_brownian_paths(eps):
         assert_plays_agree(values, eps)
 
 
+def _outside(x, half, toward, extra):
+    """The play operator's first guess ``x -/+ half``, then ``extra[i]``
+    more ulps away from ``x``, so that ``_step_inside`` takes that many
+    steps or more."""
+    v = x - half if toward > 0 else x + half
+    for i, k in enumerate(extra):
+        for _ in range(k):
+            v[i] = np.nextafter(v[i], -toward)
+    return v
+
+
+def assert_steps_match(x, half, extra):
+    """``_step_inside`` in both directions, bit for bit as ``np.nextafter``
+    steps one value at a time."""
+    x = np.asarray(x, np.float64)
+    for toward in (np.inf, -np.inf):
+        v = _outside(x, half, toward, extra)
+        want = ref_steps(x, v, half, toward)
+        got = _kernels._step_inside(x, v.copy(), half, toward)
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
+TINY = 5e-324  # the least subnormal
+STEP_VALUES = [
+    0.0, -0.0, TINY, -TINY, 2 * TINY, -2 * TINY, 3 * TINY, 1e-310, -1e-310,
+    2.2250738585072014e-308, -2.2250738585072014e-308, 1.0, -1.0,
+    np.nextafter(1.0, 2.0), 1e300, -1e300, np.nextafter(1e300, np.inf),
+    1.7e308, -1.7e308,
+]
+
+
+@pytest.mark.parametrize("extra", [0, 1, 2, 3])
+@pytest.mark.parametrize(
+    "half", [0.0, TINY, 3 * TINY, 1e-310, 1e-300, 1.1e-16, 0.25, 1e284]
+)
+def test_step_inside_is_nextafter_bitwise(half, extra):
+    # signed zeros, subnormals, magnitudes near 1e300 and bands from zero
+    # width up; with extra ulps outside, values step toward and across zero
+    # (a step from one zero skips the other) and take two or more steps
+    assert_steps_match(STEP_VALUES, half, [extra] * len(STEP_VALUES))
+
+
+@pytest.mark.parametrize("toward", [np.inf, -np.inf])
+def test_step_inside_steps_across_zero(toward):
+    # upward from -0.0 the next float is +TINY and downward from +0.0 it is
+    # -TINY, where a step of the bits as an integer would give a NaN; the
+    # walks from -/+TINY and -/+2 TINY cross both zeros
+    s = 1.0 if toward > 0 else -1.0
+    x = s * np.array([TINY, 2 * TINY, TINY, 2 * TINY])
+    v = -s * np.array([0.0, 0.0, TINY, 2 * TINY])
+    want = ref_steps(x, v, 0.0, toward)
+    assert want.tolist() == x.tolist()
+    assert_bitwise(_kernels._step_inside(x, v.copy(), 0.0, toward), want)
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.floats(-1e307, 1e307, allow_subnormal=True)
+            | st.sampled_from([0.0, -0.0, TINY, -TINY, 2 * TINY]),
+            st.integers(0, 3),
+        ),
+        min_size=1,
+        max_size=40,
+    ),
+    st.sampled_from([0.0, TINY, 2 * TINY, 1e-310, 1e-300, 1e-16, 0.5, 1e300])
+    | st.floats(0.0, 1e300, allow_subnormal=True),
+)
+@settings(max_examples=300, deadline=None)
+def test_step_inside_is_nextafter_on_any_floats(cases, half):
+    assert_steps_match([c[0] for c in cases], half, [c[1] for c in cases])
+
+
 @pytest.mark.parametrize("eps", [1.0, 0.3])
 def test_play_operator_matches_reference_recursion(eps):
     values = _sample_values(7)
@@ -373,6 +456,45 @@ def test_crossing_clamps_match_the_loop_bitwise(case, eps, strict):
         for g, w in zip(got, want):
             assert g.dtype == w.dtype == np.int64
             np.testing.assert_array_equal(g, w)
+
+
+@pytest.mark.parametrize("strict", [False, True], ids=["non-strict", "strict"])
+@pytest.mark.parametrize("du,drops", [(0.001, False), (0.05, True)],
+                         ids=["fine", "coarse"])
+def test_crossing_clamps_drop_repeats_only_where_many_repeat(
+    monkeypatch, du, drops, strict
+):
+    # a 2^14-step Brownian path moves about 0.008 a step: on a 0.001 grid
+    # few samples repeat the previous clamp and the scan takes every sample;
+    # on a 0.05 grid most repeat and are dropped before it
+    values = generate(GeneratorSpec(kind="brownian", steps_per_unit=2**14, seed=3)).values
+    u0 = values.min() - 0.1
+    m = int((values.max() + 0.1 - u0) / du) + 1
+    want = _kernels._crossing_counts(
+        _kernels._crossing_clamp_loop, values, u0, du, m, 2 * du, strict
+    )
+    scanned = []
+    scan = _kernels._clamp_scan
+
+    def counted(p0, lo, hi):  # the outer call of each direction only
+        scanned.append(lo.size)
+        monkeypatch.setattr(_kernels, "_clamp_scan", scan)
+        try:
+            return scan(p0, lo, hi)
+        finally:
+            monkeypatch.setattr(_kernels, "_clamp_scan", counted)
+
+    monkeypatch.setattr(_kernels, "_clamp_scan", counted)
+    got = _kernels._crossing_counts(
+        _kernels._crossing_clamp_np, values, u0, du, m, 2 * du, strict
+    )
+    for g, w in zip(got, want):
+        np.testing.assert_array_equal(g, w)
+    assert len(scanned) == 2
+    if drops:
+        assert all(k < values.size // 2 for k in scanned)
+    else:
+        assert scanned == [values.size] * 2
 
 
 # Grid-snapped cases: values on levels, on cell edges u_k +- du/2 and beyond

@@ -359,6 +359,34 @@ class TestBanachIndicatrix:
         assert np.float64(got).tobytes() == np.float64(want).tobytes()
         assert got <= total_variation(sol.regularized)
 
+    @given(
+        st.lists(st.integers(-4, 4), min_size=1, max_size=60),
+        st.sampled_from(["walk", "ulps"]),
+        st.sampled_from([0.0, 1.0, -3.0, 1e-310, 1e300, -1.7e308]),
+        st.lists(st.floats(0.0, 1.0), max_size=3),
+    )
+    @settings(max_examples=400, deadline=None)
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_integral_matches_the_slicing_loop_on_any_walk(
+        self, steps, kind, centre, fractions
+    ):
+        # integer walks tie many segment ends; walks of a few ulps make
+        # segment ends adjacent floats, whose midpoints round onto a cut,
+        # and near 1.7e308 the midpoints overflow
+        if kind == "walk":
+            values = centre + np.cumsum(np.asarray(steps, np.float64))
+        else:
+            values, v = np.empty(len(steps)), centre
+            for i, k in enumerate(steps):
+                for _ in range(abs(k)):
+                    v = np.nextafter(v, np.inf if k > 0 else -np.inf)
+                values[i] = v
+        sol = solution_of(values)
+        for t in (None, *(f * (values.size - 1) for f in fractions)):
+            got = banach_indicatrix_integral(sol, t)
+            want = ref_indicatrix_integral(sol, t)
+            assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
     def test_time_restricted_integral(self, step_path):
         p = step_path(75)
         sol = skorokhod_map(p, 0.2)
