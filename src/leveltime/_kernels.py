@@ -254,19 +254,19 @@ def _crossing_clamp_np(arm, last, a, diff):
     first when at least a quarter of the samples repeat: the clamp is
     idempotent and leaves ``a > last``, so the repeat neither moves ``a``
     nor fires.  On grids finer than the path's steps few samples repeat,
-    and the gathers would cost more than the shorter scan saves.
+    and the gathers would cost more than the shorter scan saves.  The kept
+    and the fired samples are gathered by index: a boolean gather on so
+    irregular a mask is several times slower.
     """
     if arm.size > 1:
         new = (arm[1:] != arm[:-1]) | (last[1:] != last[:-1])
         if 4 * np.count_nonzero(new) <= 3 * new.size:
-            # index gathers: a boolean gather on so irregular a mask is
-            # several times slower
             keep = np.flatnonzero(np.concatenate([[True], new]))
             arm, last = arm.take(keep), last.take(keep)
     a = _clamp_scan(a, last + 1, arm)[:-1]
-    fire = last >= a
-    diff += np.bincount(a[fire], minlength=diff.size)
-    diff -= np.bincount(last[fire] + 1, minlength=diff.size)
+    fire = np.flatnonzero(last >= a)
+    diff += np.bincount(a.take(fire), minlength=diff.size)
+    diff -= np.bincount(last.take(fire) + 1, minlength=diff.size)
     return diff
 
 

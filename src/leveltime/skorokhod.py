@@ -4,7 +4,9 @@ interval-crossing local time.
 The band regularisation x^eps keeps |x - x^eps| <= eps/2 and moves only
 when that deviation sits on a barrier, which makes x^eps piecewise monotone
 with finite variation.  Crossing counters, the Banach indicatrix, and the
-c * n^{z,c} local-time estimator all live here.
+c * n^{z,c} local-time estimator all live here.  The indicatrix's level
+counts and its exact z-integral read one cut table: the sorted distinct
+turning values of x^eps and the segments that cover each cut index.
 """
 
 from __future__ import annotations
@@ -120,66 +122,60 @@ def _segments_until(solution: SkorokhodSolution, t):
     return values, monotone_segments(values)
 
 
-def _crossings(values, segs, z):
-    """Indicatrix of the segments ``segs`` of ``values`` at the level(s)
-    ``z``: ``#(a < z) - #(b < z)`` over increasing segments a -> b, as
-    b < z implies a < z, plus ``#(b <= z) - #(a <= z)`` over decreasing
-    ones, as a <= z implies b <= z."""
-    a, b = values[segs[:, 0]], values[segs[:, 1]]
-    up, down = segs[:, 2] > 0, segs[:, 2] < 0
-    return (
-        np.searchsorted(np.sort(a[up]), z, "left")
-        - np.searchsorted(np.sort(b[up]), z, "left")
-        + np.searchsorted(np.sort(b[down]), z, "right")
-        - np.searchsorted(np.sort(a[down]), z, "right")
-    )
+def _cover(lo, hi, n):
+    """For each cut index ``j = 0..n``, the number of segments with
+    ``lo < j <= hi``."""
+    counts = np.bincount(lo, minlength=n) - np.bincount(hi, minlength=n)
+    return np.concatenate(([0], np.cumsum(counts)))
+
+
+def _cut_table(solution: SkorokhodSolution, t):
+    """The cut table of the regularized path stopped at ``t``: its sorted
+    distinct turning values (the cuts), each segment's low and high cut
+    index, and the row of its first increasing segment.  Consecutive
+    segments share their turning values, so one ``np.unique`` of the S + 1
+    turning values gives all of them."""
+    values, segs = _segments_until(solution, t)
+    turns = values[np.append(segs[:, 0], segs[-1, 1])]
+    cuts, idx = np.unique(turns, return_inverse=True)
+    lo = np.minimum(idx[:-1], idx[1:])
+    hi = np.maximum(idx[:-1], idx[1:])
+    return cuts, lo, hi, 0 if segs[0, 2] > 0 else 1
 
 
 def banach_indicatrix(solution: SkorokhodSolution, z, t=None):
     """Number of level-z crossings of the regularized path, per segment,
     at a level (an ``int``) or an array of levels (an array of counts).
 
-    An increasing segment a -> b crosses z when a < z <= b; a decreasing one
-    when b <= z < a.  The half-open conventions make the z-integral of the
-    count equal to the total variation exactly.
+    An increasing segment a -> b crosses z when a < z <= b, so it counts if
+    it covers the number of cuts below z; a decreasing one when b <= z < a,
+    so it counts if it covers the number of cuts at or below z.  The
+    half-open conventions make the z-integral of the count equal to the
+    total variation exactly.
     """
-    count = _crossings(*_segments_until(solution, t), z)
+    cuts, lo, hi, up = _cut_table(solution, t)
+    # directions alternate, so each direction's segments are every other row
+    down = 1 - up
+    ups = _cover(lo[up::2], hi[up::2], cuts.size)
+    downs = _cover(lo[down::2], hi[down::2], cuts.size)
+    count = (
+        ups[np.searchsorted(cuts, z, "left")]
+        + downs[np.searchsorted(cuts, z, "right")]
+    )
     return int(count) if np.ndim(count) == 0 else count
 
 
 def banach_indicatrix_integral(solution: SkorokhodSolution, t=None) -> float:
-    """Exact z-integral of the indicatrix, via breakpoint-and-midpoint count.
-
-    Computed by slicing the level axis at all segment endpoint values and
-    counting the segments strictly across each slice's midpoint, so the
+    """Exact z-integral of the indicatrix over the cut table: the slice
+    between cuts ``j - 1`` and ``j`` is crossed by the segments that cover
+    ``j``.  One sort and O(S) array work in the number S of segments, with
+    exact integer counts; the slices are summed in order, so the
     total-variation identity is verified by an independent route rather
-    than assumed.  Consecutive segments share their turning values, so one
-    ``np.unique`` of the S + 1 turning values gives the cuts and each
-    turning value's cut index; segment k then covers the slices from the
-    lower of its two end indices up to, not including, the higher one, and
-    two ``bincount``s and one ``cumsum`` count every slice: one sort and
-    O(S) array work in the number S of segments.  The slices are summed in
-    order.
-    """
-    values, segs = _segments_until(solution, t)
-    if segs[0, 2] == 0:
+    than assumed."""
+    cuts, lo, hi, _ = _cut_table(solution, t)
+    if cuts.size == 1:
         return 0.0
-    turns = values[np.append(segs[:, 0], segs[-1, 1])]
-    cuts, idx = np.unique(turns, return_inverse=True)
-    lo = np.minimum(idx[:-1], idx[1:])
-    hi = np.maximum(idx[:-1], idx[1:])
-    starts = np.bincount(lo, minlength=cuts.size)  # segments per low cut
-    stops = np.bincount(hi, minlength=cuts.size)  # segments per high cut
-    cover = np.cumsum(starts[:-1] - stops[:-1])
-    # between adjacent floats the midpoint rounds onto a cut, which the
-    # segments that start (or stop) there do not cover strictly; a midpoint
-    # that overflows lies beyond every segment
-    mid = 0.5 * (cuts[:-1] + cuts[1:])
-    on = np.flatnonzero(mid == cuts[:-1])
-    cover[on] -= starts[on]
-    on = np.flatnonzero(mid == cuts[1:])
-    cover[on] -= stops[on + 1]
-    cover[np.isinf(mid)] = 0
+    cover = _cover(lo, hi, cuts.size)[1:-1]
     # np.cumsum adds term by term, as a running total would; np.sum would
     # add pairwise
     return float(np.cumsum(cover * np.diff(cuts))[-1])
@@ -211,6 +207,20 @@ def exceptional_levels(solution: SkorokhodSolution) -> np.ndarray:
     )
 
 
+def _stopped(path, solution, f, t):
+    """``x`` and ``x^eps`` stopped at ``t``, with ``f'(x^eps)``: the
+    prologue of the three Stieltjes routes."""
+    if path is not solution.path and not (
+        np.array_equal(path.times, solution.path.times)
+        and np.array_equal(path.values, solution.path.values)
+    ):
+        raise ValueError("the solution is not this path's band map")
+    i_t = path.index_at(t)
+    x = path.values[: i_t + 1]
+    reg = solution.regularized.values[: i_t + 1]
+    return x, reg, np.asarray(f.eval_fprime(reg))
+
+
 def stieltjes_integral_fprime(
     path: SampledCadlagPath,
     solution: SkorokhodSolution,
@@ -223,12 +233,8 @@ def stieltjes_integral_fprime(
     out the equivalent integration-by-parts route used by the two-route
     consistency checks.
     """
-    i_t = path.index_at(t)
-    if i_t == 0:
-        return 0.0
-    fp = np.asarray(f.eval_fprime(solution.regularized.values[: i_t + 1]))
-    dx = np.diff(path.values[: i_t + 1])
-    return float(np.dot(fp[:-1], dx))
+    x, _, fp = _stopped(path, solution, f, t)
+    return float(np.dot(fp[:-1], np.diff(x)))
 
 
 def stieltjes_integral_ibp(
@@ -240,11 +246,7 @@ def stieltjes_integral_ibp(
     """Integration-by-parts route: boundary term minus ``int x d f'(x^eps)``
     minus the increment cross terms, summed over every step (step-function
     semantics: each sample change is a common jump of both factors)."""
-    i_t = path.index_at(t)
-    if i_t == 0:
-        return 0.0
-    x = path.values[: i_t + 1]
-    fp = np.asarray(f.eval_fprime(solution.regularized.values[: i_t + 1]))
+    x, _, fp = _stopped(path, solution, f, t)
     boundary = fp[-1] * x[-1] - fp[0] * x[0]
     dfp = np.diff(fp)
     dx = np.diff(x)
@@ -260,12 +262,7 @@ def stieltjes_integral_band(
     """Barrier-form route, exact when f' is nondecreasing on the path range:
     boundary term minus ``int x^eps d f'(x^eps)`` minus (eps/2) TV(f'(x^eps)).
     """
-    i_t = path.index_at(t)
-    if i_t == 0:
-        return 0.0
-    x = path.values[: i_t + 1]
-    reg = solution.regularized.values[: i_t + 1]
-    fp = np.asarray(f.eval_fprime(reg))
+    x, reg, fp = _stopped(path, solution, f, t)
     boundary = fp[-1] * x[-1] - fp[0] * x[0]
     dfp = np.diff(fp)
     return float(
@@ -273,4 +270,3 @@ def stieltjes_integral_band(
         - np.dot(reg[1:], dfp)
         - solution.half_width * np.abs(dfp).sum()
     )
-

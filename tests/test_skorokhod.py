@@ -145,8 +145,8 @@ def ref_indicatrix(values, segs, z):
 
 def ref_indicatrix_integral(solution, t=None):
     """Slicing-loop reference for banach_indicatrix_integral: every slice
-    between neighbouring endpoint values counts the segments covering its
-    midpoint, O(S^2) in the number S of segments."""
+    between neighbouring endpoint values counts the segments that span it,
+    O(S^2) in the number S of segments."""
     reg = solution.regularized
     values = reg.values[: reg.index_at(t) + 1]
     intervals = []
@@ -160,8 +160,7 @@ def ref_indicatrix_integral(solution, t=None):
     cuts = np.unique(np.array([p for iv in intervals for p in iv]))
     total = 0.0
     for lo, hi in zip(cuts[:-1], cuts[1:]):
-        mid = 0.5 * (lo + hi)
-        cover = sum(1 for a, b in intervals if a < mid < b)
+        cover = sum(1 for a, b in intervals if a <= lo and hi <= b)
         total += cover * (hi - lo)
     return total
 
@@ -183,12 +182,36 @@ EDGE_VALUES = [
     [1.0],  # one sample
     [0.0, 0.5, 0.5, 2.0],  # a single segment
     [0.0, 1.0, 0.0, 1.0, 0.0, 1.0, 0.5, 1.0],  # repeated endpoints
-    # adjacent floats: the midpoint of [1, 1 + ulp] rounds onto 1, and the
-    # midpoint of [1 - ulp/2, 1] rounds onto 1
+    # adjacent floats: slices one ulp wide, whose midpoint rounds onto a cut
     [0.0, np.nextafter(1.0, 2.0), 1.0, 3.0],
     [2.0, np.nextafter(1.0, 0.0), 1.0, -1.0, 1.0],
     [1.0, np.nextafter(1.0, 2.0), 1.0, np.nextafter(1.0, 2.0)],
+    # a slice whose midpoint overflows
+    [1e308, 1.5e308, 1e308],
 ]
+
+
+def walk_values(steps, kind, centre):
+    """An integer walk from ``centre``, or a walk of ``steps`` ulps."""
+    if kind == "walk":
+        return centre + np.cumsum(np.asarray(steps, np.float64))
+    values, v = np.empty(len(steps)), centre
+    for i, k in enumerate(steps):
+        for _ in range(abs(k)):
+            v = np.nextafter(v, np.inf if k > 0 else -np.inf)
+        values[i] = v
+    return values
+
+
+# integer walks tie many segment ends; walks of a few ulps make segment ends
+# adjacent floats, near 0 with both signed zeros, and near 1.7e308 slices
+# whose midpoints overflow
+WALKS = (
+    st.lists(st.integers(-4, 4), min_size=1, max_size=60),
+    st.sampled_from(["walk", "ulps"]),
+    st.sampled_from([0.0, 1.0, -3.0, 1e-310, 1e300, -1.7e308]),
+    st.lists(st.floats(0.0, 1.0), max_size=3),
+)
 
 
 class TestMonotoneSegments:
@@ -344,9 +367,9 @@ class TestBanachIndicatrix:
     def test_edge_inputs_match_the_segment_loop(self, values):
         values = np.asarray(values, np.float64)
         sol = solution_of(values)
-        levels = np.concatenate(
-            [values, 0.5 * (values[:-1] + values[1:]), values - 1, values + 1]
-        )
+        # halve before adding, so that the midpoints of huge values stay finite
+        mids = 0.5 * values[:-1] + 0.5 * values[1:]
+        levels = np.concatenate([values, mids, values - 1, values + 1])
         want = ref_indicatrix(values, ref_monotone_segments(values), levels)
         assert banach_indicatrix(sol, levels).tolist() == want.tolist()
         assert [banach_indicatrix(sol, z) for z in levels] == want.tolist()
@@ -357,35 +380,58 @@ class TestBanachIndicatrix:
         got = banach_indicatrix_integral(sol)
         want = ref_indicatrix_integral(sol)
         assert np.float64(got).tobytes() == np.float64(want).tobytes()
-        assert got <= total_variation(sol.regularized)
+        tv = total_variation(sol.regularized)
+        assert abs(got - tv) <= 1e-9 * (1.0 + tv)
 
-    @given(
-        st.lists(st.integers(-4, 4), min_size=1, max_size=60),
-        st.sampled_from(["walk", "ulps"]),
-        st.sampled_from([0.0, 1.0, -3.0, 1e-310, 1e300, -1.7e308]),
-        st.lists(st.floats(0.0, 1.0), max_size=3),
+    @pytest.mark.parametrize(
+        "values, tv",
+        [
+            # one-ulp slices and an overflowing midpoint: every slice counts
+            ([1.0, np.nextafter(1.0, 2.0)] * 2, 3 * np.spacing(1.0)),
+            ([0.0, np.nextafter(1.0, 2.0), 1.0, 3.0], 3.0000000000000004),
+            ([1e308, 1.5e308, 1e308], 1e308),
+        ],
     )
+    def test_integral_is_the_variation_on_narrow_and_huge_slices(
+        self, values, tv
+    ):
+        sol = solution_of(np.asarray(values, np.float64))
+        assert total_variation(sol.regularized) == tv
+        assert banach_indicatrix_integral(sol) == tv
+
+    @given(*WALKS)
     @settings(max_examples=400, deadline=None)
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_integral_matches_the_slicing_loop_on_any_walk(
         self, steps, kind, centre, fractions
     ):
-        # integer walks tie many segment ends; walks of a few ulps make
-        # segment ends adjacent floats, whose midpoints round onto a cut,
-        # and near 1.7e308 the midpoints overflow
-        if kind == "walk":
-            values = centre + np.cumsum(np.asarray(steps, np.float64))
-        else:
-            values, v = np.empty(len(steps)), centre
-            for i, k in enumerate(steps):
-                for _ in range(abs(k)):
-                    v = np.nextafter(v, np.inf if k > 0 else -np.inf)
-                values[i] = v
+        values = walk_values(steps, kind, centre)
         sol = solution_of(values)
         for t in (None, *(f * (values.size - 1) for f in fractions)):
             got = banach_indicatrix_integral(sol, t)
             want = ref_indicatrix_integral(sol, t)
             assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+    @given(*WALKS)
+    @settings(max_examples=400, deadline=None)
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_counts_match_the_segment_loop_on_any_walk(
+        self, steps, kind, centre, fractions
+    ):
+        # at every turning value, the tie of the half-open conventions, and
+        # at both of its float neighbours
+        values = walk_values(steps, kind, centre)
+        sol = solution_of(values)
+        for t in (None, *(f * (values.size - 1) for f in fractions)):
+            stopped = values[: sol.regularized.index_at(t) + 1]
+            segs = ref_monotone_segments(stopped)
+            ends = stopped[np.asarray(segs)[:, :2]].ravel()
+            levels = np.concatenate(
+                [ends, np.nextafter(ends, -np.inf), np.nextafter(ends, np.inf)]
+            )
+            want = ref_indicatrix(stopped, segs, levels)
+            assert banach_indicatrix(sol, levels, t).tolist() == want.tolist()
+            assert banach_indicatrix(sol, levels[0], t) == want[0]
 
     def test_time_restricted_integral(self, step_path):
         p = step_path(75)
@@ -486,6 +532,28 @@ class TestStieltjesRoutes:
         assert stieltjes_integral_fprime(p, sol, f) == 0.0
         assert stieltjes_integral_ibp(p, sol, f) == 0.0
         assert stieltjes_integral_band(p, sol, f) == 0.0
+
+    def test_refuses_another_paths_solution(self, step_path):
+        # a copy with the same times and values is the same path; a path
+        # of the same length, other times or more samples is not
+        p = step_path(89, n_samples=257, kind="brownian")
+        sol = skorokhod_map(p, 0.2)
+        f = make_square()
+        others = (
+            step_path(90, n_samples=257, kind="brownian"),
+            SampledCadlagPath(2.0 * p.times, p.values),
+            step_path(89, n_samples=300, kind="brownian"),
+        )
+        for route in (
+            stieltjes_integral_fprime,
+            stieltjes_integral_ibp,
+            stieltjes_integral_band,
+        ):
+            same = SampledCadlagPath(p.times, p.values)
+            assert route(same, sol, f, 0.5) == route(p, sol, f, 0.5)
+            for q in others:
+                with pytest.raises(ValueError, match="not this path's band"):
+                    route(q, sol, f)
 
 
 class TestJOfRegularized:
