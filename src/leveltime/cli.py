@@ -18,7 +18,9 @@ from dataclasses import replace
 import numpy as np
 
 from ._kernels import ACTIVE_BACKEND, HAS_NUMBA
-from .crossing import j_pi, k_pi, occupation_local_time, split_Kc_Kd
+from .crossing import (
+    discrete_tanaka_residual, j_pi, k_pi, occupation_local_time, split_Kc_Kd,
+)
 from .dcfuncs import builtin_suite
 from .errors import (
     ConfigError, InvariantViolation, _number, _positive, _refuse_unknown, _whole,
@@ -263,8 +265,6 @@ def cmd_localtime_skorokhod(args) -> int:
 
 
 def cmd_tanaka_check(args) -> int:
-    from .crossing import discrete_tanaka_residual
-
     cfg, path = _path_input(args)
     exponents = _exponents(args, cfg, [2, 3, 4, 5, 6])
     scheme = PartitionScheme.dyadic(path.n_samples, exponents, include_jumps=path)

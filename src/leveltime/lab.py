@@ -42,13 +42,16 @@ from .errors import (
 from .paths import LevelGrid, PartitionScheme, SampledCadlagPath
 from .skorokhod import crossing_count_field, interval_crossing_local_time
 
-GENERATOR_KINDS = (
-    "brownian",
-    "brownian_drift",
-    "compound_poisson",
-    "jump_diffusion",
-    "deterministic_test",
-)
+# The parameters each generator kind reads besides T, steps_per_unit, seed
+# and x0; the random kinds are presets of one Euler-plus-jumps generator.
+_KIND_FIELDS = {
+    "brownian": ("sigma",),
+    "brownian_drift": ("sigma", "mu"),
+    "compound_poisson": ("mu", "jump_rate", "jump_low", "jump_high"),
+    "jump_diffusion": ("sigma", "mu", "jump_rate", "jump_low", "jump_high"),
+    "deterministic_test": ("pattern", "amplitude", "n_jumps"),
+}
+GENERATOR_KINDS = tuple(_KIND_FIELDS)
 
 _PATTERNS = ("ramp", "zigzag", "constant", "jump_ladder")
 
@@ -94,16 +97,11 @@ class GeneratorSpec:
         return int(round(self.T * self.steps_per_unit))
 
     def effective(self):
-        """(sigma, mu, jump_rate) actually used for this kind."""
-        if self.kind == "brownian":
-            return self.sigma, 0.0, 0.0
-        if self.kind == "brownian_drift":
-            return self.sigma, self.mu, 0.0
-        if self.kind == "compound_poisson":
-            return 0.0, self.mu, self.jump_rate
-        if self.kind == "jump_diffusion":
-            return self.sigma, self.mu, self.jump_rate
-        return 0.0, 0.0, 0.0
+        """(sigma, mu, jump_rate) actually used for this kind: 0.0 for each
+        one the kind does not read."""
+        reads = _KIND_FIELDS[self.kind]
+        return tuple(getattr(self, name) if name in reads else 0.0
+                     for name in ("sigma", "mu", "jump_rate"))
 
 
 def _deterministic_path(spec: GeneratorSpec) -> SampledCadlagPath:
@@ -124,8 +122,8 @@ def _deterministic_path(spec: GeneratorSpec) -> SampledCadlagPath:
     k = min(spec.n_jumps, n)
     level = spec.x0
     for j in range(k):
+        # in [1, n], since k <= n and n >= 2
         idx = int(round((j + 1) * n / (k + 1.0)))
-        idx = max(1, min(idx, n))
         level = level + spec.amplitude * (1.0 if j % 2 == 0 else -1.0)
         values[idx:] = level
         mask[idx] = True
@@ -160,13 +158,9 @@ def generate(spec: GeneratorSpec, rng=None) -> SampledCadlagPath:
             sizes = rng.uniform(spec.jump_low, spec.jump_high, n_jumps)
             idx = np.floor(u / dt).astype(np.int64) + 1
             np.clip(idx, 1, n, out=idx)
-            jump_sum = np.zeros(n + 1)
-            np.add.at(jump_sum, idx, sizes)
-            hit = np.zeros(n + 1, bool)
-            hit[idx] = True
-            inc = inc.copy()
-            inc[hit[1:]] = jump_sum[1:][hit[1:]]
-            mask = hit
+            jump_sum = np.bincount(idx, sizes, n + 1)
+            mask[idx] = True
+            inc[mask[1:]] = jump_sum[1:][mask[1:]]
     values = np.concatenate([[spec.x0], spec.x0 + np.cumsum(inc)])
     return SampledCadlagPath(times, values, mask)
 
@@ -201,12 +195,9 @@ def classical_local_time(
     """
     levels = grid.levels
     vals = path.values[: path.index_at(t) + 1]
-    if vals.size > 1:
-        signed = _kernels.signed_increment_sum(
-            vals[:-1], np.diff(vals), grid.u0, grid.du, grid.n_levels
-        )
-    else:
-        signed = np.zeros(grid.n_levels)
+    signed = _kernels.signed_increment_sum(
+        vals[:-1], np.diff(vals), grid.u0, grid.du, grid.n_levels
+    )
     jf = j_pi(path, t=t, grid=grid, mode="point")
     raw = (
         np.abs(vals[-1] - levels)
@@ -408,12 +399,11 @@ def _worker_count(n_jobs: int) -> int:
     cap = os.environ.get("LOCALTIME_THREADS", "")
     if cap.strip():
         try:
-            limit = int(cap)
+            limit = max(1, int(cap))
         except ValueError as exc:
             raise ConfigError(
                 f"LOCALTIME_THREADS must be an integer, got {cap!r}"
             ) from exc
-        limit = max(1, limit)
     else:
         limit = os.cpu_count() or 1
     return max(1, min(n_jobs, limit))
@@ -517,11 +507,16 @@ def run_convergence_experiment(config: ExperimentConfig) -> ExperimentReport:
 # ---------------------------------------------------------------------------
 
 def generator_spec_from_json(obj) -> GeneratorSpec:
+    """The :class:`GeneratorSpec` of a JSON descriptor, whose keys are
+    ``kind``, ``T``, ``steps_per_unit``, ``seed``, ``x0`` and the parameters
+    its kind reads; any other key is refused."""
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ConfigError("generator descriptor must be a mapping with a 'kind'")
-    _refuse_unknown(
-        obj, [f.name for f in dataclasses.fields(GeneratorSpec)], "generator fields"
-    )
+    kind = obj["kind"]
+    if kind not in GENERATOR_KINDS:
+        raise ConfigError(f"bad generator descriptor: unknown generator kind {kind!r}")
+    own = ("kind", "T", "steps_per_unit", "seed", "x0", *_KIND_FIELDS[kind])
+    _refuse_unknown(obj, own, f"generator fields for kind {kind!r}")
     try:
         return GeneratorSpec(**obj)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -530,19 +525,24 @@ def generator_spec_from_json(obj) -> GeneratorSpec:
 
 def experiment_config_from_json(obj) -> ExperimentConfig:
     """The :class:`ExperimentConfig` of a JSON descriptor, whose keys are
-    the config's fields, except ``paths`` for ``n_paths`` and a
-    ``distance`` mapping of ``p`` and ``weight``; a key left out keeps the
-    config's default."""
+    the config's fields, with ``paths`` for ``n_paths``, a ``distance``
+    mapping of ``p`` and ``weight``, and ``field_mode`` and ``include_jumps``
+    for ``K_pi`` only; a key left out keeps the config's default."""
     if not isinstance(obj, dict):
         raise ConfigError("experiment config must be a mapping")
     required = {"generator", "estimator", "ladder", "paths", "seed"}
     missing = required - set(obj)
     if missing:
         raise ConfigError(f"experiment config missing fields: {sorted(missing)}")
-    _refuse_unknown(obj, (
-        *required, "grid_du", "grid_margin", "t", "distance", "field_mode",
-        "include_jumps",
-    ))
+    estimator = obj["estimator"]
+    if estimator not in ESTIMATORS:
+        raise ConfigError(f"bad experiment config: unknown estimator {estimator!r}")
+    renamed = {"n_paths": "paths", "distance_p": "distance",
+               "distance_weight": "distance"}
+    keys = {renamed.get(f.name, f.name) for f in dataclasses.fields(ExperimentConfig)}
+    if estimator != "K_pi":
+        keys -= {"field_mode", "include_jumps"}
+    _refuse_unknown(obj, keys)
     fields = dict(obj, generator=generator_spec_from_json(obj["generator"]))
     dist = fields.pop("distance", None)
     if dist is not None:

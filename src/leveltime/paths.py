@@ -69,7 +69,6 @@ class SampledCadlagPath:
                 raise ValueError("jump_mask must be boolean")
             if mask.shape != times.shape:
                 raise ValueError("jump_mask must match times in length")
-            mask = mask.copy()
         if mask.size and mask[0]:
             raise ValueError("index 0 cannot carry a jump mark")
         object.__setattr__(self, "times", _readonly(times))

@@ -5,6 +5,7 @@ import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -20,7 +21,9 @@ from leveltime.follmer import quadratic_variation
 from leveltime.lab import (
     GeneratorSpec,
     classical_local_time,
+    experiment_config_from_json,
     generate,
+    generator_spec_from_json,
     lp_distance,
     q_statistic,
 )
@@ -121,6 +124,41 @@ class TestGenerate:
         rows = read_rows(tmp_path / "path.csv")
         assert rows[0] == ["t", "x", "jump", "pre_x"]
         assert all(r[2] == "0" for r in rows[1:])
+
+    # the parameters each kind reads besides the common T, steps_per_unit,
+    # seed and x0; a descriptor with any other field exits 1
+    READS = {
+        "brownian": {"sigma"},
+        "brownian_drift": {"sigma", "mu"},
+        "compound_poisson": {"mu", "jump_rate", "jump_low", "jump_high"},
+        "jump_diffusion": {"sigma", "mu", "jump_rate", "jump_low", "jump_high"},
+        "deterministic_test": {"pattern", "amplitude", "n_jumps"},
+    }
+    VALUES = {
+        "T": 2.0, "steps_per_unit": 64, "seed": 3, "x0": 0.5, "sigma": 0.5,
+        "mu": 0.25, "jump_rate": 3.0, "jump_low": -0.5, "jump_high": 0.75,
+        "pattern": "zigzag", "amplitude": 2.0, "n_jumps": 3,
+    }
+
+    @pytest.mark.parametrize("field", sorted(VALUES))
+    @pytest.mark.parametrize("kind", sorted(READS))
+    def test_descriptor_takes_exactly_the_fields_its_kind_reads(
+        self, tmp_path, capsys, kind, field
+    ):
+        gen = {"kind": kind, "steps_per_unit": 32, field: self.VALUES[field]}
+        cfg = write_config(tmp_path, {"generator": gen})
+        out = tmp_path / "out"
+        rc = main(["generate", "--config", cfg, "--out", str(out)])
+        last = capsys.readouterr().out.splitlines()[-1]
+        if field in ("T", "steps_per_unit", "seed", "x0") or field in self.READS[kind]:
+            assert rc == 0, last
+            assert (out / "path.csv").exists()
+        else:
+            assert rc == 1
+            assert last == (
+                f"error: unknown generator fields for kind {kind!r}: [{field!r}]"
+            )
+            assert not out.exists()
 
     def test_unknown_generator_field_exits_1(self, tmp_path):
         cfg = write_config(tmp_path, {"generator": dict(GEN, flavor="spicy")})
@@ -396,6 +434,31 @@ class TestExperiment:
 
     def test_requires_config(self, tmp_path):
         assert main(["experiment", "--out", str(tmp_path)]) == 1
+
+    @pytest.mark.parametrize(
+        "key,value", [("field_mode", "cell"), ("field_mode", "point"),
+                      ("include_jumps", True), ("include_jumps", False)],
+    )
+    @pytest.mark.parametrize(
+        "estimator", ["K_pi", "occupation", "interval_crossing"]
+    )
+    def test_only_k_pi_reads_field_mode_and_include_jumps(
+        self, tmp_path, capsys, estimator, key, value
+    ):
+        config = {k: v for k, v in self.CONFIG.items() if k != "field_mode"}
+        if estimator != "K_pi":
+            config.update(estimator=estimator, ladder=[0.4, 0.2])
+        cfg = write_config(tmp_path, dict(config, **{key: value}))
+        out = tmp_path / "out"
+        rc = main(["experiment", "--config", cfg, "--out", str(out)])
+        last = capsys.readouterr().out.splitlines()[-1]
+        if estimator == "K_pi":
+            assert rc == 0, last
+            assert (out / "report.csv").exists()
+        else:
+            assert rc == 1
+            assert last == f"error: unknown config keys: [{key!r}]"
+            assert not out.exists()
 
     def test_incomplete_config_exits_1(self, tmp_path):
         cfg = write_config(tmp_path, {"generator": GEN, "estimator": "K_pi"})
@@ -767,8 +830,9 @@ class TestBadInput:
             (["experiment"], dict(TestExperiment.CONFIG, ladder=["2", "3"]),
              "bad experiment config: dyadic exponents must be whole numbers, "
              "got '2'"),
-            (["experiment"], dict(TestExperiment.CONFIG, estimator="occupation",
-                                  field_mode="point", ladder=["0.4", 0.2]),
+            (["experiment"], {**{k: v for k, v in TestExperiment.CONFIG.items()
+                                 if k != "field_mode"},
+                              "estimator": "occupation", "ladder": ["0.4", 0.2]},
              "bad experiment config: widths must be positive and finite, "
              "got '0.4'"),
             (["experiment"], dict(TestExperiment.CONFIG, distance={
@@ -871,3 +935,21 @@ class TestBadInput:
         assert proc.returncode == 1, proc.stderr
         assert proc.stderr == ""
         assert proc.stdout.splitlines()[-1].startswith("error: out of memory")
+
+
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+@pytest.mark.parametrize("doc", ["README.md", ".github/workflows/tests.yml"])
+def test_documented_descriptors_are_accepted(doc):
+    # every config written by a ``cat > name.json <<'EOF'`` block
+    with open(os.path.join(REPO, doc)) as fh:
+        bodies = re.findall(r"<<'EOF'\n(.*?)\n *EOF", fh.read(), re.S)
+    configs = [json.loads(body) for body in bodies]
+    experiments = [c for c in configs if "estimator" in c]
+    generators = [c for c in configs if set(c) == {"generator"}]
+    assert experiments and generators
+    for config in experiments:
+        experiment_config_from_json(config)
+    for config in generators:
+        generator_spec_from_json(config["generator"])

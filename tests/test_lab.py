@@ -239,6 +239,14 @@ class TestClassicalLocalTime:
         with pytest.raises(TypeError, match="grid"):
             classical_local_time(step_path(103))
 
+    def test_no_step_is_zero(self, step_path):
+        # one sample, or a path stopped at time 0, has no step to sum
+        grid = LevelGrid(-1.0, 0.25, 9)
+        for p, t in ((SampledCadlagPath([0.0], [0.3]), None), (step_path(103), 0.0)):
+            field = classical_local_time(p, t=t, grid=grid)
+            assert field.time == 0.0
+            assert np.array_equal(field.data, np.zeros(grid.n_levels))
+
     def test_mass_consistency_within_ten_percent(self):
         # occupation-times formula: the local time's mass over the levels is
         # the continuous quadratic variation, the unmarked squared increments
@@ -589,6 +597,16 @@ class TestJsonDescriptors:
                 "kind": "deterministic_test", "pattern": "jump_ladder",
                 "n_jumps": 2.5,
             })
+        # a field the kind does not read is refused, not ignored
+        with pytest.raises(ConfigError, match=re.escape(
+            "unknown generator fields for kind 'brownian': ['jump_rate', 'mu']"
+        )):
+            generator_spec_from_json({"kind": "brownian", "mu": 5.0, "jump_rate": 9.0})
+        # the kind is checked before the fields
+        with pytest.raises(ConfigError, match=re.escape(
+            "bad generator descriptor: unknown generator kind 'levy'"
+        )):
+            generator_spec_from_json({"kind": "levy", "volatility": 2.0})
 
     def test_experiment_round_trip(self):
         cfg = experiment_config_from_json(
@@ -611,6 +629,23 @@ class TestJsonDescriptors:
     def test_experiment_errors(self):
         with pytest.raises(ConfigError, match="missing fields"):
             experiment_config_from_json({"estimator": "K_pi"})
+        occupation = {
+            "generator": {"kind": "brownian"}, "estimator": "occupation",
+            "ladder": [0.4], "paths": 1, "seed": 0,
+        }
+        with pytest.raises(ConfigError, match=re.escape(
+            "unknown config keys: ['field_mode', 'include_jumps']"
+        )):
+            experiment_config_from_json(
+                dict(occupation, field_mode="cell", include_jumps=True)
+            )
+        # the estimator is checked before the keys
+        with pytest.raises(ConfigError, match=re.escape(
+            "bad experiment config: unknown estimator 'kernel'"
+        )):
+            experiment_config_from_json(
+                dict(occupation, estimator="kernel", field_mode="cell")
+            )
         with pytest.raises(ConfigError, match="mapping"):
             experiment_config_from_json([1, 2])
         with pytest.raises(ConfigError, match="bad experiment"):
