@@ -1,27 +1,35 @@
 """Check and time the six kernels as they are bound on this machine.
 
 Each kernel is bound at import to one implementation: with numba, the
-compiled loop (the signed increment sum has one form, a sorted prefix sum);
-without numba, the array form where it beats the uncompiled loop.  This
-script first checks every kernel's bound implementation against its
-uncompiled loop (the play operator bit for bit, the crossing counts exactly
-under both arm rules, strict and non-strict, the others within 1e-9; the
-signed increment sum against a dense numpy oracle, and bit for bit against
-its prefix sum in stable-sort order) on two small inputs of 2,049 samples by
-101 levels, small enough for the uncompiled loops: a seeded path, and values
-snapped to levels and cell edges with a band of one grid step, so that a
-variant split on ties fails the script.  On a third input, a walk of a
-few ulps around zero (signed zeros and subnormals, with a band a few ulps
-wide), it checks the play operator's bound implementation and its form
-without numba bit for bit against the loop, and the moved values' integer
-ulp steps against an ``np.nextafter`` loop, so that both are checked on
-every machine.  It also checks the
-clamp scan that the play operator and the crossing counts run without numba
-against the sequential clamp recursion, on float64 and int64 maps.  It then
-prints which implementation each kernel is bound to and reports
-best-of-``--repeat`` wall times of the bound kernels and of the clamp scan
-on the play operator's maps.  With numba it also times the implementation
-each kernel binds without numba, and the compiled loop's speedup over it.
+compiled loop; without numba, the array form where it beats the uncompiled
+loop.  The signed increment sum and the occupation weights have one form,
+reads of a path's sorted step table (``_kernels._step_table``: the left
+values in ascending order with prefix sums of their increments and of
+their squared unmarked increments).  This script first checks every loop
+kernel's bound implementation against its uncompiled loop (the play
+operator bit for bit, the crossing counts exactly under both arm rules,
+strict and non-strict, the interval fields within 1e-9), the step table bit
+for bit against the stable sort and explicit prefix sums, the signed sum
+read against a dense numpy oracle and bit for bit against its prefix sum in
+stable-sort order, and the occupation read against a dense numpy oracle
+within 1e-9 and bit for bit against a difference of two reads of the
+explicit prefix sum.  It does so on two small inputs of 2,049 samples by
+101 levels, small enough for the uncompiled loops: a seeded path with
+marked jumps, and values snapped to levels and cell edges with a band of
+one grid step, so that a variant split on ties fails the script.  On a
+third input, a walk of a few ulps around zero (signed zeros and
+subnormals, with a band a few ulps wide), it checks the play operator's
+bound implementation and its form without numba bit for bit against the
+loop, and the moved values' integer ulp steps against an ``np.nextafter``
+loop, so that both are checked on every machine.  It also checks the clamp
+scan that the play operator and the crossing counts run without numba
+against the sequential clamp recursion, on float64 and int64 maps.  It
+then prints which implementation each kernel is bound to and reports
+best-of-``--repeat`` wall times of the bound kernels, of the clamp scan on
+the play operator's maps, of the step table's build, and of one signed sum
+read and one occupation read per band width (2, 8 and 32 grid steps).
+With numba it also times the implementation each loop kernel binds without
+numba, and the compiled loop's speedup over it.
 
 Usage::
 
@@ -43,6 +51,12 @@ def dense_signed_sum(left, inc, u0, du, m):
     return np.where(left[None, :] > levels[:, None], inc, -inc).sum(axis=1)
 
 
+def dense_occupation(left, w, u0, du, m, eps):
+    """Oracle for the occupation weights, which have no loop variant."""
+    levels = u0 + du * np.arange(m)[:, None]
+    return ((left - eps <= levels) & (levels <= left + eps)) @ w
+
+
 def stable_signed_sum(left, inc, u0, du, m):
     """The signed increment sum as a prefix sum in stable-sort order, the
     bits the kernel must give whatever sort it runs."""
@@ -54,9 +68,8 @@ def stable_signed_sum(left, inc, u0, du, m):
     return out
 
 
-# per kernel: the implementation it is bound to, its uncompiled loop (an
-# oracle for the signed increment sum), and the implementation it binds
-# without numba
+# per loop kernel: the implementation it is bound to, its uncompiled loop,
+# and the implementation it binds without numba
 VARIANTS = {
     "play_operator": (
         _kernels._play_operator,
@@ -77,16 +90,6 @@ VARIANTS = {
         _kernels._cell_sums,
         _kernels._cell_sums_loop,
         _kernels._cell_sums_np,
-    ),
-    "signed_increment_sum": (
-        _kernels.signed_increment_sum,
-        dense_signed_sum,
-        _kernels.signed_increment_sum,
-    ),
-    "occupation_weights": (
-        _kernels._band_sums,
-        _kernels._band_sums_loop,
-        _kernels._band_sums_np,
     ),
 }
 
@@ -160,6 +163,7 @@ def check_ulp_steps(values, eps, seed):
 
 
 def make_inputs(steps, levels, seed):
+    """A seeded walk, its jump marks, and a grid over its range."""
     rng = np.random.default_rng(seed)
     inc = rng.normal(0.0, 0.01, steps)
     jumps = rng.random(steps) < 0.002
@@ -167,26 +171,57 @@ def make_inputs(steps, levels, seed):
     values = np.concatenate([[0.0], np.cumsum(inc)])
     u0 = values.min() - 0.25
     du = (values.max() + 0.25 - u0) / (levels - 1)
-    return values, u0, du
+    return values, jumps, u0, du
 
 
 def snapped_inputs(steps, levels, seed):
     """Values on levels and on cell edges ``u_k +- du/2``, some beyond the
-    grid's ends."""
+    grid's ends, with every tenth step marked."""
     rng = np.random.default_rng(seed)
     u0, du = -1.0, 0.02
     k = rng.integers(-2, levels + 2, steps + 1)
     values = (u0 + k * du) + rng.choice([-0.5, 0.0, 0.5], k.size) * du
-    return values, u0, du
+    return values, np.arange(steps) % 10 == 9, u0, du
+
+
+def check_step_table(values, marked, u0, du, m, eps):
+    """The step table bit for bit against the stable sort and explicit
+    prefix sums, and its two reads against their oracles."""
+    left, inc = values[:-1], np.diff(values)
+    ranked, prefix = _kernels._step_table(left, inc, marked)
+    order = np.argsort(left, kind="stable")
+    w = np.where(marked, 0.0, inc * inc)
+    explicit = [np.cumsum(np.r_[0.0, c[order]]) for c in (inc, w)]
+    if not all(np.array_equal(x.view(np.int64), y.view(np.int64))
+               for x, y in zip((ranked, *prefix), (left[order], *explicit))):
+        raise AssertionError("step table: not the stable-sort prefix sums")
+    signed = _kernels.signed_increment_sum(ranked, prefix[0], u0, du, m)
+    if not np.allclose(signed, dense_signed_sum(left, inc, u0, du, m),
+                       rtol=1e-9, atol=1e-9):
+        raise AssertionError("signed_increment_sum: disagrees with its oracle")
+    if not np.array_equal(signed.view(np.int64),
+                          stable_signed_sum(left, inc, u0, du, m).view(np.int64)):
+        raise AssertionError(
+            "signed_increment_sum: not the stable-sort prefix sum bit for bit"
+        )
+    occ = _kernels.occupation_weights(ranked, prefix[1], u0, du, m, eps)
+    if not np.allclose(occ, dense_occupation(left, w, u0, du, m, eps),
+                       rtol=1e-9, atol=1e-9):
+        raise AssertionError("occupation_weights: disagrees with its oracle")
+    levels = u0 + du * np.arange(m)
+    started = np.searchsorted(left[order] - eps, levels, "right")
+    ended = np.searchsorted(left[order] + eps, levels, "left")
+    gathered = explicit[1][started] - explicit[1][ended]
+    if not np.array_equal(occ.view(np.int64), gathered.view(np.int64)):
+        raise AssertionError("occupation_weights: not the prefix-sum gather")
 
 
 def build_cases(values, u0, du, m, eps, strict=False):
-    """Per kernel, a call taking one of its implementations: the play
-    operator, a crossing clamp (under the ``strict`` arm rule or not), a
-    field accumulator or a signed sum."""
+    """Per loop kernel, a call taking one of its implementations: the play
+    operator, a crossing clamp (under the ``strict`` arm rule or not) or a
+    field accumulator."""
     a = values[:-1]
     b = values[1:]
-    inc = np.diff(values)
     return {
         "play_operator": lambda impl: impl(values, eps),
         "crossing_counts": lambda impl: _kernels._crossing_counts(
@@ -197,10 +232,6 @@ def build_cases(values, u0, du, m, eps, strict=False):
         ),
         "interval_field_cell": lambda impl: _kernels._interval_field(
             _kernels._cell_ranges, impl, a, b, u0, du, m, np.zeros(m)
-        ),
-        "signed_increment_sum": lambda impl: impl(a, inc, u0, du, m),
-        "occupation_weights": lambda impl: _kernels._occupation_weights(
-            impl, a, inc**2, u0, du, m, eps, np.zeros(m)
         ),
     }
 
@@ -221,10 +252,27 @@ def check_agreement(case, name):
 
 
 def describe(impl):
-    if impl is _kernels.signed_increment_sum:
-        return "sorted prefix sum (its one form)"
     py_func = getattr(impl, "py_func", None)
     return f"{py_func.__name__} (compiled)" if py_func else impl.__name__
+
+
+def time_step_table(values, marked, u0, du, m, repeat):
+    """Times of the step table's build and of its reads: the signed sum,
+    and the occupation weights at band widths of 2, 8 and 32 grid steps."""
+    left, inc = values[:-1], np.diff(values)
+    t = best_time(lambda: _kernels._step_table(left, inc, marked), repeat)
+    print(f"{'step_table build':24s} {t * 1e3:9.3f} ms")
+    ranked, prefix = _kernels._step_table(left, inc, marked)
+    t = best_time(
+        lambda: _kernels.signed_increment_sum(ranked, prefix[0], u0, du, m), repeat
+    )
+    print(f"{'signed_increment_sum':24s} {t * 1e3:9.3f} ms")
+    for k in (2, 8, 32):
+        t = best_time(
+            lambda: _kernels.occupation_weights(ranked, prefix[1], u0, du, m, k * du),
+            repeat,
+        )
+        print(f"{f'occupation_weights {k}du':24s} {t * 1e3:9.3f} ms")
 
 
 def best_time(fn, repeat):
@@ -251,26 +299,20 @@ def main(argv=None):
     args = ap.parse_args(argv)
 
     for label, make, band in (("path", make_inputs, 8), ("snapped", snapped_inputs, 1)):
-        values, u0, du = make(2048, 101, args.seed)
+        values, marked, u0, du = make(2048, 101, args.seed)
         checks = build_cases(values, u0, du, 101, band * du)
         for name, case in checks.items():
             check_agreement(case, name)  # compiles the numba loops, if present
         strict = build_cases(values, u0, du, 101, band * du, strict=True)
         check_agreement(strict["crossing_counts"], "crossing_counts")
         check_clamp_scan(values, du, 101)
-        signed = checks["signed_increment_sum"]
-        if not np.array_equal(
-            signed(_kernels.signed_increment_sum).view(np.int64),
-            signed(stable_signed_sum).view(np.int64),
-        ):
-            raise AssertionError(
-                "signed_increment_sum: not the stable-sort prefix sum bit for bit"
-            )
+        check_step_table(values, marked, u0, du, 101, band * du)
         print(
             f"bound kernels agree with their loops on {len(checks)} kernels "
             f"({label}, 2049 samples x 101 levels, eps = {band} du; "
-            "crossing counts strict and non-strict), and the clamp scan "
-            "with the clamp recursion (float64 and int64)"
+            "crossing counts strict and non-strict), the clamp scan with the "
+            "clamp recursion (float64 and int64), and the step table and its "
+            "two reads with their oracles"
         )
 
     check_ulp_steps(ulp_inputs(2048, args.seed), 4 * 5e-324, args.seed)
@@ -282,8 +324,10 @@ def main(argv=None):
     print(f"backend {_kernels.ACTIVE_BACKEND}, HAS_NUMBA {_kernels.HAS_NUMBA}")
     for name, (bound, _, _) in VARIANTS.items():
         print(f"{name:24s} bound to {describe(bound)}")
+    for name in ("signed_increment_sum", "occupation_weights"):
+        print(f"{name:24s} bound to a step table read (its one form)")
 
-    values, u0, du = make_inputs(args.steps, args.levels, args.seed)
+    values, marked, u0, du = make_inputs(args.steps, args.levels, args.seed)
     cases = build_cases(values, u0, du, args.levels, 8.0 * du)
     print(
         f"steps={args.steps} levels={args.levels} seed={args.seed} "
@@ -296,6 +340,8 @@ def main(argv=None):
             t = best_time(lambda: case(VARIANTS[name][0]), args.repeat)
             print(f"{name:24s} {t * 1e3:9.3f} ms")
         print(f"{'clamp_scan':24s} {t_scan * 1e3:9.3f} ms")
+    time_step_table(values, marked, u0, du, args.levels, args.repeat)
+    if not _kernels.HAS_NUMBA:
         return 0
 
     print(f"{'kernel':24s} {'bound':>12s} {'no numba':>12s} {'speedup':>9s}")

@@ -1,8 +1,8 @@
 """Hot numeric kernels, each bound to one implementation at import.
 
 Where numba is importable (``HAS_NUMBA``) the sequential loops are compiled
-with ``numba.njit(cache=True, nogil=True)`` and every kernel but the signed
-increment sum runs its loop.
+with ``numba.njit(cache=True, nogil=True)`` and the play operator, the
+crossing counts and the two interval fields run their loops.
 Without numba a kernel runs its loop uncompiled only where no array form
 beats it:
 
@@ -21,14 +21,16 @@ beats it:
   ``_BLOCK`` consecutive maps laid out as the columns of an array, so that
   each Hillis-Steele pass is a few contiguous array calls, and scans the
   block ends by calling itself;
-- the three field kernels (point and cell interval fields, occupation
-  weights) are each one shared range computation, which finds every
-  bracket's first and last covered level or cell with :func:`_rank`, plus
-  an accumulator over those ranges: the compiled loop, or difference arrays
-  without numba.  They allocate few full-length buffers, since freed heap
-  goes back to the OS and is faulted in again on the next call;
-- the signed increment sum has one form on every machine, a prefix sum in
-  stable-sort order, which the default sort gives unless two keys tie.
+- the two interval fields are each one shared range computation, which
+  finds every bracket's first and last covered level or cell with
+  :func:`_rank`, plus an accumulator over those ranges: the compiled loop,
+  or difference arrays without numba.  They allocate few full-length
+  buffers, since freed heap goes back to the OS and is faulted in again on
+  the next call;
+- the signed increment sum and the occupation weights have one form: reads
+  at the level cuts of a path's step table (:func:`_step_table`), which
+  each path builds once per stop index: a CDF read and a difference of two
+  CDF reads, O(m log n) for m levels and n steps besides two O(n) shifts.
 
 The module-level ``if HAS_NUMBA:`` block below makes that choice once;
 ``ACTIVE_BACKEND`` names it.  The loop variants stay importable under their
@@ -471,38 +473,6 @@ def _cell_sums_np(b, lo, hi, kf, kl, u0, du, m, out):
 
 
 # ---------------------------------------------------------------------------
-# occupation weights: band-indicator accumulation of squared increments
-# ---------------------------------------------------------------------------
-
-def _occupation_weights(accumulate, left, w, u0, du, m, eps, out):
-    """Shared preamble: levels ``kf..kl`` with ``|left_j - u_k| <= eps``,
-    handed to ``accumulate`` when nonempty."""
-    if left.size == 0:
-        return out
-    band_end = np.subtract(left, eps)
-    kf = _rank(band_end, u0, du)
-    kl = _rank(np.add(left, eps, out=band_end), u0, du, True)
-    np.subtract(np.minimum(kl, m, out=kl), 1, out=kl)
-    keep = kf <= kl
-    if not keep.all():
-        j = np.flatnonzero(keep)
-        w, kf, kl = w[j], kf[j], kl[j]
-    return accumulate(w, kf, kl, m, out)
-
-
-def _band_sums_loop(w, kf, kl, m, out):
-    for j in range(w.size):
-        for k in range(kf[j], kl[j] + 1):
-            out[k] += w[j]
-    return out
-
-
-def _band_sums_np(w, kf, kl, m, out):
-    out += _range_sums(kf, kl, w, m)
-    return out
-
-
-# ---------------------------------------------------------------------------
 # one binding per kernel
 # ---------------------------------------------------------------------------
 
@@ -512,13 +482,11 @@ if HAS_NUMBA:
     _crossing_clamp = _compile(_crossing_clamp_loop)
     _point_sums = _compile(_point_sums_loop)
     _cell_sums = _compile(_cell_sums_loop)
-    _band_sums = _compile(_band_sums_loop)
 else:
     _play_operator = _play_operator_np
     _crossing_clamp = _crossing_clamp_np
     _point_sums = _point_sums_np
     _cell_sums = _cell_sums_np
-    _band_sums = _band_sums_np
 
 
 def play_operator(values, eps):
@@ -562,37 +530,46 @@ def interval_field_cell(a, b, u0, du, m):
     )
 
 
-def signed_increment_sum(left, inc, u0, du, m):
-    """``sum_j sign(left_j - u_k) * inc_j`` with ``sign(0) = -1``."""
-    left = np.ascontiguousarray(left, np.float64)
-    inc = np.ascontiguousarray(inc, np.float64)
-    out = np.zeros(int(m), np.float64)
-    if left.size == 0:
-        return out
-    # sum_j inc_j - 2 * (sum of inc_j with left_j <= u_k), the second sum a
-    # prefix sum in the stable sort's order, which every sort gives when no
-    # two keys tie (-0.0 == 0.0 ties)
+def _step_table(left, inc, marked):
+    """``left`` in stable-sort order, which the default sort gives unless two
+    keys tie (-0.0 == 0.0 ties), and prefix sums in that order, each from a
+    summed-in leading 0 so none is -0.0: of ``inc``, and of ``inc**2`` with
+    the ``marked`` steps weighted 0."""
     order = np.argsort(left)
     ranked = left[order]
     if not (ranked[1:] > ranked[:-1]).all():
         order = np.argsort(left, kind="stable")
-    levels = float(u0) + float(du) * np.arange(int(m))
-    cnt = np.searchsorted(ranked, levels, side="right")
-    cs = np.take(inc, order, out=ranked, mode="clip")  # reuses the keys' memory
-    np.cumsum(cs, out=cs)
-    prefix = np.where(cnt > 0, cs[np.maximum(cnt - 1, 0)], 0.0)
-    out += cs[-1] - 2.0 * prefix
-    return out
+        ranked = left[order]
+    prefix = np.zeros((2, left.size + 1))
+    steps = np.take(inc, order, out=prefix[0, 1:])
+    np.multiply(steps, steps, out=prefix[1, 1:])
+    if marked.any():
+        prefix[1, 1:][marked[order]] = 0.0
+    np.cumsum(prefix, axis=1, out=prefix)
+    ranked.setflags(write=False)
+    prefix.setflags(write=False)
+    return ranked, prefix
 
 
-def occupation_weights(left, w, u0, du, m, eps):
-    """``sum_j w_j * 1[|left_j - u_k| <= eps]`` over the level grid."""
-    left = np.ascontiguousarray(left, np.float64)
-    w = np.ascontiguousarray(w, np.float64)
-    out = np.zeros(int(m), np.float64)
-    return _occupation_weights(
-        _band_sums, left, w, float(u0), float(du), int(m), float(eps), out
-    )
+def signed_increment_sum(ranked, prefix, u0, du, m):
+    """``sum_j sign(left_j - u_k) * inc_j`` with ``sign(0) = -1``: the total
+    less twice the sum over ``left_j <= u_k``, read from the sorted left
+    values and the prefix sums of their increments (:func:`_step_table`)."""
+    cnt = np.searchsorted(ranked, u0 + du * np.arange(m), "right")
+    return prefix[-1] - 2.0 * prefix[cnt]
+
+
+def occupation_weights(ranked, prefix, u0, du, m, eps):
+    """``sum_j w_j * 1[fl(left_j - eps) <= u_k <= fl(left_j + eps)]``, read
+    from the sorted left values and the prefix sums of ``w``
+    (:func:`_step_table`).  ``fl(x -/+ eps)`` ascends with ``x``, so the
+    bands that start at or below ``u_k``, and those that end below it, are
+    first in that order: the sum is a difference of two prefix sums,
+    exactly 0.0 where no band holds the level."""
+    levels = u0 + du * np.arange(m)
+    started = np.searchsorted(np.subtract(ranked, eps), levels, "right")
+    ended = np.searchsorted(np.add(ranked, eps), levels, "left")
+    return prefix[started] - prefix[ended]
 
 
 def warmup():
@@ -603,4 +580,3 @@ def warmup():
     crossing_counts(x, -1.0, 0.5, 5, 0.5, True)
     interval_field_point(x[:-1], x[1:], -1.0, 0.5, 5)
     interval_field_cell(x[:-1], x[1:], -1.0, 0.5, 5)
-    occupation_weights(x[:-1], np.diff(x) ** 2, -1.0, 0.5, 5, 0.5)

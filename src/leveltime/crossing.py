@@ -161,8 +161,9 @@ def occupation_local_time(
     """Occupation-density estimate of the local time.
 
     At each level u: (1/(2 eps)) times the sum of squared unmarked
-    increments whose left sample value lies in the closed band
-    [u - eps, u + eps].
+    increments whose left value x has ``fl(x - eps) <= u <= fl(x + eps)``:
+    a difference of two reads of their CDF over the sorted left values
+    (:meth:`SampledCadlagPath.step_table`), exactly 0.0 off every band.
     """
     eps = _positive("bandwidth", bandwidth)
     if eps < grid.du:
@@ -170,10 +171,9 @@ def occupation_local_time(
             f"bandwidth {eps} under the grid spacing {grid.du}; "
             "the band would miss every level"
         )
-    left, inc = path.continuous_steps(t)
-    inc = inc**2  # frees the increments before the kernel's temporaries
+    ranked, prefix = path.step_table(t)
     data = _kernels.occupation_weights(
-        left, inc, grid.u0, grid.du, grid.n_levels, eps
+        ranked, prefix[1], grid.u0, grid.du, grid.n_levels, eps
     ) / (2.0 * eps)
     return LocalTimeField(
         grid, _eval_time(path, t), data, "L_occupation", width=eps

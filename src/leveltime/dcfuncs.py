@@ -257,15 +257,15 @@ def make_mix(
             out = out + 0.5 * w * left_sign(x - loc)
         return out
 
-    f2 = SecondDerivativeMeasure(
+    density = dict(
         density=lambda u: cu
         * ((np.abs(np.asarray(u, np.float64)) <= 1.0) * 1.0)
         + cb * _quartic_density(u),
-        atoms=atoms,
         cdf=lambda u: cu * _uniform_cdf(u) + cb * _quartic_cdf(u),
         first_moment=lambda u: cu * _uniform_first_moment(u)
         + cb * _quartic_first_moment(u),
-    )
+    ) if cu or cb else {}  # no density where it would be zero
+    f2 = SecondDerivativeMeasure(atoms=atoms, **density)
     return DCFunction("mix", f, fp, f2)
 
 

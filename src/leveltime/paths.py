@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import _rank
+from ._kernels import _rank, _step_table
 from .errors import _finite, _positive, _store, _whole
 
 
@@ -127,6 +127,18 @@ class SampledCadlagPath:
         left.setflags(write=False)
         inc.setflags(write=False)
         return left, inc
+
+    def step_table(self, t=None):
+        """The left values of the steps up to ``t``, sorted, with prefix
+        sums of their increments and squared unmarked increments in that
+        order (:func:`_kernels._step_table`), built once per stop index and
+        kept on this path only."""
+        i_t = self.index_at(t)
+        tables = vars(self).setdefault("_step_tables", {})
+        if i_t not in tables:
+            v = self.values[: i_t + 1]
+            tables[i_t] = _step_table(v[:-1], np.diff(v), self.jump_mask[1 : i_t + 1])
+        return tables[i_t]
 
     def jump_brackets(self, t=None):
         """Pre- and post-jump values of the marked jumps up to ``t``."""

@@ -432,6 +432,26 @@ class TestExperiment:
         main(["experiment", "--config", cfg, "--seed", "6", "--out", str(out_b)])
         assert (out_a / "report.csv").read_bytes() != (out_b / "report.csv").read_bytes()
 
+    @pytest.mark.parametrize("center,seeds", [(1.5, range(32)), (9.0, range(4))])
+    def test_weighted_distances_do_not_depend_on_the_seed(
+        self, tmp_path, capsys, center, seeds
+    ):
+        # weight mass off a path's grid counts as nothing: an atom at 1.5
+        # that some paths' grids miss, or at 9.0 beyond every path's grid,
+        # where every field and so every distance is 0
+        config = {
+            "generator": {"kind": "brownian", "T": 1.0, "steps_per_unit": 1024},
+            "estimator": "K_pi", "field_mode": "cell", "ladder": [4, 6, 8],
+            "paths": 8, "distance": {"weight": {"kind": "relu", "center": center}},
+        }
+        for seed in seeds:
+            cfg = write_config(tmp_path, dict(config, seed=seed))
+            out = tmp_path / str(seed)
+            rc = main(["experiment", "--config", cfg, "--out", str(out)])
+            assert rc == 0, capsys.readouterr().out.splitlines()[-1]
+            distances = {row[2] for row in read_rows(out / "long.csv")[1:]}
+            assert (distances == {"0"}) == (center == 9.0)
+
     def test_requires_config(self, tmp_path):
         assert main(["experiment", "--out", str(tmp_path)]) == 1
 

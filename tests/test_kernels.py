@@ -576,11 +576,31 @@ def test_interval_field_cell_averages_the_point_field():
         assert abs(out[k] - approx) < 2e-4
 
 
+def step_table(left, inc, marked=None):
+    if marked is None:
+        marked = np.zeros(left.size, bool)
+    return _kernels._step_table(left, inc, marked)
+
+
+def signed_sum(left, inc, u0, du, m):
+    """The signed increment sum read from the step table of ``left`` and
+    ``inc``."""
+    ranked, prefix = step_table(left, inc)
+    return _kernels.signed_increment_sum(ranked, prefix[0], u0, du, m)
+
+
+def occupation(left, inc, u0, du, m, eps, marked=None):
+    """The occupation weights of the squared unmarked ``inc``, read from
+    their step table."""
+    ranked, prefix = step_table(left, inc, marked)
+    return _kernels.occupation_weights(ranked, prefix[1], u0, du, m, eps)
+
+
 @pytest.mark.parametrize("case", [11, 12] + _snapped((19,), _TIE_GRIDS))
 def test_signed_increment_sum_backends_and_reference(case):
     values, u0, du, m = _field_case(case)
     left, inc = values[:-1], np.diff(values)
-    out = _kernels.signed_increment_sum(left, inc, u0, du, m)
+    out = signed_sum(left, inc, u0, du, m)
     np.testing.assert_allclose(
         out,
         ref_signed_sum(left, inc, u0 + du * np.arange(m)),
@@ -591,9 +611,7 @@ def test_signed_increment_sum_backends_and_reference(case):
 
 def test_signed_increment_sum_left_continuous_sign():
     # sign(0) = -1: an increment starting exactly on the level counts negative
-    out = _kernels.signed_increment_sum(
-        np.array([0.5]), np.array([1.0]), 0.5, 1.0, 1
-    )
+    out = signed_sum(np.array([0.5]), np.array([1.0]), 0.5, 1.0, 1)
     assert out[0] == -1.0
 
 
@@ -626,8 +644,7 @@ def test_signed_increment_sum_is_the_stable_sort_form_bitwise(kind):
     # the walk has no ties and takes the default sort; the others fall back
     assert (np.unique(left).size < left.size) == (kind != "walk")
     assert_bitwise(
-        _kernels.signed_increment_sum(left, inc, u0, du, m),
-        stable_signed_sum(left, inc, u0, du, m),
+        signed_sum(left, inc, u0, du, m), stable_signed_sum(left, inc, u0, du, m)
     )
 
 
@@ -672,44 +689,67 @@ def test_interval_fields_match_the_gathered_brackets_bitwise(field, drop):
         assert_bitwise(got, accumulate(*kept, u0, du, m, np.zeros(m)))
 
 
-@pytest.mark.parametrize("drop", [False, True], ids=["keep-all", "drop-some"])
-def test_occupation_weights_match_the_gathered_bands_bitwise(drop):
-    u0, du, m, eps = -1.0, 0.05, 40, 0.05
-    left = _hopping_values(32, u0, du, m)
-    if drop:
-        # bands off both ends of the grid
-        left = np.concatenate([left, [u0 - 1.0, u0 + (m + 4) * du]])
-    w = np.random.default_rng(32).random(left.size)
-    kf = _kernels._rank(left - eps, u0, du)
-    kl = np.minimum(_kernels._rank(left + eps, u0, du, True), m) - 1
-    j = np.flatnonzero(kf <= kl)
-    assert (j.size < left.size) == drop
-    impls = variants(_kernels._band_sums_loop, _kernels._band_sums_np, _kernels._band_sums)
-    for accumulate in impls:
-        got = _kernels._occupation_weights(accumulate, left, w, u0, du, m, eps, np.zeros(m))
-        assert_bitwise(got, accumulate(w[j], kf[j], kl[j], m, np.zeros(m)))
-    np.testing.assert_allclose(
-        got, ref_occupation(left, w, u0 + du * np.arange(m), eps), rtol=1e-12, atol=1e-12
-    )
+def prefix_sum_gather(left, inc, marked, u0, du, m, eps):
+    """The occupation weights gathered explicitly: per level, the bands
+    ``left - eps <= u <= left + eps`` that hold it, found one by one, form
+    one run ``[lo, hi)`` of the stable sort's order, and the weight is
+    ``prefix[hi] - prefix[lo]`` on the prefix sums, from a leading 0, of
+    the squared unmarked increments in that order."""
+    order = np.argsort(left, kind="stable")
+    w = np.where(marked, 0.0, inc * inc)[order]
+    prefix = np.cumsum(np.concatenate([[0.0], w]))
+    out = np.empty(m)
+    for k, u in enumerate(u0 + du * np.arange(m)):
+        held = np.flatnonzero(((left - eps <= u) & (u <= left + eps))[order])
+        lo, hi = (held[0], held[-1] + 1) if held.size else (0, 0)
+        assert held.size == hi - lo
+        out[k] = prefix[hi] - prefix[lo]
+    return out
+
+
+def _occupation_case(case):
+    """``(left, inc, u0, du, m)`` of a field case, or of a walk hopping
+    between levels with (``"drop"``) or without bands off both ends of
+    the grid."""
+    if case in ("keep", "drop"):
+        u0, du, m = -1.0, 0.05, 40
+        values = _hopping_values(32, u0, du, m)
+        if case == "drop":
+            values = np.concatenate([values, [u0 - 1.0, u0 + (m + 4) * du, 0.0]])
+    else:
+        values, u0, du, m = _field_case(case)
+    return values[:-1], np.diff(values), u0, du, m
 
 
 # with eps 0.3 and 0.05 these grids put band half-widths of du/6, du/2, du,
 # 3 du and 6 du, so band ends land on levels too
-@pytest.mark.parametrize(
-    "case", [13, 14] + _snapped((17, 18), ((-2.5, 0.05), (0.0, 0.1), (1e3, 0.3)))
+OCCUPATION_CASES = ["keep", "drop", 13, 14] + _snapped(
+    (17, 18), ((-2.5, 0.05), (0.0, 0.1), (1e3, 0.3))
 )
+
+
+@pytest.mark.parametrize("case", OCCUPATION_CASES)
 @pytest.mark.parametrize("eps", [0.3, 0.05])
-def test_occupation_weights_backends_and_reference(case, eps):
-    values, u0, du, m = _field_case(case)
-    left = values[:-1]
-    w = np.diff(values) ** 2
-    assert_variants_agree(
-        lambda accumulate: _kernels._occupation_weights(
-            accumulate, left, w, u0, du, m, eps, np.zeros(m)
-        ),
-        variants(_kernels._band_sums_loop, _kernels._band_sums_np, _kernels._band_sums),
-        ref_occupation(left, w, u0 + du * np.arange(m), eps),
-        1e-12,
+def test_occupation_weights_are_the_prefix_sum_gather_bitwise(case, eps):
+    left, inc, u0, du, m = _occupation_case(case)
+    marked = np.random.default_rng(len(left)).random(left.size) < 0.1
+    ranked, prefix = step_table(left, inc, marked)
+    order = np.argsort(left, kind="stable")
+    assert_bitwise(ranked, left[order])
+    assert_bitwise(prefix[0], np.cumsum(np.concatenate([[0.0], inc[order]])))
+    got = _kernels.occupation_weights(ranked, prefix[1], u0, du, m, eps)
+    assert_bitwise(got, prefix_sum_gather(left, inc, marked, u0, du, m, eps))
+
+
+@pytest.mark.parametrize("case", OCCUPATION_CASES)
+@pytest.mark.parametrize("eps", [0.3, 0.05])
+def test_occupation_weights_match_the_reference(case, eps):
+    left, inc, u0, du, m = _occupation_case(case)
+    np.testing.assert_allclose(
+        occupation(left, inc, u0, du, m, eps),
+        ref_occupation(left, inc**2, u0 + du * np.arange(m), eps),
+        rtol=1e-12,
+        atol=1e-12,
     )
 
 
@@ -757,8 +797,8 @@ def test_kernels_empty_and_degenerate_inputs():
     empty = np.empty(0)
     assert _kernels.interval_field_point(empty, empty, 0.0, 0.1, 4).sum() == 0.0
     assert _kernels.interval_field_cell(empty, empty, 0.0, 0.1, 4).sum() == 0.0
-    assert _kernels.signed_increment_sum(empty, empty, 0.0, 0.1, 4).sum() == 0.0
-    assert _kernels.occupation_weights(empty, empty, 0.0, 0.1, 4, 0.2).sum() == 0.0
+    assert signed_sum(empty, empty, 0.0, 0.1, 4).sum() == 0.0
+    assert occupation(empty, empty, 0.0, 0.1, 4, 0.2).sum() == 0.0
     one = np.array([1.0])
     reg, dev = _kernels.play_operator(one, 0.5)
     assert reg[0] == 1.0 and dev[0] == 0.0

@@ -32,7 +32,9 @@ from leveltime import (
     lp_distance,
     SecondDerivativeMeasure,
     make_abs,
+    make_bump,
     make_mix,
+    make_relu,
     make_square,
     occupation_local_time,
     q_statistic,
@@ -224,8 +226,9 @@ class TestClassicalLocalTime:
         # the raw Tanaka sum is 2 (K_full - J) >= 0 in exact arithmetic, so
         # flooring removes rounding only
         x, u = p.values, grid.levels
+        ranked, prefix = p.step_table()
         signed = _kernels.signed_increment_sum(
-            x[:-1], np.diff(x), grid.u0, grid.du, grid.n_levels
+            ranked, prefix[0], grid.u0, grid.du, grid.n_levels
         )
         jf = j_pi(p, grid=grid, mode="point")
         raw = np.abs(x[-1] - u) - np.abs(x[0] - u) - signed - 2.0 * jf.data
@@ -362,6 +365,40 @@ class TestLpDistance:
         w = make_abs(-0.25).second_derivative
         with pytest.raises(ValueError, match="outside the level grid"):
             lp_distance(g, z, weight=w)
+
+    def test_zero_off_grid_drops_the_mass_off_the_grid(self):
+        # the experiment's rule: its fields vanish beyond the grid, so an
+        # atom off it adds nothing and a weight without mass on it gives 0
+        grid = LevelGrid(0.0, 1.0, 5)
+        g = LocalTimeField(grid, 1.0, np.arange(1.0, 6.0), "K")
+        z = LocalTimeField(grid, 1.0, np.zeros(5), "K")
+        two = make_mix(atoms=((4.75, 2.0), (-0.25, 3.0), (9.0, 1.0)),
+                       uniform_weight=0.0, bump_weight=0.0)
+        assert lp_distance(g, z, weight=two.second_derivative,
+                           zero_off_grid=True) == 10.0
+        for off in (-0.25, 5.0, 9.0):
+            w = make_abs(off).second_derivative
+            assert lp_distance(g, z, weight=w, zero_off_grid=True) == 0.0
+            with pytest.raises(ValueError, match="outside the level grid"):
+                lp_distance(g, z, weight=w)
+        far = make_mix(atoms=(), uniform_weight=0.0, bump_weight=1.0)
+        far_grid = LevelGrid(5.0, 1.0, 5)
+        f = LocalTimeField(far_grid, 1.0, np.ones(5), "K")
+        assert lp_distance(f, f, weight=far.second_derivative,
+                           zero_off_grid=True) == 0.0
+        with pytest.raises(ValueError, match="no mass on the level grid"):
+            lp_distance(f, f, weight=far.second_derivative)
+
+    @pytest.mark.parametrize("zero_off_grid", [False, True])
+    def test_a_weight_without_any_mass_is_refused(self, zero_off_grid):
+        grid = LevelGrid(0.0, 1.0, 5)
+        f = LocalTimeField(grid, 1.0, np.ones(5), "K")
+        for fn in (make_abs(0.0, 0.0),
+                   make_mix(atoms=(), uniform_weight=0.0, bump_weight=0.0)):
+            assert fn.second_derivative.density is None
+            with pytest.raises(ValueError, match="no mass on the level grid"):
+                lp_distance(f, f, weight=fn.second_derivative,
+                            zero_off_grid=zero_off_grid)
 
     def test_grid_mismatch_rejected(self, step_path):
         p = step_path(122)
@@ -881,3 +918,116 @@ def test_export_list_names_each_public_definition_once():
         and not name.startswith("_")
     }
     assert sorted(imported - set(exported)) == []
+
+
+# ---------------------------------------------------------------------------
+# fields vanish beyond the path's range, and weighted distances rely on it
+# ---------------------------------------------------------------------------
+
+def _jump_config(estimator, **overrides):
+    base = dict(
+        generator=GeneratorSpec(kind="jump_diffusion", steps_per_unit=1024,
+                                jump_rate=8.0),
+        estimator=estimator, ladder=(0.4, 0.2, 0.1, 0.05), n_paths=1,
+        seed=3, grid_du=0.02, grid_margin=0.0,
+    )
+    if estimator == "K_pi":
+        base["ladder"] = (3, 5, 7)
+    base.update(overrides)
+    return ExperimentConfig(**base)
+
+
+@pytest.mark.parametrize("t", [None, 0.6])
+@pytest.mark.parametrize(
+    "estimator,mode",
+    [("occupation", "point"), ("interval_crossing", "point"),
+     ("K_pi", "point"), ("K_pi", "cell")],
+)
+def test_every_field_is_zero_beyond_the_paths_range(estimator, mode, t):
+    # at grid_margin 0, the grid covers the range widened by the widths only
+    config = _jump_config(estimator, t=t, field_mode=mode)
+    margin, fields = lab._estimator(config)
+    path = generate(config.generator, 11)
+    assert path.jump_indices.size > 2
+    grid = LevelGrid.for_path(path, config.grid_du, margin)
+    u = grid.levels
+    x = path.values[: path.index_at(t) + 1]
+    built = list(fields(path, grid))
+    for k, fld in enumerate(built):
+        pad = fld.width or (grid.du if mode == "cell" else 0.0)
+        beyond = (u < x.min() - pad) | (u > x.max() + pad)
+        assert beyond.any() or t is None
+        if k and estimator != "K_pi":
+            assert (fld.data[beyond] == 0.0).all()
+        else:  # within rounding: the references, and K's difference arrays
+            scale = 1.0 + np.abs(x).max()
+            assert np.abs(fld.data[beyond]).max(initial=0.0) <= 1e-12 * scale
+    if estimator == "occupation":
+        # exactly 0.0 wherever no band [left - eps, left + eps] holds the
+        # level, in the gaps the jumps leave too
+        left = x[:-1]
+        for fld in built[1:]:
+            eps = fld.width
+            held = ((left - eps <= u[:, None]) & (u[:, None] <= left + eps)).any(1)
+            inside = (u >= left.min()) & (u <= left.max()) & ~held
+            assert (fld.data[~held] == 0.0).all()
+            assert (fld.data[held] > 0.0).all()
+            if eps <= 0.05:
+                assert inside.any()
+
+
+def _relu_config(center, seed, **overrides):
+    base = dict(
+        generator=GeneratorSpec(kind="brownian", steps_per_unit=1024),
+        estimator="K_pi", ladder=(4, 6, 8), n_paths=8, seed=seed,
+        field_mode="cell",
+        distance_weight=make_relu(center).second_derivative,
+    )
+    base.update(overrides)
+    return ExperimentConfig(**base)
+
+
+def _own_grids(config):
+    margin, _ = lab._estimator(config)
+    paths = [generate(config.generator, child)
+             for child in lab._path_seeds(config.seed, config.n_paths)]
+    return paths, [LevelGrid.for_path(p, config.grid_du, margin) for p in paths]
+
+
+class TestWeightedDistances:
+    def test_atom_far_off_every_grid_gives_zero(self):
+        report = run_convergence_experiment(_relu_config(9.0, 7))
+        assert (report.distances == 0.0).all()
+
+    @pytest.mark.parametrize(
+        "weight",
+        # atoms between levels: one on a level may land on either
+        # neighbour, as the grids round their levels differently
+        [make_relu(1.51), make_mix(atoms=((-0.51, 0.7), (0.27, 0.4), (1.01, -0.2))),
+         make_bump(1.0, 1.0)],
+        ids=["relu", "mix", "bump"],
+    )
+    @pytest.mark.parametrize("p", [1.0, 2.0])
+    def test_distance_is_the_one_on_a_grid_covering_every_path(self, weight, p):
+        config = _relu_config(0.0, 7, distance_weight=weight.second_derivative,
+                              distance_p=p)
+        paths, grids = _own_grids(config)
+        if weight.name.startswith("relu"):
+            # some path's own grid misses the atom, and some holds it
+            held = [0 <= g.left_index(1.51) < g.n_levels for g in grids]
+            assert any(held) and not all(held)
+        du = config.grid_du
+        lo = min(min(g.u0 for g in grids), -2.0)
+        hi = max(max(g.u_max for g in grids), 3.0)
+        k0 = int(np.floor(lo / du))
+        common = LevelGrid(k0 * du, du, int(np.ceil(hi / du)) - k0 + 1)
+        _, fields = lab._estimator(config)
+        want = np.empty((len(paths), len(config.ladder)))
+        for i, path in enumerate(paths):
+            ref, *ladder = fields(path, common)
+            want[i] = [lp_distance(f, ref, p=p, weight=config.distance_weight)
+                       for f in ladder]
+        got = run_convergence_experiment(config).distances
+        # the K_pi fields vanish beyond the range only within rounding, so a
+        # distance of 0 on a path's own grid may read ~1e-15 on the common one
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * want.max())

@@ -1,6 +1,7 @@
 """Path skeleton, partition schemes, level grids, and the CSV round trip."""
 
 import csv
+import dataclasses
 import io
 import re
 from unittest import mock
@@ -15,6 +16,8 @@ from leveltime import (
     LevelGrid,
     PartitionScheme,
     SampledCadlagPath,
+    classical_local_time,
+    occupation_local_time,
     path_to_csv_text,
     read_path_csv,
     total_variation,
@@ -164,6 +167,78 @@ class TestAccessors:
     def test_total_variation_hand_value(self):
         p = make_step_path()
         assert total_variation(p) == pytest.approx(1.0 + 0.0 + 1.5 + 0.75)
+
+
+class TestStepTable:
+    """The sorted step table that the classical reference and every
+    occupation width read: built once per path and stop index."""
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        calls = []
+        build = paths._step_table
+
+        def counting(*args):
+            calls.append(args[0].size)
+            return build(*args)
+
+        monkeypatch.setattr(paths, "_step_table", counting)
+        return calls
+
+    def test_built_once_per_stop_index(self, step_path, counted):
+        p = step_path(5, n_samples=400)
+        grid = LevelGrid.for_path(p, 0.02, margin=0.5)
+        classical_local_time(p, grid=grid)
+        for w in (0.4, 0.2, 0.1, 0.05):
+            occupation_local_time(p, bandwidth=w, grid=grid)
+        assert counted == [p.n_samples - 1]
+        # a second time builds its own table, once
+        for _ in range(2):
+            classical_local_time(p, t=0.6, grid=grid)
+            occupation_local_time(p, t=0.6, bandwidth=0.1, grid=grid)
+        assert counted == [p.n_samples - 1, p.index_at(0.6)]
+        occupation_local_time(p, bandwidth=0.3, grid=grid)
+        assert len(counted) == 2
+
+    @pytest.mark.parametrize("t", [None, 0.6, 0.0])
+    def test_table_is_the_stable_sorted_steps(self, step_path, t):
+        p = step_path(6, n_samples=300, jump_rate=20.0)
+        i_t = p.index_at(t)
+        left, inc = p.values[:i_t], np.diff(p.values[: i_t + 1])
+        marked = p.jump_mask[1 : i_t + 1]
+        assert marked.any() == (t != 0.0)
+        order = np.argsort(left, kind="stable")
+        ranked, prefix = p.step_table(t)
+        np.testing.assert_array_equal(ranked, left[order])
+        squares = np.where(marked, 0.0, inc**2)[order]
+        for row, w in zip(prefix, (inc[order], squares)):
+            np.testing.assert_array_equal(row, np.cumsum(np.r_[0.0, w]))
+        for arr in (ranked, prefix):
+            assert not arr.flags.writeable
+
+    def test_new_paths_never_see_a_stale_table(self, step_path, counted):
+        p = step_path(7, n_samples=300)
+        grid = LevelGrid.for_path(p, 0.02, margin=3.0)
+        before = occupation_local_time(p, bandwidth=0.1, grid=grid).data
+        values = 2.0 * p.values[::-1] + 0.5
+        others = (
+            p._revalued(values.copy()),
+            SampledCadlagPath(p.times, values, p.jump_mask),
+            dataclasses.replace(p, values=values),
+        )
+        fresh = SampledCadlagPath(p.times, values, p.jump_mask)
+        want = occupation_local_time(fresh, bandwidth=0.1, grid=grid).data
+        assert not np.array_equal(want, before)
+        for q in others:
+            got = occupation_local_time(q, bandwidth=0.1, grid=grid).data
+            np.testing.assert_array_equal(got, want)
+            np.testing.assert_array_equal(q.step_table()[0], np.sort(values[:-1]))
+        # p, fresh and each other path built one table apiece
+        assert len(counted) == 2 + len(others)
+        np.testing.assert_array_equal(
+            occupation_local_time(p, bandwidth=0.1, grid=grid).data, before
+        )
+        assert len(counted) == 2 + len(others)
 
 
 def rounded_spread(n_samples, count, jumps=None):
